@@ -1,25 +1,14 @@
 """Single-image super-resolution with Fourier-convolution residual GANs.
 
 The package is self-contained on numpy: it ships its own reverse-mode
-autodiff tensor engine, FFT primitives, image codecs and resamplers, the
-generator/discriminator pair, the five-term training objective, and a
-deterministic training loop with bit-exact checkpoints. A scikit-learn
-style estimator (:class:`SuperResolver`) wraps the train/upscale cycle
-for pipeline use, and the ``fftsr`` CLI exposes batch dataset
-preparation, training, upscaling, and evaluation.
+autodiff tensor engine, DFT-matrix Fourier transforms, PNG/PPM codecs
+and a bicubic resampler, the generator/discriminator pair, the five-term
+training objective, and a deterministic training loop with bit-exact
+checkpoints (:mod:`fftsr.train`).
 """
 
 from .tensor import Tensor, no_grad
 
-__all__ = ["SuperResolver", "Tensor", "no_grad"]
-
-
-def __getattr__(name):
-    # estimator pulls in scikit-learn; keep base import light
-    if name == "SuperResolver":
-        from .estimator import SuperResolver
-
-        return SuperResolver
-    raise AttributeError(name)
+__all__ = ["Tensor", "no_grad"]
 
 __version__ = "0.1.0"

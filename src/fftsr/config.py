@@ -1,69 +1,70 @@
 """Run configuration: ``key = value`` text files with dotted sections.
 
-Every key has a documented default below; unknown keys are rejected so
-typos fail before any compute. Serialization is canonical (schema order,
-repr-formatted floats), which makes parse -> serialize -> parse a fixed
-point and lets checkpoints embed the exact configuration text.
+Every key has a documented default and range below; unknown keys are
+rejected so typos fail before any compute, and out-of-range values fail
+in :meth:`RunConfig.validate` instead of mid-step. Serialization is
+canonical (schema order, repr-formatted floats), which makes parse ->
+serialize -> parse a fixed point and lets checkpoints embed the exact
+configuration text.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .losses import LossWeights
-from .nets import DiscriminatorConfig, GeneratorConfig, ModelConfig
-from .optim import CosineRestartSchedule, RestartPolicy
 
 __all__ = ["RunConfig", "CONFIG_SCHEMA", "parse_config", "serialize_config", "default_config"]
 
 
-# key -> (default, type, help)
+# key -> (default, type, allowed interval or None, help); every number has an
+# interval, and NaN and infinities lie in none of them
 CONFIG_SCHEMA: dict[str, tuple] = {
-    "data.scale": (3, int, "super-resolution factor"),
-    "data.patch": (48, int, "HR training patch size; divisible by data.scale"),
-    "data.batch": (8, int, "patches per training step"),
-    "gen.blocks": (6, int, "number of FFC blocks in the generator trunk"),
-    "gen.width": (26, int, "generator trunk channel width"),
-    "gen.global_fraction": (0.5, float, "share of channels routed to the spectral branch"),
-    "gen.kernel": (3, int, "local-branch convolution kernel size"),
-    "gen.noise_sigma": (0.05, float, "base amplitude of between-block Gaussian noise"),
-    "gen.zero_tail": (False, bool, "zero-init the final conv so training starts at the bicubic baseline"),
-    "disc.width": (16, int, "discriminator first conv width (doubles per layer)"),
-    "disc.layers": (3, int, "number of stride-2 discriminator conv layers"),
-    "loss.adversarial": (1.0, float, "weight of the adversarial term"),
-    "loss.perceptual": (1.0, float, "weight of the perceptual term"),
-    "loss.mge": (1.0, float, "weight of the mean-gradient-error term"),
-    "loss.ssim": (1.0, float, "weight of the (negated) SSIM term"),
-    "loss.charbonnier": (1.0, float, "weight of the Charbonnier term"),
-    "loss.charbonnier_eps": (1e-6, float, "epsilon under the Charbonnier square root"),
-    "opt.lr_g": (2e-3, float, "generator base (peak) learning rate"),
-    "opt.lr_d": (1e-3, float, "discriminator base (peak) learning rate"),
-    "opt.beta1": (0.9, float, "AdamW first-moment decay"),
-    "opt.beta2": (0.999, float, "AdamW second-moment decay"),
-    "opt.eps": (1e-8, float, "AdamW denominator epsilon"),
-    "opt.weight_decay": (1e-4, float, "AdamW decoupled weight decay"),
-    "sched.cycle_steps": (2000, int, "steps per cosine annealing cycle"),
-    "sched.peak_decay": (0.95, float, "per-cycle peak decay factor"),
-    "sched.floor_fraction": (0.5, float, "end-of-cycle lr as a fraction of the cycle peak"),
-    "policy.enabled": (True, bool, "enable the accuracy-driven discriminator restart policy"),
-    "policy.window": (200, int, "rolling accuracy window length (steps)"),
-    "policy.acc_low": (0.5, float, "boost when mean accuracy falls below this"),
-    "policy.acc_high": (0.95, float, "boost when mean accuracy exceeds this"),
-    "policy.lr_boost": (5.0, float, "discriminator lr multiplier while boosted"),
-    "policy.adv_scale": (0.1, float, "generator adversarial-weight multiplier while boosted"),
-    "policy.cooldown": (1000, int, "second trigger within this many steps reinitializes the discriminator"),
-    "policy.restart_every": (0, int, "if > 0, also trigger a boost every N steps"),
-    "diffusion.enabled": (True, bool, "diffuse discriminator inputs"),
-    "diffusion.t_max": (500, int, "maximum diffusion timestep"),
-    "diffusion.beta_start": (1e-4, float, "linear beta schedule start"),
-    "diffusion.beta_end": (0.02, float, "linear beta schedule end"),
-    "diffusion.target": (0.6, float, "target discriminator overfit estimate r_d"),
-    "diffusion.stride": (1, int, "timestep adjustment per adaptation"),
-    "diffusion.adapt_every": (4, int, "adapt the diffusion timestep every N steps"),
-    "noise.warmup_steps": (100, int, "steps of loss EMA captured as the noise baseline"),
-    "train.ema_decay": (0.99, float, "decay shared by all adaptive EMAs"),
-    "train.checkpoint_every": (500, int, "checkpoint cadence in steps (0 disables periodic saves)"),
+    "data.scale": (3, int, "[2, inf)", "super-resolution factor"),
+    "data.patch": (48, int, "[6, inf)", "HR training patch size; divisible by data.scale, >= 6 for the SSIM window"),
+    "data.batch": (8, int, "[1, inf)", "patches per training step"),
+    "gen.blocks": (6, int, "[0, inf)", "number of FFC blocks in the generator trunk"),
+    "gen.width": (26, int, "[1, inf)", "generator trunk channel width"),
+    "gen.global_fraction": (0.5, float, "[0, 1]", "share of channels routed to the spectral branch"),
+    "gen.kernel": (3, int, "[1, inf)", "local-branch convolution kernel size (odd, kernel // 2 < data.patch)"),
+    "gen.noise_sigma": (0.05, float, "[0, inf)", "base amplitude of between-block Gaussian noise"),
+    "gen.zero_tail": (False, bool, None, "zero-init the final conv so training starts at the bicubic baseline"),
+    "disc.width": (16, int, "[1, inf)", "discriminator first conv width (doubles per layer)"),
+    "disc.layers": (3, int, "[0, inf)", "number of stride-2 discriminator conv layers"),
+    "loss.adversarial": (1.0, float, "[0, inf)", "weight of the adversarial term"),
+    "loss.perceptual": (1.0, float, "[0, inf)", "weight of the perceptual term"),
+    "loss.mge": (1.0, float, "[0, inf)", "weight of the mean-gradient-error term"),
+    "loss.ssim": (1.0, float, "[0, inf)", "weight of the (negated) SSIM term"),
+    "loss.charbonnier": (1.0, float, "[0, inf)", "weight of the Charbonnier term"),
+    "loss.charbonnier_eps": (1e-6, float, "(0, inf)", "epsilon under the Charbonnier square root"),
+    "opt.lr_g": (2e-3, float, "[0, inf)", "generator base (peak) learning rate"),
+    "opt.lr_d": (1e-3, float, "[0, inf)", "discriminator base (peak) learning rate"),
+    "opt.beta1": (0.9, float, "[0, 1)", "AdamW first-moment decay"),
+    "opt.beta2": (0.999, float, "[0, 1)", "AdamW second-moment decay"),
+    "opt.eps": (1e-8, float, "(0, inf)", "AdamW denominator epsilon"),
+    "opt.weight_decay": (1e-4, float, "[0, inf)", "AdamW decoupled weight decay"),
+    "sched.cycle_steps": (2000, int, "[1, inf)", "steps per cosine annealing cycle"),
+    "sched.peak_decay": (0.95, float, "[0, inf)", "per-cycle peak decay factor"),
+    "sched.floor_fraction": (0.5, float, "[0, 1]", "end-of-cycle lr as a fraction of the cycle peak"),
+    "policy.enabled": (True, bool, None, "enable the accuracy-driven discriminator restart policy"),
+    "policy.window": (200, int, "[1, inf)", "rolling accuracy window length (steps)"),
+    "policy.acc_low": (0.5, float, "[0, 1]", "boost when mean accuracy falls below this"),
+    "policy.acc_high": (0.95, float, "[0, 1]", "boost when mean accuracy exceeds this"),
+    "policy.lr_boost": (5.0, float, "[0, inf)", "discriminator lr multiplier while boosted"),
+    "policy.adv_scale": (0.1, float, "[0, inf)", "generator adversarial-weight multiplier while boosted"),
+    "policy.cooldown": (1000, int, "[0, inf)", "second trigger within this many steps reinitializes the discriminator"),
+    "policy.restart_every": (0, int, "[0, inf)", "if > 0, also trigger a boost every N steps"),
+    "diffusion.enabled": (True, bool, None, "diffuse discriminator inputs"),
+    "diffusion.t_max": (500, int, "[0, inf)", "maximum diffusion timestep"),
+    "diffusion.beta_start": (1e-4, float, "[0, 1]", "linear beta schedule start"),
+    "diffusion.beta_end": (0.02, float, "[0, 1]", "linear beta schedule end"),
+    "diffusion.target": (0.6, float, "[-1, 1]", "target discriminator overfit estimate r_d"),
+    "diffusion.stride": (1, int, "[0, inf)", "timestep adjustment per adaptation"),
+    "diffusion.adapt_every": (4, int, "[1, inf)", "adapt the diffusion timestep every N steps"),
+    "noise.warmup_steps": (100, int, "[0, inf)", "steps of loss EMA captured as the noise baseline"),
+    "train.ema_decay": (0.99, float, "[0, 1]", "decay shared by all adaptive EMAs"),
+    "train.checkpoint_every": (500, int, "[0, inf)", "checkpoint cadence in steps (0 disables periodic saves)"),
 }
 
 
@@ -84,75 +85,41 @@ class RunConfig:
             vals[key] = _coerce(key, value)
         return RunConfig(vals)
 
-    def replace_items(self, items: dict) -> "RunConfig":
-        vals = dict(self.values)
-        for key, value in items.items():
-            if key not in CONFIG_SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            vals[key] = _coerce(key, value)
-        return RunConfig(vals)
-
-    # typed views over the flat keys
-
-    def model_config(self) -> ModelConfig:
-        g = GeneratorConfig(
-            blocks=self.get("gen.blocks"),
-            width=self.get("gen.width"),
-            global_fraction=self.get("gen.global_fraction"),
-            kernel=self.get("gen.kernel"),
-            noise_sigma=self.get("gen.noise_sigma"),
-            zero_tail=self.get("gen.zero_tail"),
-        )
-        d = DiscriminatorConfig(width=self.get("disc.width"), layers=self.get("disc.layers"))
-        return ModelConfig(generator=g, discriminator=d)
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            adversarial=self.get("loss.adversarial"),
-            perceptual=self.get("loss.perceptual"),
-            mge=self.get("loss.mge"),
-            ssim=self.get("loss.ssim"),
-            charbonnier=self.get("loss.charbonnier"),
-            charbonnier_eps=self.get("loss.charbonnier_eps"),
-        )
-
-    def schedule(self, base_lr: float) -> CosineRestartSchedule:
-        return CosineRestartSchedule(
-            base_lr=base_lr,
-            cycle_steps=self.get("sched.cycle_steps"),
-            peak_decay=self.get("sched.peak_decay"),
-            floor_fraction=self.get("sched.floor_fraction"),
-        )
-
-    def restart_policy(self) -> RestartPolicy:
-        return RestartPolicy(
-            window=self.get("policy.window"),
-            acc_low=self.get("policy.acc_low"),
-            acc_high=self.get("policy.acc_high"),
-            lr_boost=self.get("policy.lr_boost"),
-            adv_scale=self.get("policy.adv_scale"),
-            cooldown=self.get("policy.cooldown"),
-            restart_every=self.get("policy.restart_every"),
-        )
+    def build(self, cls, section: str, **extra):
+        """``cls`` from the ``<section>.*`` keys named like its init fields,
+        plus ``extra`` for fields the section does not carry."""
+        names = {f.name for f in dataclasses.fields(cls) if f.init}
+        kwargs = {}
+        for key, value in self.values.items():
+            head, _, name = key.partition(".")
+            if head == section and name in names:
+                kwargs[name] = value
+        return cls(**kwargs, **extra)
 
     def validate(self):
-        scale = self.get("data.scale")
-        patch = self.get("data.patch")
-        if scale < 2:
-            raise ConfigError(f"data.scale must be >= 2, got {scale}")
+        for key, (_, _, interval, _) in CONFIG_SCHEMA.items():
+            value = self.get(key)
+            if interval is not None and not _within(value, interval):
+                raise ConfigError(f"{key} = {value!r} is outside {interval}")
+        scale, patch = self.get("data.scale"), self.get("data.patch")
         if patch % scale != 0:
             raise ConfigError(f"data.patch {patch} not divisible by data.scale {scale}")
-        if self.get("data.batch") < 1:
-            raise ConfigError("data.batch must be >= 1")
-        if not 0.0 <= self.get("gen.global_fraction") <= 1.0:
-            raise ConfigError("gen.global_fraction must be in [0, 1]")
-        if self.get("diffusion.t_max") < 0:
-            raise ConfigError("diffusion.t_max must be >= 0")
+        kernel = self.get("gen.kernel")
+        if kernel % 2 == 0 or kernel // 2 >= patch:
+            raise ConfigError(f"gen.kernel {kernel} must be odd, with a reflect pad below data.patch {patch}")
         return self
 
 
+def _within(value, interval: str) -> bool:
+    """Whether ``value`` lies in an interval written like ``[0, 1)``."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = value >= lo if interval[0] == "[" else value > lo
+    below = value <= hi if interval[-1] == "]" else value < hi
+    return above and below
+
+
 def _coerce(key: str, raw):
-    _, typ, _ = CONFIG_SCHEMA[key]
+    typ = CONFIG_SCHEMA[key][1]
     if typ is bool:
         if isinstance(raw, bool):
             return raw
@@ -173,7 +140,7 @@ def _coerce(key: str, raw):
 
 
 def default_config() -> RunConfig:
-    return RunConfig({key: default for key, (default, _, _) in CONFIG_SCHEMA.items()})
+    return RunConfig({key: row[0] for key, row in CONFIG_SCHEMA.items()})
 
 
 def parse_config(text: str) -> RunConfig:

@@ -49,7 +49,9 @@ class TooSmallError(ImageError):
 class CheckpointError(FftsrError):
     """A checkpoint file failed to load; names the failing section.
 
-    ``section`` is one of: magic, version, config, tensor table, checksum.
+    ``section`` is one of: magic, version, config, state, tensor table,
+    checksum. ``state`` and ``tensor table`` are also raised on restore,
+    when an entry the trainer needs is missing or does not fit it.
     """
 
     def __init__(self, message, section):

@@ -1,18 +1,14 @@
-"""Fourier transforms: a 1-D complex FFT engine and differentiable 2-D
-real transforms for the spectral branch of the Fourier-convolution nets.
+"""Differentiable 2-D real Fourier transforms for the spectral branch of
+the Fourier-convolution nets.
 
-``fft1d`` is the general engine: iterative radix-2 for power-of-two
-lengths, Bluestein's chirp-z reduction (onto the radix-2 path) for every
-other length, so arbitrary crop sizes need no padding. Convention:
+``rfft2d``/``irfft2d`` are NCHW tensor ops. They evaluate the DFT through
+cached cosine/sine matrix products (one GEMM per image axis), which at
+convolution-sized inputs is faster in numpy than a strided butterfly
+loop and works for every crop size without padding. Convention:
 unnormalized forward ``X_k = sum_n x_n exp(-2*pi*i*n*k/N)``, inverse
-scaled by 1/N, so ``fft1d(fft1d(x), inverse=True) == x``.
-
-``rfft2d``/``irfft2d`` are the NCHW tensor ops. They evaluate the same
-transform through cached cosine/sine matrix products (one GEMM per image
-axis), which at convolution-sized inputs is far faster in numpy than a
-strided butterfly loop, and they store the half spectrum with real and
-imaginary planes stacked as two channel groups. Their backward passes
-apply the exact adjoint (transposed matrices in reverse order).
+scaled by 1/N. The half spectrum is stored with real and imaginary
+planes stacked as two channel groups. The backward passes apply the
+exact adjoint (transposed matrices in reverse order).
 """
 
 from __future__ import annotations
@@ -22,107 +18,12 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor
 
-__all__ = ["fft1d", "rfft2d", "irfft2d", "rfft2d_array", "irfft2d_array", "half_width"]
+__all__ = ["rfft2d", "irfft2d", "rfft2d_array", "irfft2d_array", "half_width"]
 
 
 def half_width(w: int) -> int:
     """Stored spectrum width for a real signal of width ``w``."""
     return w // 2 + 1
-
-
-# ---- 1-D engine ----
-
-_POW2_CACHE: dict = {}
-_BLUESTEIN_CACHE: dict = {}
-
-
-def _bit_reversal(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    bits = n.bit_length() - 1
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
-def _pow2_plan(n: int):
-    plan = _POW2_CACHE.get(n)
-    if plan is None:
-        twiddles = []
-        m = 2
-        while m <= n:
-            half = m // 2
-            twiddles.append(np.exp(-2j * np.pi * np.arange(half) / m))
-            m *= 2
-        plan = (_bit_reversal(n), twiddles)
-        _POW2_CACHE[n] = plan
-    return plan
-
-
-def _fft_pow2(a: np.ndarray) -> np.ndarray:
-    """Unnormalized forward FFT along the last axis; len must be 2**k."""
-    n = a.shape[-1]
-    if n == 1:
-        return a.copy()
-    rev, twiddles = _pow2_plan(n)
-    out = np.ascontiguousarray(a[..., rev])
-    m = 2
-    for w in twiddles:
-        half = m // 2
-        v = out.reshape(-1, n // m, m)
-        odd = v[..., half:] * w
-        even = v[..., :half].copy()
-        v[..., :half] = even + odd
-        v[..., half:] = even - odd
-        m *= 2
-    return out
-
-
-def _bluestein_plan(n: int):
-    plan = _BLUESTEIN_CACHE.get(n)
-    if plan is None:
-        m = 1 << (2 * n - 1).bit_length()
-        # chirp exponents reduced mod 2n to keep angles small
-        k = np.arange(n, dtype=np.int64)
-        ang = np.pi * ((k * k) % (2 * n)) / n
-        w = np.exp(-1j * ang)  # forward chirp e^{-i pi k^2 / n}
-        b = np.zeros(m, dtype=np.complex128)
-        b[:n] = np.conj(w)
-        b[m - n + 1 :] = np.conj(w[1:][::-1])
-        plan = (m, w, _fft_pow2(b))
-        _BLUESTEIN_CACHE[n] = plan
-    return plan
-
-
-def _fft_bluestein(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    m, w, bf = _bluestein_plan(n)
-    buf = np.zeros(a.shape[:-1] + (m,), dtype=np.complex128)
-    buf[..., :n] = a * w
-    conv = _fft_pow2(buf)
-    conv *= bf
-    # inverse length-m FFT via conjugation of the forward path
-    conv = np.conj(_fft_pow2(np.conj(conv))) / m
-    return conv[..., :n] * w
-
-
-def fft1d(x, inverse: bool = False) -> np.ndarray:
-    """Discrete Fourier transform along the last axis, any length >= 1.
-
-    Forward is unnormalized; the inverse divides by N so the round trip
-    is the identity. Input is converted to complex128.
-    """
-    a = np.asarray(x, dtype=np.complex128)
-    if a.ndim == 0 or a.shape[-1] < 1:
-        raise ShapeError("fft1d needs at least one sample along the last axis")
-    n = a.shape[-1]
-    if inverse:
-        return np.conj(fft1d(np.conj(a))) / n
-    if n == 1:
-        return a.copy()
-    if n & (n - 1) == 0:
-        return _fft_pow2(a)
-    return _fft_bluestein(a)
 
 
 # ---- cached DFT matrices for the 2-D real transforms ----

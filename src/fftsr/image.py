@@ -9,11 +9,14 @@ round trips are testable:
   produce identical files. The decoder handles filters 0..4.
 * Binary PPM (P6), maxval 255.
 
-Resampling uses cubic convolution with the Keys kernel (a = -0.5) or
-bilinear weights, half-pixel-centered source mapping
-``x_src = (x_dst + 0.5) * scale - 0.5``, edge-clamped borders, and a
-final clamp to [0, 1]. Both kernels are applied as precomputed per-axis
-weight matrices, which makes batched and single-image paths bit-identical.
+The decoder inflates no more than the header's pixel count allows, so a
+small file cannot expand to a large allocation before it is rejected.
+
+Resampling uses cubic convolution with the Keys kernel (a = -0.5),
+half-pixel-centered source mapping ``x_src = (x_dst + 0.5) * scale - 0.5``,
+edge-clamped borders, and a final clamp to [0, 1]. The kernel is applied
+as precomputed per-axis weight matrices, which makes batched and
+single-image paths bit-identical.
 """
 
 from __future__ import annotations
@@ -31,10 +34,8 @@ __all__ = [
     "decode_image",
     "encode_image",
     "resample_bicubic",
-    "resample_bilinear",
     "resample_nchw",
     "make_lr_hr_pair",
-    "luma",
     "keys_weights",
 ]
 
@@ -114,16 +115,21 @@ def _png_decode(raw: bytes) -> Image:
         raise DecodeError("missing IHDR", offset=8)
     if not seen_end:
         raise DecodeError("missing IEND", offset=len(raw))
-    try:
-        stream = zlib.decompress(bytes(idat))
-    except zlib.error as exc:
-        raise DecodeError(f"IDAT inflate failed: {exc}") from None
     channels = 3 if color_type == 2 else 4
     stride = width * channels
-    if len(stream) != (stride + 1) * height:
-        raise DecodeError(
-            f"pixel stream has {len(stream)} bytes, expected {(stride + 1) * height}"
-        )
+    expected = (stride + 1) * height
+    inflater = zlib.decompressobj()
+    try:
+        # one byte past the expected size is enough to tell a long stream
+        stream = inflater.decompress(bytes(idat), expected + 1)
+    except zlib.error as exc:
+        raise DecodeError(f"IDAT inflate failed: {exc}") from None
+    if len(stream) > expected:
+        raise DecodeError(f"pixel stream is longer than the {expected} bytes expected")
+    if not inflater.eof:
+        raise DecodeError("IDAT zlib stream is truncated")
+    if len(stream) != expected:
+        raise DecodeError(f"pixel stream has {len(stream)} bytes, expected {expected}")
     rows = np.frombuffer(stream, dtype=np.uint8).reshape(height, stride + 1)
     filters = rows[:, 0]
     data = rows[:, 1:].reshape(height, width, channels)
@@ -270,9 +276,9 @@ def keys_weights(frac: float, a: float = -0.5) -> np.ndarray:
 _WEIGHTS_CACHE: dict = {}
 
 
-def _axis_matrix(n_in: int, n_out: int, kind: str) -> np.ndarray:
-    """(n_out, n_in) resampling matrix: half-pixel mapping, edge clamp."""
-    key = (n_in, n_out, kind)
+def _axis_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """(n_out, n_in) Keys cubic matrix: half-pixel mapping, edge clamp."""
+    key = (n_in, n_out)
     hit = _WEIGHTS_CACHE.get(key)
     if hit is not None:
         return hit
@@ -282,43 +288,28 @@ def _axis_matrix(n_in: int, n_out: int, kind: str) -> np.ndarray:
         src = (i + 0.5) * scale - 0.5
         base = int(np.floor(src))
         frac = src - base
-        if kind == "bicubic":
-            taps = range(base - 1, base + 3)
-            weights = keys_weights(frac)
-        else:
-            taps = range(base, base + 2)
-            weights = np.array([1.0 - frac, frac])
-        for t, wgt in zip(taps, weights):
+        for t, wgt in zip(range(base - 1, base + 3), keys_weights(frac)):
             mat[i, min(max(t, 0), n_in - 1)] += wgt
         mat[i] /= mat[i].sum()
     _WEIGHTS_CACHE[key] = mat
     return mat
 
 
-def _resample(img: Image, out_h: int, out_w: int, kind: str) -> Image:
+def resample_bicubic(img: Image, out_h: int, out_w: int) -> Image:
+    """Keys (a = -0.5) cubic resampling to (out_h, out_w)."""
     if out_h < 1 or out_w < 1:
         raise ShapeError("output dimensions must be >= 1")
-    mh = _axis_matrix(img.height, out_h, kind)
-    mw = _axis_matrix(img.width, out_w, kind)
+    mh = _axis_matrix(img.height, out_h)
+    mw = _axis_matrix(img.width, out_w)
     tmp = np.tensordot(mh, img.data.astype(np.float64), axes=(1, 0))  # (out_h, W, 3)
     out = np.tensordot(tmp, mw, axes=(1, 1)).transpose(0, 2, 1)  # (out_h, out_w, 3)
     return Image(np.clip(out, 0.0, 1.0).astype(np.float32), tag="resampled")
 
 
-def resample_bicubic(img: Image, out_h: int, out_w: int) -> Image:
-    """Keys (a = -0.5) cubic resampling to (out_h, out_w)."""
-    return _resample(img, out_h, out_w, "bicubic")
-
-
-def resample_bilinear(img: Image, out_h: int, out_w: int) -> Image:
-    """Bilinear resampling with the same mapping and clamp as bicubic."""
-    return _resample(img, out_h, out_w, "bilinear")
-
-
-def resample_nchw(batch: np.ndarray, out_h: int, out_w: int, kind: str = "bicubic") -> np.ndarray:
-    """Batched (N, C, H, W) resampling; same matrices as the Image path."""
-    mh = _axis_matrix(batch.shape[2], out_h, kind)
-    mw = _axis_matrix(batch.shape[3], out_w, kind)
+def resample_nchw(batch: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Batched (N, C, H, W) bicubic resampling; same matrices as the Image path."""
+    mh = _axis_matrix(batch.shape[2], out_h)
+    mw = _axis_matrix(batch.shape[3], out_w)
     x = batch.astype(np.float64)
     x = np.swapaxes(np.swapaxes(x, -1, -2) @ mh.T, -1, -2)
     x = x @ mw.T
@@ -338,8 +329,3 @@ def make_lr_hr_pair(img: Image, scale: int) -> tuple[Image, Image]:
     hr = Image(img.data[:h, :w], tag=img.tag)
     lr = resample_bicubic(hr, h // scale, w // scale)
     return lr, hr
-
-
-def luma(arr: np.ndarray) -> np.ndarray:
-    """BT.601 luma of an (..., 3) RGB array."""
-    return arr[..., 0] * 0.299 + arr[..., 1] * 0.587 + arr[..., 2] * 0.114

@@ -29,7 +29,6 @@ __all__ = [
     "FfcBlockConfig",
     "GeneratorConfig",
     "DiscriminatorConfig",
-    "ModelConfig",
     "NoiseState",
     "Conv2d",
     "BatchNorm2d",
@@ -51,7 +50,6 @@ class FfcBlockConfig:
     out_channels: int
     global_fraction: float = 0.5
     kernel: int = 3
-    hidden: int | None = None  # spectral branch width; defaults to the global width
 
     def split(self, channels: int) -> tuple[int, int]:
         g = int(round(self.global_fraction * channels))
@@ -72,12 +70,6 @@ class GeneratorConfig:
 class DiscriminatorConfig:
     width: int = 16
     layers: int = 3
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
-    discriminator: DiscriminatorConfig = field(default_factory=DiscriminatorConfig)
 
 
 @dataclass
@@ -126,9 +118,6 @@ class Module:
             yield prefix + name, self, name
         for cname, child in self._children():
             yield from child.named_buffers(f"{prefix}{cname}.")
-
-    def parameters(self):
-        return [t for _, t in self.named_parameters()]
 
 
 class Conv2d(Module):
@@ -236,7 +225,7 @@ class FfcBlock(Module):
         self.in_l, self.in_g = cfg.split(cfg.in_channels)
         self.out_l, self.out_g = cfg.split(cfg.out_channels)
         k, p = cfg.kernel, cfg.kernel // 2
-        hidden = cfg.hidden if cfg.hidden is not None else max(self.out_g, 1)
+        hidden = max(self.out_g, 1)  # spectral branch width
         conv = lambda ci, co: Conv2d(
             rng, ci, co, kernel=k, padding=p, pad_mode="reflect", bias=False, dtype=dtype
         )

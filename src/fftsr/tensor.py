@@ -32,7 +32,6 @@ __all__ = [
     "pow",
     "sqrt",
     "log",
-    "exp",
     "sigmoid",
     "tanh",
     "relu",
@@ -40,7 +39,6 @@ __all__ = [
     "absolute",
     "sum",
     "mean",
-    "amax",
     "matmul",
     "reshape",
     "concat",
@@ -122,9 +120,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def _accumulate(self, g: np.ndarray):
         if g.dtype != self.data.dtype:
@@ -330,16 +325,6 @@ def log(a: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward, "log")
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
-
-    return Tensor._from_op(out_data, (a,), backward, "exp")
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     out_data = np.empty_like(x)
@@ -459,24 +444,6 @@ def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward, "mean")
 
 
-def amax(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    """Max reduction; ties split the upstream gradient equally."""
-    axes = _norm_axes(axes, a.data.ndim)
-    if axes == ():
-        return _identity(a)
-    out_data = np.asarray(a.data.max(axis=axes, keepdims=keepdims))
-
-    def backward(g):
-        if a.requires_grad:
-            full = a.data.max(axis=axes, keepdims=True)
-            hit = a.data == full
-            counts = hit.sum(axis=axes, keepdims=True)
-            gg = g if keepdims or axes is None else np.expand_dims(g, axes)
-            a._accumulate(np.broadcast_to(gg, a.shape) * hit / counts)
-
-    return Tensor._from_op(out_data, (a,), backward, "max")
-
-
 # ---- structure ----
 
 
@@ -551,21 +518,7 @@ def split_channels(a: Tensor, sizes: Sequence[int]) -> tuple:
     return tuple(outs)
 
 
-# ---- spatial padding (shared by conv2d and the loss filters) ----
-
-
-def _pad_spatial(x: np.ndarray, pad: int, mode: str) -> np.ndarray:
-    if pad == 0:
-        return x
-    spec = ((0, 0), (0, 0), (pad, pad), (pad, pad))
-    if mode == "zero":
-        return np.pad(x, spec)
-    if mode == "reflect":
-        h, w = x.shape[-2], x.shape[-1]
-        if pad > h - 1 or pad > w - 1:
-            raise ShapeError(f"reflect pad {pad} too large for spatial dims {(h, w)}")
-        return np.pad(x, spec, mode="reflect")
-    raise ValueError(f"unknown pad mode {mode!r}")
+# ---- adjoint of spatial padding (conv2d backward) ----
 
 
 def _fold_axis(g: np.ndarray, pad: int, n: int, axis: int, mode: str) -> np.ndarray:

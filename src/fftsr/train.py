@@ -13,10 +13,13 @@ stream, and a checkpoint restores bit-identical continuation.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -25,8 +28,8 @@ from . import tensor as T
 from .config import RunConfig, parse_config, serialize_config
 from .errors import CheckpointError, FftsrError
 from .image import Image, resample_bicubic, resample_nchw
-from .nets import Discriminator, Generator, NoiseState
-from .optim import AdamW
+from .nets import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, NoiseState
+from .optim import AdamW, CosineRestartSchedule, RestartPolicy
 from .tensor import Tensor
 
 __all__ = [
@@ -144,7 +147,7 @@ def sample_patches(
 
 
 def build_generator(cfg: RunConfig, seed: int = 0) -> Generator:
-    return Generator(cfg.model_config().generator, np.random.default_rng(np.random.SeedSequence(seed)))
+    return Generator(cfg.build(GeneratorConfig, "gen"), np.random.default_rng(np.random.SeedSequence(seed)))
 
 
 def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
@@ -176,42 +179,20 @@ class Trainer:
 
         root = np.random.SeedSequence(seed)
         init_gen, init_disc, *streams = root.spawn(2 + len(_STREAMS))
-        model = cfg.model_config()
-        self.gen = Generator(model.generator, np.random.default_rng(init_gen))
-        self.disc = Discriminator(model.discriminator, np.random.default_rng(init_disc))
+        self.gen = Generator(cfg.build(GeneratorConfig, "gen"), np.random.default_rng(init_gen))
+        self.disc = Discriminator(cfg.build(DiscriminatorConfig, "disc"), np.random.default_rng(init_disc))
         self.rng = {name: np.random.default_rng(seq) for name, seq in zip(_STREAMS, streams)}
 
-        self.weights = cfg.loss_weights()
+        self.weights = cfg.build(L.LossWeights, "loss")
         self.extractor = L.PerceptualExtractor()
-        self.opt_g = AdamW(
-            list(self.gen.named_parameters("gen.")),
-            lr=cfg.get("opt.lr_g"),
-            beta1=cfg.get("opt.beta1"),
-            beta2=cfg.get("opt.beta2"),
-            eps=cfg.get("opt.eps"),
-            weight_decay=cfg.get("opt.weight_decay"),
-        )
-        self.opt_d = AdamW(
-            list(self.disc.named_parameters("disc.")),
-            lr=cfg.get("opt.lr_d"),
-            beta1=cfg.get("opt.beta1"),
-            beta2=cfg.get("opt.beta2"),
-            eps=cfg.get("opt.eps"),
-            weight_decay=cfg.get("opt.weight_decay"),
-        )
-        self.sched_g = cfg.schedule(cfg.get("opt.lr_g"))
-        self.sched_d = cfg.schedule(cfg.get("opt.lr_d"))
-        self.policy = cfg.restart_policy()
+        adam = {key: cfg.get(f"opt.{key}") for key in ("beta1", "beta2", "eps", "weight_decay")}
+        self.opt_g = AdamW(list(self.gen.named_parameters("gen.")), lr=cfg.get("opt.lr_g"), **adam)
+        self.opt_d = AdamW(list(self.disc.named_parameters("disc.")), lr=cfg.get("opt.lr_d"), **adam)
+        self.sched_g = cfg.build(CosineRestartSchedule, "sched", base_lr=cfg.get("opt.lr_g"))
+        self.sched_d = cfg.build(CosineRestartSchedule, "sched", base_lr=cfg.get("opt.lr_d"))
+        self.policy = cfg.build(RestartPolicy, "policy")
         self.policy_enabled = cfg.get("policy.enabled")
-        self.diffusion = DiffusionState(
-            t_max=cfg.get("diffusion.t_max"),
-            beta_start=cfg.get("diffusion.beta_start"),
-            beta_end=cfg.get("diffusion.beta_end"),
-            target=cfg.get("diffusion.target"),
-            stride=cfg.get("diffusion.stride"),
-            ema_decay=cfg.get("train.ema_decay"),
-            enabled=cfg.get("diffusion.enabled"),
-        )
+        self.diffusion = cfg.build(DiffusionState, "diffusion", ema_decay=cfg.get("train.ema_decay"))
         self.adapt_every = cfg.get("diffusion.adapt_every")
         self.noise = NoiseState(sigma0=cfg.get("gen.noise_sigma"), rng=self.rng["noise"])
         self.ema_decay = cfg.get("train.ema_decay")
@@ -235,9 +216,6 @@ class Trainer:
 
     # one step, split into the two half-updates for testability
 
-    def _forward_generator(self, up_t: Tensor) -> Tensor:
-        return self.gen(up_t, noise=self.noise, training=True)
-
     def _disc_update(self, real_res: Tensor, fake_res_detached: Tensor):
         d_real = self.disc(self.diffusion.diffuse(real_res, self.rng["diffusion"]), training=True)
         d_fake = self.disc(self.diffusion.diffuse(fake_res_detached, self.rng["diffusion"]), training=True)
@@ -257,13 +235,8 @@ class Trainer:
         mge = L.mge_loss(sr, hr_t)
         ssim_v = L.ssim(sr, hr_t)
         charb = L.charbonnier(sr, hr_t, self.weights.charbonnier_eps)
-        effective = L.LossWeights(
-            adversarial=self.weights.adversarial * self.policy.adv_multiplier,
-            perceptual=self.weights.perceptual,
-            mge=self.weights.mge,
-            ssim=self.weights.ssim,
-            charbonnier=self.weights.charbonnier,
-            charbonnier_eps=self.weights.charbonnier_eps,
+        effective = dataclasses.replace(
+            self.weights, adversarial=self.weights.adversarial * self.policy.adv_multiplier
         )
         total = L.total_generator_loss(adv, perc, mge, ssim_v, charb, effective)
         terms = {
@@ -294,12 +267,12 @@ class Trainer:
         lr_b, hr_b = sample_patches(
             self.pairs, self.patch, self.scale, self.rng["patch"], self.batch
         )
-        up = resample_nchw(lr_b, self.patch, self.patch, kind="bicubic")
+        up = resample_nchw(lr_b, self.patch, self.patch)
         up_t = Tensor(up)
         hr_t = Tensor(hr_b)
         real_res = Tensor(hr_b - up)
 
-        fake_res = self._forward_generator(up_t)
+        fake_res = self.gen(up_t, noise=self.noise, training=True)
         d_loss, d_real_vals, d_fake_vals, lr_d = self._disc_update(real_res, fake_res.detach())
         terms = self._gen_update(up_t, fake_res, hr_t)
 
@@ -341,103 +314,55 @@ class Trainer:
         self.noise.multiplier = float(np.clip(self.loss_ema / self.loss_initial, 0.0, 1.0))
 
     def _reinit_discriminator(self):
-        fresh = Discriminator(self.cfg.model_config().discriminator, self.rng["reinit"])
+        fresh = Discriminator(self.disc.cfg, self.rng["reinit"])
         for (_, old), (_, new) in zip(self.disc.named_parameters(), fresh.named_parameters()):
             old.data = new.data
         self.opt_d.m = [np.zeros_like(p.data) for p in self.opt_d.params]
         self.opt_d.v = [np.zeros_like(p.data) for p in self.opt_d.params]
 
-    @staticmethod
-    def format_metrics(record: dict) -> str:
-        parts = []
-        for key, value in record.items():
-            if isinstance(value, float):
-                parts.append(f"{key}={value!r}")
-            else:
-                parts.append(f"{key}={value}")
-        return " ".join(parts)
-
     # ---- checkpoint integration ----
+
+    def _tensor_slots(self):
+        return _tensor_slots(("gen.", self.gen), ("disc.", self.disc), opts=(("g", self.opt_g), ("d", self.opt_d)))
+
+    def _scalar_slots(self, bit_states: dict):
+        """(key, owner, name, codec) of every scalar the checkpoint carries;
+        the RNG entries live in ``bit_states``, one dict per stream."""
+        for key, path, codec in _SCALAR_FIELDS:
+            *head, name = path.split(".")
+            yield f"state.{key}", reduce(getattr, head, self), name, codec
+        for stream, bits in bit_states.items():
+            for key, (*head, name) in _RNG_FIELDS:
+                yield f"state.rng.{stream}.{key}", reduce(operator.getitem, head, bits), name, _INT
 
     def snapshot(self) -> tuple[dict, dict]:
         """(state text mapping, tensor table mapping) capturing everything."""
-        state = {
-            "state.step": str(self.step),
-            "state.seed": str(self.seed),
-            "state.opt_g.t": str(self.opt_g.t),
-            "state.opt_d.t": str(self.opt_d.t),
-            "state.diffusion.t": str(self.diffusion.t),
-            "state.diffusion.r_d": repr(self.diffusion.r_d),
-            "state.noise.multiplier": repr(self.noise.multiplier),
-            "state.noise.ema": repr(self.loss_ema),
-            "state.noise.initial": "none" if self.loss_initial is None else repr(self.loss_initial),
-            "state.noise.warmup_count": str(self.warmup_count),
-            "state.policy.mode": self.policy.mode,
-            "state.policy.disc_lr_multiplier": repr(self.policy.disc_lr_multiplier),
-            "state.policy.adv_multiplier": repr(self.policy.adv_multiplier),
-            "state.policy.last_trigger_step": str(self.policy.last_trigger_step),
-        }
-        for name, rng in self.rng.items():
-            bg = rng.bit_generator.state
-            state[f"state.rng.{name}.state"] = str(bg["state"]["state"])
-            state[f"state.rng.{name}.inc"] = str(bg["state"]["inc"])
-            state[f"state.rng.{name}.has_uint32"] = str(bg["has_uint32"])
-            state[f"state.rng.{name}.uinteger"] = str(bg["uinteger"])
-
-        tensors: dict[str, np.ndarray] = {}
-        for name, p in list(self.gen.named_parameters("gen.")) + list(
-            self.disc.named_parameters("disc.")
-        ):
-            tensors[f"param.{name}"] = p.data
-        for prefix, module in (("gen.", self.gen), ("disc.", self.disc)):
-            for name, owner, attr in module.named_buffers(prefix):
-                tensors[f"buffer.{name}"] = getattr(owner, attr)
-        for tag, opt in (("g", self.opt_g), ("d", self.opt_d)):
-            for pname, m, v in zip(opt.names, opt.m, opt.v):
-                tensors[f"opt.{tag}.m.{pname}"] = m
-                tensors[f"opt.{tag}.v.{pname}"] = v
+        bit_states = {name: rng.bit_generator.state for name, rng in self.rng.items()}
+        state = {key: enc(_get(owner, name)) for key, owner, name, (enc, _) in self._scalar_slots(bit_states)}
+        tensors = {key: _get(owner, name) for key, owner, name in self._tensor_slots()}
         tensors["state.policy.window"] = np.asarray(self.policy._acc, dtype=np.float64)
         return state, tensors
 
     def restore(self, state: dict, tensors: dict):
-        self.step = int(state["state.step"])
-        self.opt_g.t = int(state["state.opt_g.t"])
-        self.opt_d.t = int(state["state.opt_d.t"])
-        self.diffusion.t = int(state["state.diffusion.t"])
-        self.diffusion.r_d = float(state["state.diffusion.r_d"])
-        self.noise.multiplier = float(state["state.noise.multiplier"])
-        self.loss_ema = float(state["state.noise.ema"])
-        raw_initial = state["state.noise.initial"]
-        self.loss_initial = None if raw_initial == "none" else float(raw_initial)
-        self.warmup_count = int(state["state.noise.warmup_count"])
-        self.policy.mode = state["state.policy.mode"]
-        self.policy.disc_lr_multiplier = float(state["state.policy.disc_lr_multiplier"])
-        self.policy.adv_multiplier = float(state["state.policy.adv_multiplier"])
-        self.policy.last_trigger_step = int(state["state.policy.last_trigger_step"])
+        """Inverse of :meth:`snapshot`; a missing or malformed entry raises
+        :class:`CheckpointError` naming the ``state`` or ``tensor table``."""
+        bit_states = {name: rng.bit_generator.state for name, rng in self.rng.items()}
+        for key, owner, name, (_, dec) in self._scalar_slots(bit_states):
+            _set(owner, name, _decode_state(state, key, dec))
         for name, rng in self.rng.items():
-            bg = rng.bit_generator.state
-            bg["state"]["state"] = int(state[f"state.rng.{name}.state"])
-            bg["state"]["inc"] = int(state[f"state.rng.{name}.inc"])
-            bg["has_uint32"] = int(state[f"state.rng.{name}.has_uint32"])
-            bg["uinteger"] = int(state[f"state.rng.{name}.uinteger"])
-            rng.bit_generator.state = bg
-
-        for name, p in list(self.gen.named_parameters("gen.")) + list(
-            self.disc.named_parameters("disc.")
-        ):
-            p.data = tensors[f"param.{name}"].copy()
-        for prefix, module in (("gen.", self.gen), ("disc.", self.disc)):
-            for name, owner, attr in module.named_buffers(prefix):
-                setattr(owner, attr, tensors[f"buffer.{name}"].copy())
-        for tag, opt in (("g", self.opt_g), ("d", self.opt_d)):
-            opt.m = [tensors[f"opt.{tag}.m.{p}"].copy() for p in opt.names]
-            opt.v = [tensors[f"opt.{tag}.v.{p}"].copy() for p in opt.names]
-        window = tensors["state.policy.window"]
+            try:
+                rng.bit_generator.state = bit_states[name]
+            except (OverflowError, ValueError) as exc:
+                raise CheckpointError(f"RNG stream {name!r}: {exc}", section="state") from None
+        _load_tensors(self._tensor_slots(), tensors)
+        window = tensors.get("state.policy.window")
+        if window is None or window.dtype != np.float64 or window.ndim != 1 or len(window) > self.policy.window:
+            raise CheckpointError("policy window missing or malformed", section="tensor table")
         self.policy._acc = [float(v) for v in window]
 
     @classmethod
     def from_checkpoint(cls, ckpt: "Checkpoint", pairs) -> "Trainer":
-        trainer = cls(ckpt.config, int(ckpt.state["state.seed"]), pairs)
+        trainer = cls(ckpt.config, _decode_state(ckpt.state, "state.seed", int), pairs)
         trainer.restore(ckpt.state, ckpt.tensors)
         return trainer
 
@@ -454,10 +379,6 @@ class Checkpoint:
     config_text: str
     state: dict
     tensors: dict
-
-    @property
-    def step(self) -> int:
-        return int(self.state["state.step"])
 
 
 def write_checkpoint(path, config_text: str, state: dict, tensors: dict):
@@ -497,8 +418,6 @@ def read_checkpoint(path) -> Checkpoint:
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}", section="version")
-    if len(raw) < 4:
-        raise CheckpointError("file truncated before checksum", section="checksum")
     (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError("checksum mismatch in tensor table", section="checksum")
@@ -563,14 +482,87 @@ def save_trainer(trainer: Trainer, path):
 
 def generator_from_checkpoint(ckpt: Checkpoint) -> Generator:
     gen = build_generator(ckpt.config, seed=0)
-    for name, p in gen.named_parameters("gen."):
-        p.data = ckpt.tensors[f"param.{name}"].copy()
-    for name, owner, attr in gen.named_buffers("gen."):
-        setattr(owner, attr, ckpt.tensors[f"buffer.{name}"].copy())
+    _load_tensors(_tensor_slots(("gen.", gen)), ckpt.tensors)
     return gen
 
 
-def parameter_counts(ckpt: Checkpoint) -> dict:
-    gen = sum(v.size for k, v in ckpt.tensors.items() if k.startswith("param.gen."))
-    disc = sum(v.size for k, v in ckpt.tensors.items() if k.startswith("param.disc."))
-    return {"generator": int(gen), "discriminator": int(disc)}
+# ---- checkpoint state table ----
+
+# (encode to text, decode from text)
+_INT = (str, int)
+_FLOAT = (repr, float)
+_OPTIONAL_FLOAT = (lambda v: "none" if v is None else repr(v), lambda s: None if s == "none" else float(s))
+_STR = (str, str)
+
+# every scalar of trainer state: "state." key, attribute path on the
+# Trainer, codec; snapshot and restore both walk this one table
+_SCALAR_FIELDS = (
+    ("step", "step", _INT),
+    ("seed", "seed", _INT),
+    ("opt_g.t", "opt_g.t", _INT),
+    ("opt_d.t", "opt_d.t", _INT),
+    ("diffusion.t", "diffusion.t", _INT),
+    ("diffusion.r_d", "diffusion.r_d", _FLOAT),
+    ("noise.multiplier", "noise.multiplier", _FLOAT),
+    ("noise.ema", "loss_ema", _FLOAT),
+    ("noise.initial", "loss_initial", _OPTIONAL_FLOAT),
+    ("noise.warmup_count", "warmup_count", _INT),
+    ("policy.mode", "policy.mode", _STR),
+    ("policy.disc_lr_multiplier", "policy.disc_lr_multiplier", _FLOAT),
+    ("policy.adv_multiplier", "policy.adv_multiplier", _FLOAT),
+    ("policy.last_trigger_step", "policy.last_trigger_step", _INT),
+)
+# the integers of one PCG64 stream: key suffix, path in ``bit_generator.state``
+_RNG_FIELDS = (
+    ("state", ("state", "state")),
+    ("inc", ("state", "inc")),
+    ("has_uint32", ("has_uint32",)),
+    ("uinteger", ("uinteger",)),
+)
+
+
+def _get(owner, name):
+    return owner[name] if isinstance(owner, (dict, list)) else getattr(owner, name)
+
+
+def _set(owner, name, value):
+    if isinstance(owner, (dict, list)):
+        owner[name] = value
+    else:
+        setattr(owner, name, value)
+
+
+def _decode_state(state: dict, key: str, decode):
+    try:
+        return decode(state[key])
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"state entry {key!r} missing or malformed: {exc!r}", section="state") from None
+
+
+def _tensor_slots(*modules, opts=()):
+    """(checkpoint key, owner, name) of every array stored for ``modules``,
+    given as (prefix, module) pairs, and ``opts``, as (tag, AdamW) pairs."""
+    for prefix, module in modules:
+        for name, p in module.named_parameters(prefix):
+            yield f"param.{name}", p, "data"
+        for name, owner, attr in module.named_buffers(prefix):
+            yield f"buffer.{name}", owner, attr
+    for tag, opt in opts:
+        for i, pname in enumerate(opt.names):
+            yield f"opt.{tag}.m.{pname}", opt.m, i
+            yield f"opt.{tag}.v.{pname}", opt.v, i
+
+
+def _load_tensors(slots, tensors: dict):
+    """Copy every slot's stored array in; it must match the slot's current
+    array in shape and dtype."""
+    for key, owner, name in slots:
+        want, got = _get(owner, name), tensors.get(key)
+        if got is None:
+            raise CheckpointError(f"tensor {key!r} missing", section="tensor table")
+        if got.shape != want.shape or got.dtype != want.dtype:
+            raise CheckpointError(
+                f"tensor {key!r} is {got.dtype}{got.shape}, expected {want.dtype}{want.shape}",
+                section="tensor table",
+            )
+        _set(owner, name, got.copy())

@@ -1,3 +1,7 @@
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,16 @@ from fftsr.errors import DecodeError, ShapeError, TooSmallError, UnsupportedForm
 
 def random_image(rng, h=9, w=13):
     return I.Image(rng.random((h, w, 3), dtype=np.float64).astype(np.float32))
+
+
+def png_1x1(idat: bytes) -> bytes:
+    """An RGB PNG whose header declares 1x1 pixels, with ``idat`` as its
+    IDAT body and valid chunk CRCs."""
+    out = bytearray(I.PNG_SIGNATURE)
+    I._write_chunk(out, b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0))
+    I._write_chunk(out, b"IDAT", idat)
+    I._write_chunk(out, b"IEND", b"")
+    return bytes(out)
 
 
 class TestPpm:
@@ -92,6 +106,32 @@ class TestPng:
         with pytest.raises(UnsupportedFormatError):
             I.decode_image(bytes(out))
 
+    def test_inflate_bomb_is_rejected_without_inflating_it(self):
+        # about 50 KB of zlib that inflates to 50 MiB, behind a 1x1 header
+        raw = png_1x1(zlib.compress(bytes(50 << 20), 9))
+        assert len(raw) < 60_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError):
+                I.decode_image(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_zlib_stream_cut_short_inside_a_valid_idat(self):
+        whole = zlib.compress(bytes([0, 10, 20, 30]))
+        assert I.decode_image(png_1x1(whole)).width == 1
+        for cut in (1, 4, len(whole) - 2):
+            with pytest.raises(DecodeError):
+                I.decode_image(png_1x1(whole[:-cut]))
+
+    def test_extra_pixel_bytes_are_rejected(self):
+        with pytest.raises(DecodeError):
+            I.decode_image(png_1x1(zlib.compress(bytes(5))))
+        with pytest.raises(DecodeError):
+            I.decode_image(png_1x1(zlib.compress(bytes(3))))
+
     @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
     def test_all_decode_filters(self, ftype):
         # encode by hand with one filter type, compare to reference pixels
@@ -141,10 +181,9 @@ class TestPng:
 class TestResampling:
     def test_constant_image_any_scale(self):
         img = I.Image(np.full((6, 6, 3), 0.42, dtype=np.float32))
-        for fn in (I.resample_bicubic, I.resample_bilinear):
-            for hw in [(12, 12), (5, 9), (6, 6), (2, 17)]:
-                out = fn(img, *hw)
-                assert np.abs(out.data - 0.42).max() < 1e-6
+        for hw in [(12, 12), (5, 9), (6, 6), (2, 17)]:
+            out = I.resample_bicubic(img, *hw)
+            assert np.abs(out.data - 0.42).max() < 1e-6
 
     def test_keys_kernel_midpoint_weights(self):
         # hand evaluation of the a=-0.5 kernel at offset 0.5
@@ -159,12 +198,6 @@ class TestResampling:
         out = I.resample_bicubic(img, img.height, img.width)
         assert np.abs(out.data - img.data).max() < 1e-6
 
-    def test_bilinear_midpoint(self):
-        # a 2-wide row upscaled 2x: mapping puts outputs at src -0.25, 0.25, 0.75, 1.25
-        img = I.Image(np.stack([np.tile(np.array([0.0, 1.0]), (2, 1))] * 3, axis=-1))
-        out = I.resample_bilinear(img, 2, 4)
-        assert np.allclose(out.data[0, :, 0], [0.0, 0.25, 0.75, 1.0], atol=1e-7)
-
     def test_bicubic_reproduces_linear_ramp_interior(self):
         ramp = np.linspace(0.0, 1.0, 16)
         img = I.Image(np.stack([np.tile(ramp, (16, 1))] * 3, axis=-1))
@@ -174,13 +207,6 @@ class TestResampling:
         expected = np.interp(xs, np.arange(16), ramp)
         interior = slice(4, 28)
         assert np.abs(out.data[8, interior, 0] - expected[interior]).max() < 1e-6
-
-    def test_bilinear_vs_bicubic_on_smooth_gradient(self):
-        ramp = np.linspace(0.1, 0.9, 12)
-        img = I.Image(np.stack([np.tile(ramp, (12, 1))] * 3, axis=-1))
-        a = I.resample_bicubic(img, 24, 24)
-        b = I.resample_bilinear(img, 24, 24)
-        assert np.abs(a.data - b.data).max() < 0.1
 
     def test_outputs_clamped(self):
         rng = np.random.default_rng(7)
@@ -254,8 +280,3 @@ def test_image_validation():
         I.Image(np.full((2, 2, 3), np.nan))
     img = I.Image(np.full((2, 2, 3), 1.7, dtype=np.float32))
     assert img.data.max() == 1.0
-
-
-def test_luma_coefficients():
-    arr = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
-    assert np.allclose(I.luma(arr)[0], [0.299, 0.587, 0.114])

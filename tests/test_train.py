@@ -1,0 +1,281 @@
+import struct
+import zlib
+
+import numpy as np
+import pytest
+
+from fftsr import train
+from fftsr.config import default_config, serialize_config
+from fftsr.corpus import make_texture_corpus
+from fftsr.errors import CheckpointError, FftsrError
+from fftsr.image import Image, make_lr_hr_pair
+
+# a small network whose adaptive state all moves within a few steps: the
+# noise baseline is set after 2 steps, the policy window fills after 2,
+# a stuck discriminator triggers a boost, and the diffusion timestep
+# climbs every step
+SMALL = dict(
+    gen__blocks=1,
+    gen__width=6,
+    disc__width=4,
+    disc__layers=2,
+    data__batch=2,
+    data__patch=12,
+    noise__warmup_steps=2,
+    policy__window=2,
+    policy__acc_low=0.99,
+    diffusion__adapt_every=1,
+    diffusion__target=-1.0,
+    diffusion__stride=3,
+)
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    imgs = make_texture_corpus(4, 24, seed=0)
+    return [tuple(i.data for i in make_lr_hr_pair(img, 3)) for img in imgs]
+
+
+@pytest.fixture
+def cfg():
+    return default_config().replace(**SMALL)
+
+
+def checkpoint_bytes(trainer, path):
+    train.save_trainer(trainer, path)
+    return path.read_bytes()
+
+
+def rewrite(path, raw):
+    """Write ``raw`` with its trailing CRC recomputed, so only the
+    corruption under test is wrong."""
+    body = raw[:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+class TestResume:
+    def test_resumed_records_compare_equal(self, cfg, pairs, tmp_path):
+        trainer = train.Trainer(cfg, 3, pairs)
+        for _ in range(4):
+            trainer.train_step()
+        path = tmp_path / "run.ckpt"
+        state, tensors = trainer.snapshot()
+        train.write_checkpoint(path, serialize_config(cfg), state, tensors)
+        resumed = train.Trainer.from_checkpoint(train.read_checkpoint(path), pairs)
+        want = [trainer.train_step() for _ in range(4)]
+        got = [resumed.train_step() for _ in range(4)]
+        assert got == want
+
+    def test_resumed_trainer_saves_the_same_bytes(self, cfg, pairs, tmp_path):
+        trainer = train.Trainer(cfg, 5, pairs)
+        for _ in range(4):
+            trainer.train_step()
+        raw = checkpoint_bytes(trainer, tmp_path / "a.ckpt")
+        resumed = train.Trainer.from_checkpoint(train.read_checkpoint(tmp_path / "a.ckpt"), pairs)
+        assert checkpoint_bytes(resumed, tmp_path / "b.ckpt") == raw
+
+    def test_adaptive_state_moved_before_the_save(self, cfg, pairs):
+        # guards the two tests above: a field that never leaves its
+        # initial value would resume correctly even if never restored
+        trainer = train.Trainer(cfg, 3, pairs)
+        fresh, _ = trainer.snapshot()
+        for _ in range(4):
+            trainer.train_step()
+        state, _ = trainer.snapshot()
+        moved = {k for k in state if state[k] != fresh[k]}
+        for key in ("step", "diffusion.t", "noise.initial", "noise.multiplier", "policy.last_trigger_step"):
+            assert f"state.{key}" in moved
+
+    def test_generator_from_checkpoint_matches_trainer(self, cfg, pairs, tmp_path):
+        trainer = train.Trainer(cfg, 0, pairs)
+        trainer.train_step()
+        train.save_trainer(trainer, tmp_path / "g.ckpt")
+        gen = train.generator_from_checkpoint(train.read_checkpoint(tmp_path / "g.ckpt"))
+        lr = pairs[0][0]
+        a = train.upscale_image(trainer.gen, Image(lr), 3).data
+        b = train.upscale_image(gen, Image(lr), 3).data
+        assert np.array_equal(a, b)
+
+
+class TestCheckpointErrors:
+    @pytest.fixture
+    def saved(self, cfg, pairs, tmp_path):
+        trainer = train.Trainer(cfg, 0, pairs)
+        trainer.train_step()
+        path = tmp_path / "t.ckpt"
+        train.save_trainer(trainer, path)
+        return path
+
+    def section_of(self, path):
+        with pytest.raises(CheckpointError) as info:
+            train.read_checkpoint(path)
+        return info.value.section
+
+    def test_magic(self, saved):
+        saved.write_bytes(b"NOPE" + saved.read_bytes()[4:])
+        assert self.section_of(saved) == "magic"
+
+    def test_short_file_is_bad_magic(self, saved):
+        saved.write_bytes(b"FRED")
+        assert self.section_of(saved) == "magic"
+
+    def test_version(self, saved):
+        raw = saved.read_bytes()
+        rewrite(saved, raw[:4] + struct.pack("<I", 2) + raw[8:])
+        assert self.section_of(saved) == "version"
+
+    def test_checksum(self, saved):
+        raw = bytearray(saved.read_bytes())
+        raw[-10] ^= 0xFF
+        saved.write_bytes(bytes(raw))
+        assert self.section_of(saved) == "checksum"
+
+    def test_config(self, saved, cfg, pairs):
+        state, tensors = train.Trainer(cfg, 0, pairs).snapshot()
+        train.write_checkpoint(saved, "gen.blocks = many\n", state, tensors)
+        assert self.section_of(saved) == "config"
+
+    def test_config_overrunning_the_file(self, saved):
+        raw = saved.read_bytes()
+        rewrite(saved, raw[:8] + struct.pack("<I", len(raw)) + raw[12:])
+        assert self.section_of(saved) == "config"
+
+    def test_tensor_table_trailing_bytes(self, saved):
+        raw = saved.read_bytes()
+        rewrite(saved, raw[:-4] + b"\0" + raw[-4:])
+        assert self.section_of(saved) == "tensor table"
+
+    def test_tensor_table_unknown_dtype_tag(self, saved):
+        raw = saved.read_bytes()
+        (text_len,) = struct.unpack_from("<I", raw, 8)
+        pos = 12 + text_len + 4
+        (name_len,) = struct.unpack_from("<H", raw, pos)
+        tag_at = pos + 2 + name_len
+        rewrite(saved, raw[:tag_at] + b"\x07" + raw[tag_at + 1 :])
+        assert self.section_of(saved) == "tensor table"
+
+
+class TestRestoreChecks:
+    """A checkpoint whose file is intact (valid CRC) but whose entries do
+    not fit the trainer fails on load, not at the first step."""
+
+    @pytest.fixture
+    def snap(self, cfg, pairs):
+        trainer = train.Trainer(cfg, 0, pairs)
+        trainer.train_step()
+        return trainer.snapshot()
+
+    def section_of(self, cfg, pairs, tmp_path, state, tensors):
+        path = tmp_path / "crafted.ckpt"
+        train.write_checkpoint(path, serialize_config(cfg), state, tensors)
+        ckpt = train.read_checkpoint(path)
+        with pytest.raises(CheckpointError) as info:
+            train.Trainer.from_checkpoint(ckpt, pairs)
+        return info.value.section
+
+    @pytest.mark.parametrize("key", ["state.seed", "state.step", "state.noise.ema", "state.rng.patch.inc"])
+    def test_missing_state_key(self, cfg, pairs, tmp_path, snap, key):
+        state, tensors = snap
+        del state[key]
+        assert self.section_of(cfg, pairs, tmp_path, state, tensors) == "state"
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("state.step", "three"),
+            ("state.opt_g.t", "1.5"),
+            ("state.diffusion.r_d", "high"),
+            ("state.noise.initial", "nothing"),
+            ("state.rng.noise.state", "-1"),
+            ("state.rng.noise.uinteger", str(1 << 40)),
+        ],
+    )
+    def test_unparsable_state_value(self, cfg, pairs, tmp_path, snap, key, text):
+        state, tensors = snap
+        state[key] = text
+        assert self.section_of(cfg, pairs, tmp_path, state, tensors) == "state"
+
+    @pytest.mark.parametrize(
+        "key", ["param.gen.head.w", "buffer.gen.blocks0.bn_g.running_var", "opt.d.v.disc.fc.w", "state.policy.window"]
+    )
+    def test_missing_tensor(self, cfg, pairs, tmp_path, snap, key):
+        state, tensors = snap
+        del tensors[key]
+        assert self.section_of(cfg, pairs, tmp_path, state, tensors) == "tensor table"
+
+    @pytest.mark.parametrize("key", ["param.gen.head.w", "buffer.gen.blocks0.bn_l.running_mean", "opt.g.m.gen.tail.b"])
+    def test_wrong_shape(self, cfg, pairs, tmp_path, snap, key):
+        state, tensors = snap
+        tensors[key] = np.zeros(tensors[key].size + 1, dtype=tensors[key].dtype)
+        assert self.section_of(cfg, pairs, tmp_path, state, tensors) == "tensor table"
+
+    @pytest.mark.parametrize("key", ["param.disc.fc.b", "opt.d.m.disc.convs0.w", "state.policy.window"])
+    def test_wrong_dtype(self, cfg, pairs, tmp_path, snap, key):
+        state, tensors = snap
+        swap = {np.dtype(np.float32): np.float64, np.dtype(np.float64): np.float32}
+        tensors[key] = tensors[key].astype(swap[tensors[key].dtype])
+        assert self.section_of(cfg, pairs, tmp_path, state, tensors) == "tensor table"
+
+    def test_policy_window_longer_than_configured(self, cfg, pairs, tmp_path, snap):
+        state, tensors = snap
+        tensors["state.policy.window"] = np.full(cfg.get("policy.window") + 1, 0.5)
+        assert self.section_of(cfg, pairs, tmp_path, state, tensors) == "tensor table"
+
+    def test_generator_from_checkpoint_checks_shapes(self, cfg, pairs, tmp_path, snap):
+        state, tensors = snap
+        tensors["param.gen.tail.w"] = tensors["param.gen.tail.w"][:1]
+        path = tmp_path / "gen.ckpt"
+        train.write_checkpoint(path, serialize_config(cfg), state, tensors)
+        with pytest.raises(CheckpointError) as info:
+            train.generator_from_checkpoint(train.read_checkpoint(path))
+        assert info.value.section == "tensor table"
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        dict(data__patch=6),
+        dict(data__batch=1),
+        dict(gen__blocks=0),
+        dict(gen__width=1),
+        dict(gen__kernel=1),
+        dict(gen__kernel=23),
+        dict(gen__global_fraction=1.0),
+        dict(disc__layers=0),
+        dict(opt__beta1=0.0, opt__lr_g=0.0),
+        dict(sched__cycle_steps=1, policy__window=1),
+        dict(diffusion__t_max=0, diffusion__beta_start=0.0),
+    ],
+    ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+)
+def test_range_boundaries_train(cfg, pairs, override):
+    trainer = train.Trainer(cfg.replace(**override), 0, pairs)
+    for _ in range(3):
+        record = trainer.train_step()
+    assert all(np.isfinite(v) for v in record.values())
+
+
+class TestAbort:
+    def test_nan_generator_aborts_with_diagnostics(self, cfg, pairs):
+        trainer = train.Trainer(cfg, 0, pairs)
+        trainer.gen.tail.w.data[...] = np.nan
+        with pytest.raises(train.TrainAbort) as info:
+            trainer.train_step()
+        assert isinstance(info.value, FftsrError)
+        assert info.value.diagnostics["step"] == 0
+        assert not np.isfinite(info.value.diagnostics["d_loss"])
+
+    def test_nan_after_good_steps_names_the_step(self, cfg, pairs):
+        trainer = train.Trainer(cfg, 0, pairs)
+        trainer.train_step()
+        trainer.train_step()
+        trainer.gen.tail.w.data[...] = np.nan
+        with pytest.raises(train.TrainAbort) as info:
+            trainer.train_step()
+        assert info.value.diagnostics["step"] == 2
+
+
+def test_no_usable_pair_is_a_typed_error(cfg):
+    tiny = [tuple(i.data for i in make_lr_hr_pair(img, 3)) for img in make_texture_corpus(2, 9, seed=0)]
+    with pytest.raises(FftsrError):
+        train.Trainer(cfg, 0, tiny)
