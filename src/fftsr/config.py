@@ -64,7 +64,6 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "diffusion.adapt_every": (4, int, "[1, inf)", "adapt the diffusion timestep every N steps"),
     "noise.warmup_steps": (100, int, "[0, inf)", "steps of loss EMA captured as the noise baseline"),
     "train.ema_decay": (0.99, float, "[0, 1]", "decay shared by all adaptive EMAs"),
-    "train.checkpoint_every": (500, int, "[0, inf)", "checkpoint cadence in steps (0 disables periodic saves)"),
 }
 
 

@@ -139,21 +139,9 @@ def rfft2d(x: Tensor) -> Tensor:
     adjoint transform to the output gradient.
     """
     w = x.shape[-1]
-    out_data = rfft2d_array(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(rfft2d_adjoint(g, w))
-
-    return Tensor._from_op(out_data, (x,), backward, "rfft2d")
+    return Tensor._from_op(rfft2d_array(x.data), (x,), (lambda g: rfft2d_adjoint(g, w),), "rfft2d")
 
 
 def irfft2d(s: Tensor, out_w: int) -> Tensor:
     """Differentiable inverse of :func:`rfft2d`; ``out_w`` picks the parity."""
-    out_data = irfft2d_array(s.data, out_w)
-
-    def backward(g):
-        if s.requires_grad:
-            s._accumulate(irfft2d_adjoint(g))
-
-    return Tensor._from_op(out_data, (s,), backward, "irfft2d")
+    return Tensor._from_op(irfft2d_array(s.data, out_w), (s,), (lambda g: irfft2d_adjoint(g),), "irfft2d")

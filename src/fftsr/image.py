@@ -15,8 +15,8 @@ small file cannot expand to a large allocation before it is rejected.
 Resampling uses cubic convolution with the Keys kernel (a = -0.5),
 half-pixel-centered source mapping ``x_src = (x_dst + 0.5) * scale - 0.5``,
 edge-clamped borders, and a final clamp to [0, 1]. The kernel is applied
-as precomputed per-axis weight matrices, which makes batched and
-single-image paths bit-identical.
+as precomputed per-axis weight matrices; the single-image path is the
+batched path with a batch of one, so the two are bit-identical.
 """
 
 from __future__ import annotations
@@ -297,17 +297,14 @@ def _axis_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 def resample_bicubic(img: Image, out_h: int, out_w: int) -> Image:
     """Keys (a = -0.5) cubic resampling to (out_h, out_w)."""
-    if out_h < 1 or out_w < 1:
-        raise ShapeError("output dimensions must be >= 1")
-    mh = _axis_matrix(img.height, out_h)
-    mw = _axis_matrix(img.width, out_w)
-    tmp = np.tensordot(mh, img.data.astype(np.float64), axes=(1, 0))  # (out_h, W, 3)
-    out = np.tensordot(tmp, mw, axes=(1, 1)).transpose(0, 2, 1)  # (out_h, out_w, 3)
-    return Image(np.clip(out, 0.0, 1.0).astype(np.float32), tag="resampled")
+    out = resample_nchw(img.data.transpose(2, 0, 1)[None], out_h, out_w)
+    return Image(out[0].transpose(1, 2, 0), tag="resampled")
 
 
 def resample_nchw(batch: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Batched (N, C, H, W) bicubic resampling; same matrices as the Image path."""
+    """Batched (N, C, H, W) Keys cubic resampling to (out_h, out_w)."""
+    if out_h < 1 or out_w < 1:
+        raise ShapeError("output dimensions must be >= 1")
     mh = _axis_matrix(batch.shape[2], out_h)
     mw = _axis_matrix(batch.shape[3], out_w)
     x = batch.astype(np.float64)

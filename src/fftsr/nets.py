@@ -327,7 +327,7 @@ class Discriminator(Module):
         self.convs = convs
         self.fc = Linear(rng, c_in, 1, dtype=dtype)
 
-    def __call__(self, residual: Tensor, training: bool = False) -> Tensor:
+    def __call__(self, residual: Tensor) -> Tensor:
         h = residual
         for conv in self.convs:
             h = T.relu(conv(h))

@@ -7,6 +7,12 @@ topological order and accumulates ``d(loss)/d(leaf)`` into every tracked
 leaf. Wrapped values are never mutated in place, so a node's saved forward
 context stays valid for the backward pass.
 
+An op declares one gradient function per input (``grads`` in
+:meth:`Tensor._from_op`): it maps the output's gradient to that input's
+gradient. The bookkeeping lives in :meth:`Tensor.backward` alone: it skips
+inputs that need no gradient, sums each result down any broadcast axes and
+accumulates it into the input.
+
 Default compute dtype is float32; gradient-check tests build the same
 graphs in float64. With float64 operands, ``log`` and ``sqrt`` raise
 :class:`DomainError` on negative input (strict mode); with float32 they
@@ -16,7 +22,9 @@ propagate NaN the way numpy does.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Sequence
+import itertools
+import math
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -67,7 +75,7 @@ def no_grad():
 class Tensor:
     """N-dimensional float array, optionally tracked by the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads", "_op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -79,11 +87,19 @@ class Tensor:
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
-        self._backward = None
+        self._grads = None
         self._op = None
 
     @staticmethod
-    def _from_op(data, parents: Sequence["Tensor"], backward, op: str) -> "Tensor":
+    def _from_op(data, parents: Sequence["Tensor"], grads: Sequence[Callable], op: str) -> "Tensor":
+        """Wrap ``data`` as the output of ``op`` applied to ``parents``.
+
+        ``grads`` holds one function per parent, in the same order, mapping
+        the output's gradient to that parent's gradient. A function may
+        return a gradient at the broadcast output shape; ``backward`` sums it
+        down to the parent's shape. It runs only for parents that require a
+        gradient, in parent order.
+        """
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -91,11 +107,11 @@ class Tensor:
         out.requires_grad = tracked
         if tracked:
             out._parents = tuple(parents)
-            out._backward = backward
+            out._grads = tuple(grads)
             out._op = op
         else:
             out._parents = ()
-            out._backward = None
+            out._grads = None
             out._op = None
         return out
 
@@ -154,8 +170,12 @@ class Tensor:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            g = node.grad
+            if node._grads is None or g is None:
+                continue
+            for parent, grad_fn in zip(node._parents, node._grads):
+                if parent.requires_grad:
+                    parent._accumulate(_unbroadcast(grad_fn(g), parent.shape))
 
     # operator sugar
 
@@ -214,70 +234,40 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str):
+def _operands(a, b, op: str) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as tensors (``b`` in ``a``'s dtype),
+    checked to broadcast against each other."""
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    b = _coerce(b, a)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    return a, b
 
 
 # ---- elementwise binary ----
 
 
 def add(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = _coerce(b, a)
-    _check_broadcast(a, b, "add")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-
-    return Tensor._from_op(a.data + b.data, (a, b), backward, "add")
+    a, b = _operands(a, b, "add")
+    return Tensor._from_op(a.data + b.data, (a, b), (lambda g: g, lambda g: g), "add")
 
 
 def sub(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = _coerce(b, a)
-    _check_broadcast(a, b, "sub")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-    return Tensor._from_op(a.data - b.data, (a, b), backward, "sub")
+    a, b = _operands(a, b, "sub")
+    return Tensor._from_op(a.data - b.data, (a, b), (lambda g: g, lambda g: -g), "sub")
 
 
 def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = _coerce(b, a)
-    _check_broadcast(a, b, "mul")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return Tensor._from_op(a.data * b.data, (a, b), backward, "mul")
+    a, b = _operands(a, b, "mul")
+    return Tensor._from_op(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data), "mul")
 
 
 def div(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = _coerce(b, a)
-    _check_broadcast(a, b, "div")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return Tensor._from_op(a.data / b.data, (a, b), backward, "div")
+    a, b = _operands(a, b, "div")
+    grads = (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
+    return Tensor._from_op(a.data / b.data, (a, b), grads, "div")
 
 
 # ---- elementwise unary ----
@@ -286,13 +276,8 @@ def div(a, b) -> Tensor:
 def pow(a: Tensor, exponent: float) -> Tensor:
     """Elementwise power with a scalar exponent."""
     exponent = float(exponent)
-    out_data = a.data**exponent
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * exponent * a.data ** (exponent - 1.0))
-
-    return Tensor._from_op(out_data, (a,), backward, "pow")
+    grads = (lambda g: g * exponent * a.data ** (exponent - 1.0),)
+    return Tensor._from_op(a.data**exponent, (a,), grads, "pow")
 
 
 def _strict_domain(a: Tensor, op: str):
@@ -305,24 +290,14 @@ def sqrt(a: Tensor) -> Tensor:
     _strict_domain(a, "sqrt")
     with np.errstate(invalid="ignore"):
         out_data = np.sqrt(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (0.5 / out_data))
-
-    return Tensor._from_op(out_data, (a,), backward, "sqrt")
+    return Tensor._from_op(out_data, (a,), (lambda g: g * (0.5 / out_data),), "sqrt")
 
 
 def log(a: Tensor) -> Tensor:
     _strict_domain(a, "log")
     with np.errstate(invalid="ignore", divide="ignore"):
         out_data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return Tensor._from_op(out_data, (a,), backward, "log")
+    return Tensor._from_op(out_data, (a,), (lambda g: g / a.data,), "log")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -332,55 +307,27 @@ def sigmoid(a: Tensor) -> Tensor:
     out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out_data[~pos] = ex / (1.0 + ex)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data))
-
-    return Tensor._from_op(out_data, (a,), backward, "sigmoid")
+    return Tensor._from_op(out_data, (a,), (lambda g: g * out_data * (1.0 - out_data),), "sigmoid")
 
 
 def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out_data * out_data))
-
-    return Tensor._from_op(out_data, (a,), backward, "tanh")
+    return Tensor._from_op(out_data, (a,), (lambda g: g * (1.0 - out_data * out_data),), "tanh")
 
 
 def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0))
-
-    return Tensor._from_op(out_data, (a,), backward, "relu")
+    return Tensor._from_op(np.maximum(a.data, 0), (a,), (lambda g: g * (a.data > 0),), "relu")
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes only where the input was inside."""
-    out_data = np.clip(a.data, lo, hi)
-
-    def backward(g):
-        if a.requires_grad:
-            inside = (a.data >= lo) & (a.data <= hi)
-            a._accumulate(g * inside)
-
-    return Tensor._from_op(out_data, (a,), backward, "clamp")
+    grads = (lambda g: g * ((a.data >= lo) & (a.data <= hi)),)
+    return Tensor._from_op(np.clip(a.data, lo, hi), (a,), grads, "clamp")
 
 
 def absolute(a: Tensor) -> Tensor:
     """|a|, with subgradient sign(a) (0 at the origin)."""
-    out_data = np.abs(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * np.sign(a.data))
-
-    return Tensor._from_op(out_data, (a,), backward, "abs")
+    return Tensor._from_op(np.abs(a.data), (a,), (lambda g: g * np.sign(a.data),), "abs")
 
 
 # ---- reductions ----
@@ -401,11 +348,14 @@ def _norm_axes(axes, ndim: int):
 
 
 def _identity(a: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
+    return Tensor._from_op(a.data, (a,), (lambda g: g,), "identity")
 
-    return Tensor._from_op(a.data, (a,), backward, "identity")
+
+def _spread(g: np.ndarray, shape: tuple, axes, keepdims: bool) -> np.ndarray:
+    """Broadcast a reduction's output gradient back over the reduced axes."""
+    if not keepdims and axes is not None:
+        g = np.expand_dims(g, axes)
+    return np.broadcast_to(g, shape)
 
 
 def sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
@@ -413,14 +363,7 @@ def sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     if axes == ():
         return _identity(a)
     out_data = np.asarray(a.data.sum(axis=axes, keepdims=keepdims))
-
-    def backward(g):
-        if a.requires_grad:
-            if not keepdims and axes is not None:
-                g = np.expand_dims(g, axes)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-
-    return Tensor._from_op(out_data, (a,), backward, "sum")
+    return Tensor._from_op(out_data, (a,), (lambda g: _spread(g, a.shape, axes, keepdims).copy(),), "sum")
 
 
 def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
@@ -428,20 +371,8 @@ def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     if axes == ():
         return _identity(a)
     out_data = np.asarray(a.data.mean(axis=axes, keepdims=keepdims))
-    if axes is None:
-        count = a.data.size
-    else:
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
-
-    def backward(g):
-        if a.requires_grad:
-            if not keepdims and axes is not None:
-                g = np.expand_dims(g, axes)
-            a._accumulate(np.broadcast_to(g, a.shape) / count)
-
-    return Tensor._from_op(out_data, (a,), backward, "mean")
+    count = a.data.size if axes is None else math.prod(a.shape[ax] for ax in axes)
+    return Tensor._from_op(out_data, (a,), (lambda g: _spread(g, a.shape, axes, keepdims) / count,), "mean")
 
 
 # ---- structure ----
@@ -454,56 +385,38 @@ def matmul(a: Tensor, b) -> Tensor:
         raise ShapeError("matmul supports 2-D operands only")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape[1]} vs {b.shape[0]}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return Tensor._from_op(a.data @ b.data, (a, b), backward, "matmul")
+    return Tensor._from_op(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g), "matmul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out_data = a.data.reshape(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
-
-    return Tensor._from_op(out_data, (a,), backward, "reshape")
+    return Tensor._from_op(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),), "reshape")
 
 
 def concat(parts: Iterable[Tensor], axis: int = 1) -> Tensor:
     parts = [p for p in parts]
     out_data = np.concatenate([p.data for p in parts], axis=axis)
+
+    def part_grad(stop: int, n: int):
+        index = [slice(None)] * out_data.ndim
+        index[axis] = slice(stop - n, stop)
+        return lambda g: g[tuple(index)]
+
     sizes = [p.shape[axis] for p in parts]
-
-    def backward(g):
-        offset = 0
-        for p, n in zip(parts, sizes):
-            if p.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(offset, offset + n)
-                p._accumulate(g[tuple(index)])
-            offset += n
-
-    return Tensor._from_op(out_data, tuple(parts), backward, "concat")
+    grads = [part_grad(stop, n) for stop, n in zip(itertools.accumulate(sizes), sizes)]
+    return Tensor._from_op(out_data, tuple(parts), grads, "concat")
 
 
 def narrow_channels(a: Tensor, start: int, length: int) -> Tensor:
     """Slice ``length`` channels starting at ``start`` along axis 1."""
     if start < 0 or start + length > a.shape[1]:
         raise ShapeError(f"channel slice [{start}:{start + length}] outside {a.shape[1]}")
-    out_data = a.data[:, start : start + length]
 
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros(a.shape, dtype=g.dtype)
-            full[:, start : start + length] = g
-            a._accumulate(full)
+    def grad(g):
+        full = np.zeros(a.shape, dtype=g.dtype)
+        full[:, start : start + length] = g
+        return full
 
-    return Tensor._from_op(out_data, (a,), backward, "narrow")
+    return Tensor._from_op(a.data[:, start : start + length], (a,), (grad,), "narrow")
 
 
 def split_channels(a: Tensor, sizes: Sequence[int]) -> tuple:
@@ -595,6 +508,11 @@ def _conv1x1_forward(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
     return out.reshape(n, kmat.shape[0], h, w)
 
 
+def _channel_sum(g: np.ndarray) -> np.ndarray:
+    """Gradient of a per-channel bias (or BatchNorm shift) over NCHW."""
+    return g.sum(axis=(0, 2, 3))
+
+
 def conv2d(
     x: Tensor,
     kernel: Tensor,
@@ -617,25 +535,20 @@ def conv2d(
         raise ShapeError(f"conv2d: input has {cin} channels, kernel expects {cink}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     if kh == 1 and kw == 1 and stride == 1 and padding == 0:
         kmat = kernel.data.reshape(cout, cin)
         out_data = _conv1x1_forward(x.data, kmat)
         if bias is not None:
             out_data += bias.data.reshape(1, cout, 1, 1)
-        parents = (x, kernel) if bias is None else (x, kernel, bias)
 
-        def backward_1x1(g):
-            gflat = g.reshape(n, cout, h * w)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(g.sum(axis=(0, 2, 3)))
-            if kernel.requires_grad:
-                xt = x.data.reshape(n, cin, h * w).transpose(0, 2, 1)
-                kernel._accumulate((gflat @ xt).sum(axis=0).reshape(kernel.shape))
-            if x.requires_grad:
-                x._accumulate((kmat.T @ gflat).reshape(x.shape))
+        def kernel_grad_1x1(g):
+            xt = x.data.reshape(n, cin, h * w).transpose(0, 2, 1)
+            return (g.reshape(n, cout, h * w) @ xt).sum(axis=0).reshape(kernel.shape)
 
-        return Tensor._from_op(out_data, parents, backward_1x1, "conv1x1")
+        grads = (lambda g: (kmat.T @ g.reshape(n, cout, h * w)).reshape(x.shape), kernel_grad_1x1, _channel_sum)
+        return Tensor._from_op(out_data, parents, grads[: len(parents)], "conv1x1")
 
     xtp = _pad_cnhw(np.ascontiguousarray(x.data.transpose(1, 0, 2, 3)), padding, pad_mode)
     cols, oh, ow = _im2col(xtp, kh, kw, stride)
@@ -646,27 +559,36 @@ def conv2d(
     if bias is not None:
         out_data += bias.data.reshape(1, cout, 1, 1)
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    # Both gradients below need g as a (cout, N*OH*OW) matrix. The input
+    # gradient runs first and hands it to the kernel gradient, which drops
+    # it; only a kernel that needs no gradient leaves it with the graph.
+    handoff = [None, None]  # (g, its matrix)
 
-    def backward(g):
-        gmat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, n * oh * ow)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
-        if kernel.requires_grad:
-            gk = (gmat @ cols.T).T.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
-            kernel._accumulate(np.ascontiguousarray(gk))
-        if x.requires_grad:
-            gcols = (kmat @ gmat).reshape(kh, kw, cin, n, oh, ow)
-            gpad = np.zeros_like(xtp)
-            for i in range(kh):
-                hi = i + stride * (oh - 1) + 1
-                for j in range(kw):
-                    wj = j + stride * (ow - 1) + 1
-                    gpad[:, :, i:hi:stride, j:wj:stride] += gcols[i, j]
-            gt = _unpad_grad(gpad, padding, (cin, n, h, w), pad_mode)
-            x._accumulate(np.ascontiguousarray(gt.transpose(1, 0, 2, 3)))
+    def gmat_of(g):
+        return np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, n * oh * ow)
 
-    return Tensor._from_op(out_data, parents, backward, "conv2d")
+    def input_grad(g):
+        gmat = gmat_of(g)
+        handoff[:] = g, gmat
+        gcols = (kmat @ gmat).reshape(kh, kw, cin, n, oh, ow)
+        gpad = np.zeros_like(xtp)
+        for i in range(kh):
+            hi = i + stride * (oh - 1) + 1
+            for j in range(kw):
+                wj = j + stride * (ow - 1) + 1
+                gpad[:, :, i:hi:stride, j:wj:stride] += gcols[i, j]
+        gt = _unpad_grad(gpad, padding, (cin, n, h, w), pad_mode)
+        return np.ascontiguousarray(gt.transpose(1, 0, 2, 3))
+
+    def kernel_grad(g):
+        given, gmat = handoff
+        handoff[:] = None, None
+        if given is not g:
+            gmat = gmat_of(g)
+        gk = (gmat @ cols.T).T.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
+        return np.ascontiguousarray(gk)
+
+    return Tensor._from_op(out_data, parents, (input_grad, kernel_grad, _channel_sum)[: len(parents)], "conv2d")
 
 
 # ---- separable spatial filtering (loss windows) ----
@@ -713,13 +635,8 @@ def sep_filter2d(x: Tensor, taps_h: np.ndarray, taps_w: np.ndarray, mode: str = 
     mh = _filter_matrix(h, taps_h, mode, x.data.dtype)
     mw = _filter_matrix(w, taps_w, mode, x.data.dtype)
     out_data = np.swapaxes(np.swapaxes(x.data, -1, -2) @ mh.T, -1, -2) @ mw.T
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.swapaxes(np.swapaxes(g @ mw, -1, -2) @ mh, -1, -2)
-            x._accumulate(np.ascontiguousarray(gx))
-
-    return Tensor._from_op(np.ascontiguousarray(out_data), (x,), backward, "sep_filter2d")
+    grads = (lambda g: np.ascontiguousarray(np.swapaxes(np.swapaxes(g @ mw, -1, -2) @ mh, -1, -2)),)
+    return Tensor._from_op(np.ascontiguousarray(out_data), (x,), grads, "sep_filter2d")
 
 
 # ---- batch normalization ----
@@ -752,41 +669,27 @@ def batch_norm2d(
     if training:
         mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
         xc = x.data - mu
-        var = np.einsum("nchw,nchw->c", xc, xc) / (x.data.size // c)
+        m = x.data.size // c
+        var = np.einsum("nchw,nchw->c", xc, xc) / m
         var = var.reshape(1, c, 1, 1)
         inv = 1.0 / np.sqrt(var + eps)
         # single fused pass: out = xc * (gamma * inv) + beta
         out_data = xc * (gview * inv) + bview
         new_mean = (1.0 - momentum) * running_mean + momentum * mu.reshape(c)
         new_var = (1.0 - momentum) * running_var + momentum * var.reshape(c)
-        m = x.data.size // c
+        xhat = xc * inv
 
-        def backward(g):
-            xhat = xc * inv
-            if gamma.requires_grad:
-                gamma._accumulate(np.einsum("nchw,nchw->c", g, xhat))
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                dxhat = g * gview
-                s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                x._accumulate(inv * (dxhat - s1 / m - xhat * s2 / m))
+        def input_grad(g):
+            dxhat = g * gview
+            s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+            s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+            return inv * (dxhat - s1 / m - xhat * s2 / m)
 
-        out = Tensor._from_op(out_data, (x, gamma, beta), backward, "batch_norm")
-        return out, new_mean, new_var
+        grads = (input_grad, lambda g: np.einsum("nchw,nchw->c", g, xhat), _channel_sum)
+        return Tensor._from_op(out_data, (x, gamma, beta), grads, "batch_norm"), new_mean, new_var
 
     inv = 1.0 / np.sqrt(running_var.reshape(1, c, 1, 1) + eps)
     xhat = (x.data - running_mean.reshape(1, c, 1, 1)) * inv
     out_data = gview * xhat + bview
-
-    def backward_eval(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(0, 2, 3)))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            x._accumulate(g * gview * inv)
-
-    out = Tensor._from_op(out_data, (x, gamma, beta), backward_eval, "batch_norm_eval")
-    return out, running_mean, running_var
+    grads = (lambda g: g * gview * inv, lambda g: (g * xhat).sum(axis=(0, 2, 3)), _channel_sum)
+    return Tensor._from_op(out_data, (x, gamma, beta), grads, "batch_norm_eval"), running_mean, running_var

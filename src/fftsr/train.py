@@ -26,7 +26,7 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .config import RunConfig, parse_config, serialize_config
-from .errors import CheckpointError, FftsrError
+from .errors import CheckpointError, FftsrError, ShapeError, TooSmallError
 from .image import Image, resample_bicubic, resample_nchw
 from .nets import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, NoiseState
 from .optim import AdamW, CosineRestartSchedule, RestartPolicy
@@ -151,7 +151,15 @@ def build_generator(cfg: RunConfig, seed: int = 0) -> Generator:
 
 
 def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
-    """clamp(bicubic(img) + G(bicubic(img)), 0, 1) in eval mode."""
+    """clamp(bicubic(img) + G(bicubic(img)), 0, 1) in eval mode.
+
+    The upscaled frame must be at least ``max(2, gen.cfg.kernel // 2 + 1)``
+    px on each side, which the reflect padding and the spectral transform
+    need; a smaller one raises :class:`TooSmallError` before any compute.
+    """
+    minimum = max(2, gen.cfg.kernel // 2 + 1)
+    if scale * min(img.height, img.width) < minimum:
+        raise TooSmallError(f"LR frame {img.height}x{img.width} at scale {scale} is under the minimum of {minimum} px")
     up = resample_bicubic(img, img.height * scale, img.width * scale)
     x = Tensor(up.data.transpose(2, 0, 1)[None].astype(np.float32))
     with T.no_grad():
@@ -203,13 +211,16 @@ class Trainer:
         self.step = 0
 
     def _usable_pairs(self, pairs):
+        """The pairs whose HR side holds a whole patch; every LR image must
+        be its HR image downscaled by exactly ``scale``."""
         usable = []
-        self.skipped = []
         for i, (lr, hr) in enumerate(pairs):
-            if hr.shape[0] < self.patch or hr.shape[1] < self.patch:
-                self.skipped.append(i)
-                continue
-            usable.append((np.asarray(lr, dtype=np.float32), np.asarray(hr, dtype=np.float32)))
+            lr, hr = np.asarray(lr, dtype=np.float32), np.asarray(hr, dtype=np.float32)
+            want = (hr.shape[0] // self.scale, hr.shape[1] // self.scale)
+            if lr.shape[:2] != want:
+                raise ShapeError(f"pair {i}: LR image is {lr.shape[:2]}, expected {want} for HR {hr.shape[:2]}")
+            if hr.shape[0] >= self.patch and hr.shape[1] >= self.patch:
+                usable.append((lr, hr))
         if not usable:
             raise FftsrError(f"no training image is at least {self.patch}px on both sides")
         return usable
@@ -217,8 +228,8 @@ class Trainer:
     # one step, split into the two half-updates for testability
 
     def _disc_update(self, real_res: Tensor, fake_res_detached: Tensor):
-        d_real = self.disc(self.diffusion.diffuse(real_res, self.rng["diffusion"]), training=True)
-        d_fake = self.disc(self.diffusion.diffuse(fake_res_detached, self.rng["diffusion"]), training=True)
+        d_real = self.disc(self.diffusion.diffuse(real_res, self.rng["diffusion"]))
+        d_fake = self.disc(self.diffusion.diffuse(fake_res_detached, self.rng["diffusion"]))
         d_loss = L.adversarial_disc_loss(d_real, d_fake)
         self._check_finite({"d_loss": d_loss.item()})
         self.opt_d.zero_grad()
@@ -229,7 +240,7 @@ class Trainer:
 
     def _gen_update(self, up_t: Tensor, fake_res: Tensor, hr_t: Tensor):
         sr = T.clamp(up_t + fake_res, 0.0, 1.0)
-        d_fake = self.disc(self.diffusion.diffuse(fake_res, self.rng["diffusion"]), training=False)
+        d_fake = self.disc(self.diffusion.diffuse(fake_res, self.rng["diffusion"]))
         adv = L.adversarial_gen_loss(d_fake)
         perc = L.perceptual_loss(sr, hr_t, self.extractor)
         mge = L.mge_loss(sr, hr_t)
@@ -319,6 +330,7 @@ class Trainer:
             old.data = new.data
         self.opt_d.m = [np.zeros_like(p.data) for p in self.opt_d.params]
         self.opt_d.v = [np.zeros_like(p.data) for p in self.opt_d.params]
+        self.opt_d.t = 0
 
     # ---- checkpoint integration ----
 
@@ -376,7 +388,6 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 @dataclass
 class Checkpoint:
     config: RunConfig
-    config_text: str
     state: dict
     tensors: dict
 
@@ -442,9 +453,8 @@ def read_checkpoint(path) -> Checkpoint:
             state[key.strip()] = value.strip()
         else:
             config_lines.append(line)
-    config_text = "\n".join(config_lines) + "\n"
     try:
-        config = parse_config(config_text)
+        config = parse_config("\n".join(config_lines) + "\n")
     except FftsrError as exc:
         raise CheckpointError(f"embedded config invalid: {exc}", section="config") from None
 
@@ -472,7 +482,7 @@ def read_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"malformed tensor table: {exc}", section="tensor table") from None
     if pos != len(raw) - 4:
         raise CheckpointError("trailing bytes after tensor table", section="tensor table")
-    return Checkpoint(config=config, config_text=config_text, state=state, tensors=tensors)
+    return Checkpoint(config=config, state=state, tensors=tensors)
 
 
 def save_trainer(trainer: Trainer, path):

@@ -22,8 +22,8 @@ CHANGED = dict(
 )
 
 
-def test_schema_has_44_keys_in_sections():
-    assert len(CONFIG_SCHEMA) == 44
+def test_schema_has_43_keys_in_sections():
+    assert len(CONFIG_SCHEMA) == 43
     assert all("." in key for key in CONFIG_SCHEMA)
 
 

@@ -245,7 +245,7 @@ class TestDiscriminator:
         x = Tensor(rng.standard_normal((1, 3, 12, 12)) * 0.5, requires_grad=True, dtype=np.float64)
 
         def loss():
-            return T.mean(disc(x, training=True))
+            return T.mean(disc(x))
 
         params = list(disc.named_parameters()) + [("input", x)]
         check_param_gradients(loss, params, rng=rng, max_coords_per_tensor=2)
@@ -254,7 +254,7 @@ class TestDiscriminator:
         rng = np.random.default_rng(14)
         disc = N.Discriminator(N.DiscriminatorConfig(), np.random.default_rng(1))
         x = Tensor((rng.random((2, 3, 24, 24)) * 2 - 1).astype(np.float32))
-        T.mean(disc(x, training=True)).backward()
+        T.mean(disc(x)).backward()
         for name, p in disc.named_parameters():
             assert p.grad is not None and np.any(p.grad != 0), f"dead parameter {name}"
 

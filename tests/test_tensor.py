@@ -97,6 +97,29 @@ def test_backward_accumulates_on_repeat():
     assert np.allclose(w.grad, 2.0 * first)
 
 
+def test_grad_fn_not_called_for_parent_without_grad():
+    a = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+    b = Tensor([3.0, 4.0], dtype=np.float64)
+
+    def never(g):
+        raise AssertionError("gradient function of a parent without grad was called")
+
+    out = Tensor._from_op(a.data * b.data, (a, b), (lambda g: g * b.data, never), "test_mul")
+    T.sum(out).backward()
+    assert np.array_equal(a.grad, [3.0, 4.0])
+    assert b.grad is None
+
+
+def test_broadcast_grad_is_summed_to_parent_shape():
+    row = Tensor([1.0, 2.0, 3.0], requires_grad=True, dtype=np.float64)
+    col = Tensor([[1.0], [10.0]], requires_grad=True, dtype=np.float64)
+    # both gradient functions return the (2, 3) output gradient unreduced
+    out = Tensor._from_op(row.data + col.data, (row, col), (lambda g: g, lambda g: g * 2.0), "test_add")
+    T.sum(out).backward()
+    assert row.grad.shape == (3,) and np.array_equal(row.grad, [2.0, 2.0, 2.0])
+    assert col.grad.shape == (2, 1) and np.array_equal(col.grad, [[6.0], [6.0]])
+
+
 def test_multi_use_sums_contributions():
     x = Tensor([5.0], requires_grad=True, dtype=np.float64)
     y = x + x

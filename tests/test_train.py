@@ -7,8 +7,10 @@ import pytest
 from fftsr import train
 from fftsr.config import default_config, serialize_config
 from fftsr.corpus import make_texture_corpus
-from fftsr.errors import CheckpointError, FftsrError
+from fftsr.errors import CheckpointError, FftsrError, ShapeError, TooSmallError
 from fftsr.image import Image, make_lr_hr_pair
+from fftsr.optim import AdamW
+from fftsr.tensor import Tensor
 
 # a small network whose adaptive state all moves within a few steps: the
 # noise baseline is set after 2 steps, the policy window fills after 2,
@@ -279,3 +281,51 @@ def test_no_usable_pair_is_a_typed_error(cfg):
     tiny = [tuple(i.data for i in make_lr_hr_pair(img, 3)) for img in make_texture_corpus(2, 9, seed=0)]
     with pytest.raises(FftsrError):
         train.Trainer(cfg, 0, tiny)
+
+
+class TestPairShapes:
+    def test_shorter_lr_is_rejected(self, cfg, pairs):
+        lr, hr = pairs[1]
+        bad = [pairs[0], (lr[:-1], hr)]
+        with pytest.raises(ShapeError, match="pair 1"):
+            train.Trainer(cfg, 0, bad)
+
+    def test_lr_twice_as_tall_is_rejected(self, cfg, pairs):
+        lr, hr = pairs[0]
+        with pytest.raises(ShapeError, match="pair 0"):
+            train.Trainer(cfg, 0, [(np.concatenate([lr, lr]), hr), pairs[1]])
+
+
+class TestUpscaleMinimumSize:
+    def test_frame_under_the_kernel_minimum_is_rejected(self):
+        gen = train.build_generator(default_config().replace(gen__kernel=13))
+        with pytest.raises(TooSmallError, match="minimum of 7 px"):
+            train.upscale_image(gen, Image(np.full((2, 2, 3), 0.5)), 3)
+
+    def test_frame_at_the_kernel_minimum_upscales(self):
+        gen = train.build_generator(default_config().replace(gen__kernel=13))
+        assert train.upscale_image(gen, Image(np.full((3, 3, 3), 0.5)), 3).data.shape == (9, 9, 3)
+
+    def test_single_pixel_upscales_with_the_default_kernel(self):
+        gen = train.build_generator(default_config())
+        assert train.upscale_image(gen, Image(np.full((1, 1, 3), 0.5)), 3).data.shape == (3, 3, 3)
+
+
+def test_discriminator_reinit_restarts_adam(cfg, pairs):
+    trainer = train.Trainer(cfg, 0, pairs)
+    for _ in range(3):
+        trainer.train_step()
+    trainer._reinit_discriminator()
+    opt = trainer.opt_d
+    twins = [Tensor(p.data.copy(), requires_grad=True) for p in opt.params]
+    fresh = AdamW(
+        list(zip(opt.names, twins)), beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps, weight_decay=opt.weight_decay
+    )
+    rng = np.random.default_rng(0)
+    for p, twin in zip(opt.params, twins):
+        p.grad = rng.standard_normal(p.shape).astype(p.data.dtype)
+        twin.grad = p.grad.copy()
+    opt.step(lr=1e-3)
+    fresh.step(lr=1e-3)
+    for p, twin in zip(opt.params, twins):
+        assert np.array_equal(p.data, twin.data)
