@@ -79,5 +79,5 @@ def make_texture_corpus(count: int = 64, size: int = 96, seed: int = 0) -> list[
         chroma /= np.abs(chroma).max() + 1e-9
         tint = rng.uniform(-0.12, 0.12, size=3)
         arr = arr + chroma[:, :, None] * tint[None, None, :]
-        images.append(Image(np.clip(arr, 0.0, 1.0).astype(np.float32), tag="generated"))
+        images.append(Image(np.clip(arr, 0.0, 1.0).astype(np.float32)))
     return images

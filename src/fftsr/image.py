@@ -9,7 +9,8 @@ round trips are testable:
   produce identical files. The decoder handles filters 0..4.
 * Binary PPM (P6), maxval 255.
 
-The decoder inflates no more than the header's pixel count allows, so a
+The PNG decoder rejects a header that declares more than ``MAX_PIXELS``
+pixels, and inflates no more than the header's pixel count allows, so a
 small file cannot expand to a large allocation before it is rejected.
 
 Resampling uses cubic convolution with the Keys kernel (a = -0.5),
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,14 +41,14 @@ __all__ = [
 ]
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+MAX_PIXELS = 7680 * 4320  # 8K UHD; a PNG header declaring more is rejected before inflating
 
 
 @dataclass
 class Image:
-    """Height x width x 3 intensities in [0, 1] plus a provenance tag."""
+    """Height x width x 3 intensities in [0, 1]."""
 
     data: np.ndarray
-    tag: str = "decoded"
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float32)
@@ -105,6 +106,10 @@ def _png_decode(raw: bytes) -> Image:
                 raise UnsupportedFormatError("nonzero compression/filter method")
             if interlace != 0:
                 raise UnsupportedFormatError("interlaced PNG unsupported")
+            if width == 0 or height == 0:
+                raise DecodeError(f"IHDR declares {width}x{height} pixels", offset=pos)
+            if width * height > MAX_PIXELS:
+                raise UnsupportedFormatError(f"{width}x{height} is {width * height} pixels, more than {MAX_PIXELS}")
         elif ctype == b"IDAT":
             idat.extend(body)
         elif ctype == b"IEND":
@@ -139,7 +144,7 @@ def _png_decode(raw: bytes) -> Image:
         out[y] = _unfilter_row(int(filters[y]), data[y], prev, y)
         prev = out[y]
     rgb = out[:, :, :3]
-    return Image(rgb.astype(np.float32) / 255.0, tag="decoded")
+    return Image(rgb.astype(np.float32) / 255.0)
 
 
 def _unfilter_row(ftype: int, row: np.ndarray, prev: np.ndarray, y: int) -> np.ndarray:
@@ -214,14 +219,23 @@ def _ppm_decode(raw: bytes) -> Image:
             raise DecodeError("truncated PPM header", offset=start)
         return raw[start:pos]
 
+    def number():
+        tok = token()
+        # bytes.isdigit is ASCII-only, so signs, underscores and spaces fail
+        if not tok.isdigit():
+            raise DecodeError(f"PPM header field {tok[:16]!r} is not a decimal number", offset=pos - len(tok))
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() parses
+            raise DecodeError("PPM header field is too long", offset=pos - len(tok)) from None
+
     if token() != b"P6":
         raise DecodeError("not a binary PPM (P6) stream", offset=0)
-    try:
-        w = int(token())
-        h = int(token())
-        maxval = int(token())
-    except ValueError:
-        raise DecodeError("non-numeric PPM header field", offset=pos) from None
+    w = number()
+    h = number()
+    maxval = number()
+    if w == 0 or h == 0:
+        raise DecodeError(f"PPM header declares {w}x{h} pixels", offset=pos)
     if maxval != 255:
         raise UnsupportedFormatError(f"PPM maxval {maxval} unsupported (255 only)")
     pos += 1  # single whitespace byte after maxval
@@ -230,7 +244,7 @@ def _ppm_decode(raw: bytes) -> Image:
     if len(body) != need:
         raise DecodeError(f"PPM pixel payload short by {need - len(body)} bytes", offset=pos)
     arr = np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3)
-    return Image(arr.astype(np.float32) / 255.0, tag="decoded")
+    return Image(arr.astype(np.float32) / 255.0)
 
 
 def _ppm_encode(img: Image) -> bytes:
@@ -298,7 +312,7 @@ def _axis_matrix(n_in: int, n_out: int) -> np.ndarray:
 def resample_bicubic(img: Image, out_h: int, out_w: int) -> Image:
     """Keys (a = -0.5) cubic resampling to (out_h, out_w)."""
     out = resample_nchw(img.data.transpose(2, 0, 1)[None], out_h, out_w)
-    return Image(out[0].transpose(1, 2, 0), tag="resampled")
+    return Image(out[0].transpose(1, 2, 0))
 
 
 def resample_nchw(batch: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -323,6 +337,6 @@ def make_lr_hr_pair(img: Image, scale: int) -> tuple[Image, Image]:
         raise TooSmallError(
             f"image {img.height}x{img.width} smaller than scale {scale}"
         )
-    hr = Image(img.data[:h, :w], tag=img.tag)
+    hr = Image(img.data[:h, :w])
     lr = resample_bicubic(hr, h // scale, w // scale)
     return lr, hr

@@ -97,7 +97,7 @@ def ssim(x: Tensor, y: Tensor, p: SsimParams = SsimParams()) -> Tensor:
     def blur(t: Tensor) -> Tensor:
         n, c, h, w = t.shape
         flat = T.reshape(t, (n * c, 1, h, w))
-        return T.reshape(T.sep_filter2d(flat, taps, taps, mode="reflect"), (n, c, h, w))
+        return T.reshape(T.sep_filter2d(flat, taps, taps), (n, c, h, w))
 
     mu_x = blur(x)
     mu_y = blur(y)
@@ -141,8 +141,8 @@ def sobel_gradients(img: Tensor) -> Tensor:
         raise ShapeError("sobel needs at least 3x3 spatial extent")
     n, c, h, w = img.shape
     flat = T.reshape(img, (n * c, 1, h, w))
-    gx = T.sep_filter2d(flat, SOBEL_SMOOTH, SOBEL_DIFF, mode="reflect")
-    gy = T.sep_filter2d(flat, SOBEL_DIFF, SOBEL_SMOOTH, mode="reflect")
+    gx = T.sep_filter2d(flat, SOBEL_SMOOTH, SOBEL_DIFF)
+    gy = T.sep_filter2d(flat, SOBEL_DIFF, SOBEL_SMOOTH)
     mag = T.sqrt(gx * gx + gy * gy + SOBEL_EPS)
     return T.reshape(mag, (n, c, h, w))
 
@@ -183,12 +183,12 @@ class PerceptualExtractor(Module):
     WIDTHS = (8, 16, 32)
     SEED = 0x5EEDFACE
 
-    def __init__(self, dtype=np.float32, seed: int | None = None):
-        rng = np.random.default_rng(self.SEED if seed is None else seed)
+    def __init__(self):
+        rng = np.random.default_rng(self.SEED)
         c_in = 3
         stages = []
         for width in self.WIDTHS:
-            stages.append(Conv2d(rng, c_in, width, kernel=3, stride=2, padding=1, dtype=dtype))
+            stages.append(Conv2d(rng, c_in, width, kernel=3, stride=2, padding=1))
             c_in = width
         self.stages = stages
         for _, p in self.named_parameters():

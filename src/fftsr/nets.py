@@ -6,7 +6,9 @@ convolutions) and a global group (a spectral transform that convolves
 1x1 in the Fourier domain, giving an image-wide receptive field). The
 four cross paths (local->local, global->local, local->global,
 global->global) are summed pairwise per destination, then batch-normed
-and ReLU-activated.
+and ReLU-activated. A block keeps its width, and its output has the same
+local/global split as its input; a split with no global (or no local)
+channels leaves a single path.
 
 The generator predicts a tanh-bounded residual in [-1, 1] on top of a
 bicubic upscale; callers compose ``clamp(bicubic + residual, 0, 1)``.
@@ -21,12 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
 from .fft import irfft2d, rfft2d
 from .tensor import Tensor
 
 __all__ = [
-    "FfcBlockConfig",
     "GeneratorConfig",
     "DiscriminatorConfig",
     "NoiseState",
@@ -42,18 +42,6 @@ __all__ = [
 
 
 # ---- configuration ----
-
-
-@dataclass(frozen=True)
-class FfcBlockConfig:
-    in_channels: int
-    out_channels: int
-    global_fraction: float = 0.5
-    kernel: int = 3
-
-    def split(self, channels: int) -> tuple[int, int]:
-        g = int(round(self.global_fraction * channels))
-        return channels - g, g
 
 
 @dataclass(frozen=True)
@@ -132,7 +120,6 @@ class Conv2d(Module):
         pad_mode: str = "zero",
         bias: bool = True,
         zero_init: bool = False,
-        dtype=np.float32,
     ):
         self.stride = stride
         self.padding = padding
@@ -143,10 +130,10 @@ class Conv2d(Module):
             w = np.zeros((out_ch, in_ch, kernel, kernel))
         else:
             w = rng.standard_normal((out_ch, in_ch, kernel, kernel)) * std
-        self.w = Tensor(w.astype(dtype), requires_grad=True, dtype=dtype)
+        self.w = Tensor(w.astype(np.float32), requires_grad=True)
         self._params = ["w"]
         if bias:
-            self.b = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True, dtype=dtype)
+            self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
             self._params.append("b")
         else:
             self.b = None
@@ -158,13 +145,13 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float32):
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True, dtype=dtype)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True, dtype=dtype)
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+    def __init__(self, channels: int):
+        self.momentum = 0.1
+        self.eps = 1e-5
+        self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
+        self.running_mean = np.zeros(channels, dtype=np.float32)
+        self.running_var = np.ones(channels, dtype=np.float32)
         self._params = ["gamma", "beta"]
         self._buffers = ["running_mean", "running_var"]
 
@@ -186,12 +173,10 @@ class BatchNorm2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, rng: np.random.Generator, in_f: int, out_f: int, dtype=np.float32):
+    def __init__(self, rng: np.random.Generator, in_f: int, out_f: int):
         std = float(np.sqrt(1.0 / in_f))
-        self.w = Tensor(
-            (rng.standard_normal((in_f, out_f)) * std).astype(dtype), requires_grad=True, dtype=dtype
-        )
-        self.b = Tensor(np.zeros(out_f, dtype=dtype), requires_grad=True, dtype=dtype)
+        self.w = Tensor((rng.standard_normal((in_f, out_f)) * std).astype(np.float32), requires_grad=True)
+        self.b = Tensor(np.zeros(out_f, dtype=np.float32), requires_grad=True)
         self._params = ["w", "b"]
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -199,84 +184,53 @@ class Linear(Module):
 
 
 class SpectralTransform(Module):
-    """Global-branch operator: 1x1 conv, real FFT, 1x1 conv on stacked
-    (re, im) channels with norm + ReLU, inverse FFT, 1x1 conv."""
+    """Global-branch operator on ``channels`` channels: 1x1 conv, real FFT,
+    1x1 conv on stacked (re, im) channels with norm + ReLU, inverse FFT,
+    1x1 conv."""
 
-    def __init__(self, rng, in_ch: int, out_ch: int, hidden: int, dtype=np.float32):
-        self.conv_in = Conv2d(rng, in_ch, hidden, kernel=1, dtype=dtype)
-        self.conv_freq = Conv2d(rng, 2 * hidden, 2 * hidden, kernel=1, bias=False, dtype=dtype)
-        self.bn_freq = BatchNorm2d(2 * hidden, dtype=dtype)
-        self.conv_out = Conv2d(rng, hidden, out_ch, kernel=1, bias=False, dtype=dtype)
+    def __init__(self, rng: np.random.Generator, channels: int):
+        self.conv_in = Conv2d(rng, channels, channels, kernel=1)
+        self.conv_freq = Conv2d(rng, 2 * channels, 2 * channels, kernel=1, bias=False)
+        self.bn_freq = BatchNorm2d(2 * channels)
+        self.conv_out = Conv2d(rng, channels, channels, kernel=1, bias=False)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if x.shape[2] < 2 or x.shape[3] < 2:
-            raise ShapeError("spectral transform needs spatial dims >= 2")
-        w = x.shape[3]
-        y = self.conv_in(x)
-        spec = rfft2d(y)
+        spec = rfft2d(self.conv_in(x))
         spec = T.relu(self.bn_freq(self.conv_freq(spec), training))
-        back = irfft2d(spec, w)
-        return self.conv_out(back)
+        return self.conv_out(irfft2d(spec, x.shape[3]))
 
 
 class FfcBlock(Module):
-    def __init__(self, rng, cfg: FfcBlockConfig, dtype=np.float32):
-        self.cfg = cfg
-        self.in_l, self.in_g = cfg.split(cfg.in_channels)
-        self.out_l, self.out_g = cfg.split(cfg.out_channels)
-        k, p = cfg.kernel, cfg.kernel // 2
-        hidden = max(self.out_g, 1)  # spectral branch width
-        conv = lambda ci, co: Conv2d(
-            rng, ci, co, kernel=k, padding=p, pad_mode="reflect", bias=False, dtype=dtype
-        )
-        if self.in_l > 0:
+    """One FFC block of ``channels`` channels, ``l`` local and ``g`` global,
+    with the same split on its input and its output."""
+
+    def __init__(self, rng: np.random.Generator, channels: int, global_fraction: float, kernel: int):
+        self.g = int(round(global_fraction * channels))
+        self.l = channels - self.g
+        conv = lambda ci, co: Conv2d(rng, ci, co, kernel=kernel, padding=kernel // 2, pad_mode="reflect", bias=False)
+        if self.l:
             # the local->local and local->global paths share their input,
             # so they run as one conv split along the output channels
-            self.conv_from_l = conv(self.in_l, self.out_l + self.out_g)
-        if self.in_g > 0 and self.out_l > 0:
-            self.conv_gl = conv(self.in_g, self.out_l)
-        if self.in_g > 0 and self.out_g > 0:
-            self.spectral = SpectralTransform(rng, self.in_g, self.out_g, hidden, dtype=dtype)
-        if self.out_l > 0:
-            self.bn_l = BatchNorm2d(self.out_l, dtype=dtype)
-        if self.out_g > 0:
-            self.bn_g = BatchNorm2d(self.out_g, dtype=dtype)
+            self.conv_from_l = conv(self.l, channels)
+        if self.l and self.g:
+            self.conv_gl = conv(self.g, self.l)
+        if self.g:
+            self.spectral = SpectralTransform(rng, self.g)
+        if self.l:
+            self.bn_l = BatchNorm2d(self.l)
+        if self.g:
+            self.bn_g = BatchNorm2d(self.g)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if x.shape[1] != self.cfg.in_channels:
-            raise ShapeError(
-                f"FFC block expects {self.cfg.in_channels} channels, got {x.shape[1]}"
-            )
-        if self.in_l and self.in_g:
-            x_l, x_g = T.split_channels(x, [self.in_l, self.in_g])
-        elif self.in_l:
-            x_l, x_g = x, None
-        else:
-            x_l, x_g = None, x
-
-        to_l = to_g = None
-        if x_l is not None:
-            both = self.conv_from_l(x_l)
-            if self.out_l and self.out_g:
-                to_l, to_g = T.split_channels(both, [self.out_l, self.out_g])
-            elif self.out_l:
-                to_l = both
-            else:
-                to_g = both
-        outs = []
-        if self.out_l > 0:
-            local = to_l
-            if x_g is not None:
-                path = self.conv_gl(x_g)
-                local = path if local is None else local + path
-            outs.append(T.relu(self.bn_l(local, training)))
-        if self.out_g > 0:
-            glob = to_g
-            if x_g is not None:
-                path = self.spectral(x_g, training)
-                glob = path if glob is None else glob + path
-            outs.append(T.relu(self.bn_g(glob, training)))
-        return outs[0] if len(outs) == 1 else T.concat(outs, axis=1)
+        if not self.g:
+            return T.relu(self.bn_l(self.conv_from_l(x), training))
+        if not self.l:
+            return T.relu(self.bn_g(self.spectral(x, training), training))
+        x_l, x_g = T.split_channels(x, [self.l, self.g])
+        to_l, to_g = T.split_channels(self.conv_from_l(x_l), [self.l, self.g])
+        local = T.relu(self.bn_l(to_l + self.conv_gl(x_g), training))
+        glob = T.relu(self.bn_g(to_g + self.spectral(x_g, training), training))
+        return T.concat([local, glob], axis=1)
 
 
 class Generator(Module):
@@ -286,21 +240,12 @@ class Generator(Module):
     tanh-bounded residual in [-1, 1].
     """
 
-    def __init__(self, cfg: GeneratorConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: GeneratorConfig, rng: np.random.Generator):
         self.cfg = cfg
         w = cfg.width
-        self.head = Conv2d(rng, 3, w, kernel=3, padding=1, pad_mode="reflect", dtype=dtype)
-        self.blocks = [
-            FfcBlock(
-                rng,
-                FfcBlockConfig(w, w, cfg.global_fraction, cfg.kernel),
-                dtype=dtype,
-            )
-            for _ in range(cfg.blocks)
-        ]
-        self.tail = Conv2d(
-            rng, w, 3, kernel=3, padding=1, pad_mode="reflect", zero_init=cfg.zero_tail, dtype=dtype
-        )
+        self.head = Conv2d(rng, 3, w, kernel=3, padding=1, pad_mode="reflect")
+        self.blocks = [FfcBlock(rng, w, cfg.global_fraction, cfg.kernel) for _ in range(cfg.blocks)]
+        self.tail = Conv2d(rng, w, 3, kernel=3, padding=1, pad_mode="reflect", zero_init=cfg.zero_tail)
 
     def __call__(self, up: Tensor, noise: NoiseState | None = None, training: bool = False) -> Tensor:
         h = T.relu(self.head(up))
@@ -315,17 +260,17 @@ class Generator(Module):
 class Discriminator(Module):
     """Scores residual images in (0, 1): conv stack, GAP, affine, sigmoid."""
 
-    def __init__(self, cfg: DiscriminatorConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: DiscriminatorConfig, rng: np.random.Generator):
         self.cfg = cfg
         convs = []
         c_in = 3
         width = cfg.width
         for _ in range(cfg.layers):
-            convs.append(Conv2d(rng, c_in, width, kernel=3, stride=2, padding=1, dtype=dtype))
+            convs.append(Conv2d(rng, c_in, width, kernel=3, stride=2, padding=1))
             c_in = width
             width *= 2
         self.convs = convs
-        self.fc = Linear(rng, c_in, 1, dtype=dtype)
+        self.fc = Linear(rng, c_in, 1)
 
     def __call__(self, residual: Tensor) -> Tensor:
         h = residual

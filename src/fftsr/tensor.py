@@ -596,31 +596,26 @@ def conv2d(
 _FILTER_MAT_CACHE: dict = {}
 
 
-def _filter_matrix(n: int, taps: np.ndarray, mode: str, dtype) -> np.ndarray:
-    """Banded (n, n) matrix applying a 1-D correlation with boundary handling."""
-    key = (n, taps.tobytes(), mode, np.dtype(dtype).name)
+def _filter_matrix(n: int, taps: np.ndarray, dtype) -> np.ndarray:
+    """Banded (n, n) matrix applying a 1-D correlation with reflect borders."""
+    key = (n, taps.tobytes(), np.dtype(dtype).name)
     hit = _FILTER_MAT_CACHE.get(key)
     if hit is not None:
         return hit
-    if mode not in ("reflect", "zero"):
-        raise ValueError(f"unknown filter mode {mode!r}")
-    k = taps.size
-    center = k // 2
-    mat = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for t in range(k):
-            j = i + t - center
-            if 0 <= j < n:
-                mat[i, j] += taps[t]
-            elif mode == "reflect":
-                mat[i, -j if j < 0 else 2 * n - 2 - j] += taps[t]
+    # row i + t of a reflect-padded identity picks the sample tap t reads for output i
+    center = taps.size // 2
+    picks = np.pad(np.eye(n), ((center, center), (0, 0)), mode="reflect")
+    mat = np.zeros((n, n))
+    for t, tap in enumerate(taps):
+        mat += tap * picks[t : t + n]
     mat = mat.astype(dtype)
     _FILTER_MAT_CACHE[key] = mat
     return mat
 
 
-def sep_filter2d(x: Tensor, taps_h: np.ndarray, taps_w: np.ndarray, mode: str = "reflect") -> Tensor:
-    """Separable 2-D correlation of an NCHW tensor, same-size output.
+def sep_filter2d(x: Tensor, taps_h: np.ndarray, taps_w: np.ndarray) -> Tensor:
+    """Separable 2-D correlation of an NCHW tensor, same-size output,
+    reflect borders (the edge sample is not repeated).
 
     Equivalent to conv2d with kernel ``outer(taps_h, taps_w)`` applied
     per channel, but runs as two cached banded matrix products.
@@ -630,10 +625,10 @@ def sep_filter2d(x: Tensor, taps_h: np.ndarray, taps_w: np.ndarray, mode: str = 
     h, w = x.shape[2], x.shape[3]
     taps_h = np.asarray(taps_h, dtype=np.float64)
     taps_w = np.asarray(taps_w, dtype=np.float64)
-    if mode == "reflect" and (taps_h.size // 2 > h - 1 or taps_w.size // 2 > w - 1):
+    if taps_h.size // 2 > h - 1 or taps_w.size // 2 > w - 1:
         raise ShapeError(f"filter taps too wide for spatial dims {(h, w)}")
-    mh = _filter_matrix(h, taps_h, mode, x.data.dtype)
-    mw = _filter_matrix(w, taps_w, mode, x.data.dtype)
+    mh = _filter_matrix(h, taps_h, x.data.dtype)
+    mw = _filter_matrix(w, taps_w, x.data.dtype)
     out_data = np.swapaxes(np.swapaxes(x.data, -1, -2) @ mh.T, -1, -2) @ mw.T
     grads = (lambda g: np.ascontiguousarray(np.swapaxes(np.swapaxes(g @ mw, -1, -2) @ mh, -1, -2)),)
     return Tensor._from_op(np.ascontiguousarray(out_data), (x,), grads, "sep_filter2d")

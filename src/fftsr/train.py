@@ -165,7 +165,7 @@ def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
     with T.no_grad():
         residual = gen(x, noise=None, training=False)
         sr = T.clamp(x + residual, 0.0, 1.0)
-    return Image(sr.data[0].transpose(1, 2, 0), tag="generated")
+    return Image(sr.data[0].transpose(1, 2, 0))
 
 
 # ---- trainer ----

@@ -81,6 +81,19 @@ def check_gradients(
             )
 
 
+def to_float64(module):
+    """Cast a built module's parameters and buffers to float64 in place.
+
+    Modules are built in float32; the finite-difference checks need the
+    extra precision. Returns the module.
+    """
+    for _, p in module.named_parameters():
+        p.data = p.data.astype(np.float64)
+    for _, owner, name in module.named_buffers():
+        setattr(owner, name, getattr(owner, name).astype(np.float64))
+    return module
+
+
 def check_param_gradients(
     loss_fn,
     named_params,

@@ -5,22 +5,35 @@ import zlib
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fftsr import image as I
-from fftsr.errors import DecodeError, ShapeError, TooSmallError, UnsupportedFormatError
+from fftsr.errors import DecodeError, FftsrError, ShapeError, TooSmallError, UnsupportedFormatError
 
 
 def random_image(rng, h=9, w=13):
     return I.Image(rng.random((h, w, 3), dtype=np.float64).astype(np.float32))
 
 
-def png_1x1(idat: bytes) -> bytes:
-    """An RGB PNG whose header declares 1x1 pixels, with ``idat`` as its
-    IDAT body and valid chunk CRCs."""
+def ihdr(width: int, height: int, color_type: int = 2) -> bytes:
+    return struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
+
+
+def png_file(header: bytes, idat: bytes) -> bytes:
+    """A PNG with ``header`` as its IHDR body, ``idat`` as its IDAT body
+    and valid chunk CRCs."""
     out = bytearray(I.PNG_SIGNATURE)
-    I._write_chunk(out, b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0))
+    I._write_chunk(out, b"IHDR", header)
     I._write_chunk(out, b"IDAT", idat)
     I._write_chunk(out, b"IEND", b"")
     return bytes(out)
+
+
+def png_1x1(idat: bytes) -> bytes:
+    """An RGB PNG whose header declares 1x1 pixels, with ``idat`` as its
+    IDAT body and valid chunk CRCs."""
+    return png_file(ihdr(1, 1), idat)
 
 
 class TestPpm:
@@ -49,6 +62,22 @@ class TestPpm:
     def test_wrong_maxval(self):
         with pytest.raises(UnsupportedFormatError):
             I.decode_image(b"P6\n1 1\n65535\n" + bytes(6))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [b"-2 -2 255", b"-1 4 255", b"+2 2 255", b"2_0 1 255", b"2 2 +255", b"2 2 " + b"9" * 5000],
+        ids=["minus-both", "minus-width", "plus-width", "underscore", "plus-maxval", "5000-digits"],
+    )
+    def test_header_fields_must_be_decimal_digits(self, fields):
+        # 200 payload bytes cover every size int() makes of these fields, so
+        # only the digit check can reject the + and _ spellings
+        with pytest.raises(DecodeError, match="decimal|too long"):
+            I.decode_image(b"P6\n" + fields + b"\n" + bytes(200))
+
+    @pytest.mark.parametrize("size", [b"0 5", b"5 0", b"0 " + b"1" * 30], ids=["width", "height", "huge-height"])
+    def test_zero_width_or_height(self, size):
+        with pytest.raises(DecodeError):
+            I.decode_image(b"P6\n" + size + b"\n255\n" + bytes(75))
 
 
 class TestPng:
@@ -118,6 +147,33 @@ class TestPng:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_pixel_count_is_bounded_before_inflating(self):
+        # about 50 KB of zlib behind a header that declares 20000x20000
+        raw = png_file(ihdr(20000, 20000), zlib.compress(bytes(50 << 20), 9))
+        assert len(raw) < 60_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedFormatError, match=f"400000000 .* {I.MAX_PIXELS}"):
+                I.decode_image(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "width,height,error",
+        [(7680, 4320, DecodeError), (4320, 7680, DecodeError), (7681, 4320, UnsupportedFormatError)],
+    )
+    def test_pixel_bound_admits_8k_uhd(self, width, height, error):
+        # an admitted header gets as far as the pixel stream, which is short
+        with pytest.raises(error):
+            I.decode_image(png_file(ihdr(width, height), zlib.compress(bytes(3))))
+
+    @pytest.mark.parametrize("width,height", [(0xFFFFFFFF, 0), (0, 5)])
+    def test_zero_width_or_height(self, width, height):
+        with pytest.raises(DecodeError, match="IHDR"):
+            I.decode_image(png_file(ihdr(width, height), zlib.compress(b"")))
 
     def test_zlib_stream_cut_short_inside_a_valid_idat(self):
         whole = zlib.compress(bytes([0, 10, 20, 30]))
@@ -280,3 +336,67 @@ def test_image_validation():
         I.Image(np.full((2, 2, 3), np.nan))
     img = I.Image(np.full((2, 2, 3), 1.7, dtype=np.float32))
     assert img.data.max() == 1.0
+
+
+# ---- property tests: mutated files fail only with typed errors ----
+
+EDITS = st.lists(
+    st.tuples(st.sampled_from(("flip", "delete", "insert")), st.integers(0, 1 << 16), st.integers(1, 255)),
+    max_size=6,
+)
+PPM_FIELD = st.one_of(
+    st.none(),
+    st.sampled_from([b"-2", b"-1", b"+2", b"2_0", b"0", b"1", b"4", b"255", b"65535", b"1" * 30, b"\xd9\xa3", b"#"]),
+)
+FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=400)
+
+
+def apply_edits(raw: bytes, edits) -> bytes:
+    """Flip, delete or insert one byte per edit, at a position taken
+    modulo the current length."""
+    buf = bytearray(raw)
+    for kind, at, value in edits:
+        i = at % (len(buf) + 1)
+        if kind == "insert":
+            buf[i:i] = bytes([value])
+        elif i < len(buf):
+            if kind == "flip":
+                buf[i] ^= value
+            else:
+                del buf[i]
+    return bytes(buf)
+
+
+def decode_or_typed_error(raw: bytes):
+    try:
+        I.decode_image(raw)
+    except FftsrError:
+        pass
+
+
+@FUZZ
+@given(color_type=st.sampled_from((2, 6)), part=st.sampled_from(("file", "ihdr", "rows")), edits=EDITS)
+def test_mutated_png_raises_only_typed_errors(color_type, part, edits):
+    # mutating the IHDR body or the inflated rows (CRCs recomputed) gets
+    # past the chunk checks; row filter bytes cycle through all five types
+    channels = 3 if color_type == 2 else 4
+    pixels = np.random.default_rng(color_type).integers(0, 256, (4, 5 * channels), dtype=np.uint8)
+    header = ihdr(5, 4, color_type)
+    rows = b"".join(bytes([y % 5]) + pixels[y].tobytes() for y in range(4))
+    if part == "ihdr":
+        header = apply_edits(header, edits)
+    elif part == "rows":
+        rows = apply_edits(rows, edits)
+    raw = png_file(header, zlib.compress(rows))
+    decode_or_typed_error(apply_edits(raw, edits) if part == "file" else raw)
+
+
+@FUZZ
+@given(width=PPM_FIELD, height=PPM_FIELD, maxval=PPM_FIELD, edits=EDITS)
+def test_mutated_ppm_raises_only_typed_errors(width, height, maxval, edits):
+    fields = [b"4", b"3", b"255"]
+    for i, replacement in enumerate((width, height, maxval)):
+        if replacement is not None:
+            fields[i] = replacement
+    raw = b"P6\n" + b" ".join(fields) + b"\n" + bytes(range(36))
+    decode_or_typed_error(apply_edits(raw, edits))

@@ -8,7 +8,7 @@ from fftsr import losses as L
 from fftsr.errors import ShapeError
 from fftsr.tensor import Tensor
 
-from gradcheck import check_gradients
+from gradcheck import check_gradients, to_float64
 
 
 def rand_pair(seed, shape=(1, 3, 8, 8)):
@@ -163,7 +163,7 @@ class TestAdversarial:
 
 class TestPerceptual:
     def setup_method(self):
-        self.extractor = L.PerceptualExtractor(dtype=np.float64)
+        self.extractor = to_float64(L.PerceptualExtractor())
 
     def test_identity_zero(self):
         x, _ = rand_pair(9, (1, 3, 16, 16))
@@ -182,7 +182,7 @@ class TestPerceptual:
         x, y = rand_pair(10, (1, 3, 16, 16))
         xt, yt = Tensor(x, dtype=np.float64), Tensor(y, dtype=np.float64)
         base = L.perceptual_loss(xt, yt, self.extractor).item()
-        scaled = L.PerceptualExtractor(dtype=np.float64)
+        scaled = to_float64(L.PerceptualExtractor())
         for _, p in scaled.named_parameters():
             p.data = p.data * 2.0
         doubled = L.perceptual_loss(xt, yt, scaled).item()
@@ -213,7 +213,7 @@ class TestTotalLoss:
         x, _ = rand_pair(12)
         xt = Tensor(x, dtype=np.float64)
         yt = Tensor(x.copy(), dtype=np.float64)
-        extractor = L.PerceptualExtractor(dtype=np.float64)
+        extractor = to_float64(L.PerceptualExtractor())
         d_fake = Tensor(np.full(1, 0.5), dtype=np.float64)
         total = L.total_generator_loss(
             L.adversarial_gen_loss(d_fake),
@@ -261,7 +261,7 @@ def test_all_five_losses_grads(seed):
     """Finite-difference suite over every differentiable loss term."""
     rng = np.random.default_rng(1300 + seed)
     x, y = rand_pair(1400 + seed)
-    extractor = L.PerceptualExtractor(dtype=np.float64)
+    extractor = to_float64(L.PerceptualExtractor())
 
     def fn(ts):
         xt, yt = ts

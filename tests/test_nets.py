@@ -7,12 +7,12 @@ from fftsr.errors import ShapeError
 from fftsr.fft import irfft2d, rfft2d
 from fftsr.tensor import Tensor
 
-from gradcheck import check_param_gradients
+from gradcheck import check_param_gradients, to_float64
 
 
-def make_block(alpha, in_ch=8, out_ch=8, dtype=np.float64, seed=0):
+def make_block(alpha, channels=8, seed=0):
     rng = np.random.default_rng(seed)
-    return N.FfcBlock(rng, N.FfcBlockConfig(in_ch, out_ch, alpha), dtype=dtype)
+    return to_float64(N.FfcBlock(rng, channels, alpha, 3))
 
 
 class TestFfcBlock:
@@ -22,7 +22,7 @@ class TestFfcBlock:
         x = Tensor(rng.standard_normal((2, 8, 10, 10)), dtype=np.float64)
         got = block(x, training=True).data
         ref_conv = T.conv2d(x, block.conv_from_l.w, None, padding=1, pad_mode="reflect")
-        bn = N.BatchNorm2d(8, dtype=np.float64)
+        bn = to_float64(N.BatchNorm2d(8))
         ref = T.relu(bn(ref_conv, True)).data
         assert np.abs(got - ref).max() < 1e-6
 
@@ -31,7 +31,7 @@ class TestFfcBlock:
         block = make_block(1.0)
         x = Tensor(rng.standard_normal((1, 8, 8, 8)), dtype=np.float64)
         got = block(x, training=True).data
-        bn = N.BatchNorm2d(8, dtype=np.float64)
+        bn = to_float64(N.BatchNorm2d(8))
         ref = T.relu(bn(block.spectral(x, True), True)).data
         assert np.abs(got - ref).max() < 1e-6
         assert not hasattr(block, "conv_from_l")
@@ -46,11 +46,11 @@ class TestFfcBlock:
                 conv.b.data = np.zeros_like(conv.b.data)
         x = Tensor(np.full((1, 8, 8, 8), 0.3), dtype=np.float64)
         got = block(x, training=True).data
-        x_l, x_g = T.split_channels(x, [block.in_l, block.in_g])
+        x_l, x_g = T.split_channels(x, [block.l, block.g])
         both = block.conv_from_l(x_l)
-        to_l, to_g = T.split_channels(both, [block.out_l, block.out_g])
-        bn_l = N.BatchNorm2d(block.out_l, dtype=np.float64)
-        bn_g = N.BatchNorm2d(block.out_g, dtype=np.float64)
+        to_l, to_g = T.split_channels(both, [block.l, block.g])
+        bn_l = to_float64(N.BatchNorm2d(block.l))
+        bn_g = to_float64(N.BatchNorm2d(block.g))
         ref = T.concat(
             [T.relu(bn_l(to_l + block.conv_gl(x_g), True)), T.relu(bn_g(to_g, True))], axis=1
         ).data
@@ -65,7 +65,7 @@ class TestFfcBlock:
     def test_grads_match_finite_differences(self, seed):
         rng = np.random.default_rng(900 + seed)
         alpha = [0.0, 0.25, 0.5, 1.0][seed % 4]
-        block = make_block(alpha, in_ch=6, out_ch=6, seed=seed)
+        block = make_block(alpha, channels=6, seed=seed)
         x = Tensor(rng.standard_normal((1, 6, 8, 8)), requires_grad=True, dtype=np.float64)
         weight = rng.standard_normal((1, 6, 8, 8))
 
@@ -79,7 +79,7 @@ class TestFfcBlock:
 class TestSpectralTransform:
     def _identity_transform(self, ch):
         rng = np.random.default_rng(0)
-        st = N.SpectralTransform(rng, ch, ch, ch, dtype=np.float64)
+        st = to_float64(N.SpectralTransform(rng, ch))
         eye = np.eye(ch)[:, :, None, None]
         st.conv_in.w.data = eye.copy()
         st.conv_in.b.data = np.zeros(ch)
@@ -121,7 +121,7 @@ class TestSpectralTransform:
     @pytest.mark.parametrize("seed", range(20))
     def test_grads_match_finite_differences(self, seed):
         rng = np.random.default_rng(1000 + seed)
-        st = N.SpectralTransform(np.random.default_rng(seed), 3, 3, 4, dtype=np.float64)
+        st = to_float64(N.SpectralTransform(np.random.default_rng(seed), 3))
         x = Tensor(rng.standard_normal((1, 3, 6, 7)), requires_grad=True, dtype=np.float64)
 
         def loss():
@@ -196,9 +196,7 @@ class TestGenerator:
     @pytest.mark.parametrize("seed", range(20))
     def test_full_network_grads(self, seed):
         rng = np.random.default_rng(1100 + seed)
-        gen = N.Generator(
-            N.GeneratorConfig(blocks=2, width=6), np.random.default_rng(seed), dtype=np.float64
-        )
+        gen = to_float64(N.Generator(N.GeneratorConfig(blocks=2, width=6), np.random.default_rng(seed)))
         x = Tensor(rng.random((1, 3, 12, 12)), requires_grad=True, dtype=np.float64)
 
         def loss():
@@ -239,9 +237,7 @@ class TestDiscriminator:
     @pytest.mark.parametrize("seed", range(20))
     def test_full_network_grads(self, seed):
         rng = np.random.default_rng(1200 + seed)
-        disc = N.Discriminator(
-            N.DiscriminatorConfig(width=6, layers=2), np.random.default_rng(seed), dtype=np.float64
-        )
+        disc = to_float64(N.Discriminator(N.DiscriminatorConfig(width=6, layers=2), np.random.default_rng(seed)))
         x = Tensor(rng.standard_normal((1, 3, 12, 12)) * 0.5, requires_grad=True, dtype=np.float64)
 
         def loss():
@@ -265,7 +261,7 @@ class TestParameterCount:
         assert N.count_parameters(conv) == 84
 
     def test_alpha_zero_block_equals_conv_plus_norm(self):
-        block = make_block(0.0, in_ch=10, out_ch=10)
+        block = make_block(0.0, channels=10)
         assert N.count_parameters(block) == 10 * 10 * 9 + 2 * 10
 
     def test_count_is_deterministic(self):

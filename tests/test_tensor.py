@@ -320,6 +320,46 @@ class TestBatchNorm:
         check_gradients(fn, [x, gamma, beta], rng=rng)
 
 
+class TestSepFilter2d:
+    @staticmethod
+    def direct(x, taps_h, taps_w):
+        """Per-channel 2-D correlation with kernel outer(taps_h, taps_w)
+        over a reflect-padded copy, summed tap by tap."""
+        ph, pw = len(taps_h) // 2, len(taps_w) // 2
+        padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="reflect")
+        h, w = x.shape[2:]
+        out = np.zeros_like(x)
+        for i, th in enumerate(taps_h):
+            for j, tw in enumerate(taps_w):
+                out += th * tw * padded[:, :, i : i + h, j : j + w]
+        return out
+
+    @pytest.mark.parametrize("taps", [5, 3])
+    @pytest.mark.parametrize("hw", [(6, 6), (7, 11), (3, 9)])
+    def test_matches_direct_reflect_correlation(self, taps, hw):
+        rng = np.random.default_rng(taps * 100 + hw[1])
+        x = rng.standard_normal((2, 3, *hw))
+        taps_h, taps_w = rng.standard_normal(taps), rng.standard_normal(taps)
+        got = T.sep_filter2d(Tensor(x, dtype=np.float64), taps_h, taps_w).data
+        assert np.abs(got - self.direct(x, taps_h, taps_w)).max() < 1e-12
+
+    def test_taps_wider_than_the_reflection_raise(self):
+        with pytest.raises(ShapeError):
+            T.sep_filter2d(Tensor(np.zeros((1, 1, 2, 8))), np.ones(5), np.ones(5))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grads_match_finite_differences(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        x = rng.standard_normal((2, 2, 5, 7))
+        taps_h, taps_w = rng.standard_normal(5), rng.standard_normal(3)
+        weight = rng.standard_normal(x.shape)
+
+        def fn(ts):
+            return T.mean(T.sep_filter2d(ts[0], taps_h, taps_w) * Tensor(weight, dtype=np.float64))
+
+        check_gradients(fn, [x], rng=rng)
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
