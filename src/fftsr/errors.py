@@ -14,11 +14,12 @@ class AxisError(FftsrError):
 
 
 class DomainError(FftsrError):
-    """A strict-mode elementwise op received an out-of-domain input."""
+    """An op received an input outside its domain: a negative input to a
+    strict-mode elementwise op, or a Charbonnier eps that is not positive."""
 
 
 class ConfigError(FftsrError):
-    """A run-config file or key is invalid."""
+    """A run-config file or key, or an object built from one, is invalid."""
 
 
 class ImageError(FftsrError):

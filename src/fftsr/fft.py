@@ -13,6 +13,8 @@ exact adjoint (transposed matrices in reverse order).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ShapeError
@@ -28,14 +30,11 @@ def half_width(w: int) -> int:
 
 # ---- cached DFT matrices for the 2-D real transforms ----
 
-_MAT_CACHE: dict = {}
 
-
+# a frame size takes four entries (rfwd and rinv of W, cfwd and cinv of H);
+# 32 hold eight frame sizes, and an evicted one is only rebuilt
+@functools.lru_cache(maxsize=32)
 def _mats(kind: str, n: int, dtype) -> tuple:
-    key = (kind, n, np.dtype(dtype).name)
-    hit = _MAT_CACHE.get(key)
-    if hit is not None:
-        return hit
     t = np.arange(n, dtype=np.float64)
     if kind == "rfwd":  # real -> half spectrum
         k = np.arange(half_width(n), dtype=np.float64)
@@ -61,7 +60,8 @@ def _mats(kind: str, n: int, dtype) -> tuple:
         )
     else:  # pragma: no cover
         raise ValueError(kind)
-    _MAT_CACHE[key] = pair
+    for mat in pair:
+        mat.setflags(write=False)
     return pair
 
 

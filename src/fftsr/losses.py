@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .nets import Conv2d, Module
 from .tensor import Tensor
 
@@ -60,9 +60,9 @@ class LossWeights:
         for name in ("adversarial", "perceptual", "mge", "ssim", "charbonnier"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"loss weight {name} must be finite and >= 0, got {v}")
+                raise ConfigError(f"loss weight {name} must be finite and >= 0, got {v}")
         if not (math.isfinite(self.charbonnier_eps) and self.charbonnier_eps > 0):
-            raise ValueError("charbonnier_eps must be positive")
+            raise ConfigError(f"charbonnier_eps must be finite and > 0, got {self.charbonnier_eps}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def ssim_metric(x: np.ndarray, y: np.ndarray, p: SsimParams = SsimParams()) -> f
 def charbonnier(x: Tensor, y: Tensor, eps: float = 1e-6) -> Tensor:
     """Mean of sqrt((x - y)^2 + eps); smooth at zero error."""
     if eps <= 0:
-        raise ValueError(f"charbonnier eps must be > 0, got {eps}")
+        raise DomainError(f"charbonnier eps must be > 0, got {eps}")
     _check_pair(x, y, "charbonnier")
     d = x - y
     return T.mean(T.sqrt(d * d + eps))

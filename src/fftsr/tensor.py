@@ -22,6 +22,7 @@ propagate NaN the way numpy does.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from typing import Callable, Iterable, Sequence
@@ -130,9 +131,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Same values, cut out of the graph."""
         return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
-    def zero_grad(self):
-        self.grad = None
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -593,23 +591,18 @@ def conv2d(
 
 # ---- separable spatial filtering (loss windows) ----
 
-_FILTER_MAT_CACHE: dict = {}
-
-
-def _filter_matrix(n: int, taps: np.ndarray, dtype) -> np.ndarray:
+# the losses take three entries per patch size: SSIM window, Sobel smoothing and difference
+@functools.lru_cache(maxsize=32)
+def _filter_matrix(n: int, taps: tuple, dtype) -> np.ndarray:
     """Banded (n, n) matrix applying a 1-D correlation with reflect borders."""
-    key = (n, taps.tobytes(), np.dtype(dtype).name)
-    hit = _FILTER_MAT_CACHE.get(key)
-    if hit is not None:
-        return hit
     # row i + t of a reflect-padded identity picks the sample tap t reads for output i
-    center = taps.size // 2
+    center = len(taps) // 2
     picks = np.pad(np.eye(n), ((center, center), (0, 0)), mode="reflect")
     mat = np.zeros((n, n))
     for t, tap in enumerate(taps):
         mat += tap * picks[t : t + n]
     mat = mat.astype(dtype)
-    _FILTER_MAT_CACHE[key] = mat
+    mat.setflags(write=False)
     return mat
 
 
@@ -627,8 +620,8 @@ def sep_filter2d(x: Tensor, taps_h: np.ndarray, taps_w: np.ndarray) -> Tensor:
     taps_w = np.asarray(taps_w, dtype=np.float64)
     if taps_h.size // 2 > h - 1 or taps_w.size // 2 > w - 1:
         raise ShapeError(f"filter taps too wide for spatial dims {(h, w)}")
-    mh = _filter_matrix(h, taps_h, x.data.dtype)
-    mw = _filter_matrix(w, taps_w, x.data.dtype)
+    mh = _filter_matrix(h, tuple(taps_h.tolist()), x.data.dtype)
+    mw = _filter_matrix(w, tuple(taps_w.tolist()), x.data.dtype)
     out_data = np.swapaxes(np.swapaxes(x.data, -1, -2) @ mh.T, -1, -2) @ mw.T
     grads = (lambda g: np.ascontiguousarray(np.swapaxes(np.swapaxes(g @ mw, -1, -2) @ mh, -1, -2)),)
     return Tensor._from_op(np.ascontiguousarray(out_data), (x,), grads, "sep_filter2d")

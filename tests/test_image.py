@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fftsr import image as I
-from fftsr.errors import DecodeError, FftsrError, ShapeError, TooSmallError, UnsupportedFormatError
+from fftsr.errors import DecodeError, FftsrError, ImageError, ShapeError, TooSmallError, UnsupportedFormatError
 
 
 def random_image(rng, h=9, w=13):
@@ -328,11 +328,15 @@ class TestPairs:
         with pytest.raises(TooSmallError):
             I.make_lr_hr_pair(I.Image(np.zeros((2, 2, 3), dtype=np.float32)), 3)
 
+    def test_scale_below_two(self):
+        with pytest.raises(ImageError):
+            I.make_lr_hr_pair(I.Image(np.zeros((4, 4, 3), dtype=np.float32)), 1)
+
 
 def test_image_validation():
     with pytest.raises(ShapeError):
         I.Image(np.zeros((4, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ImageError):
         I.Image(np.full((2, 2, 3), np.nan))
     img = I.Image(np.full((2, 2, 3), 1.7, dtype=np.float32))
     assert img.data.max() == 1.0
@@ -400,3 +404,46 @@ def test_mutated_ppm_raises_only_typed_errors(width, height, maxval, edits):
             fields[i] = replacement
     raw = b"P6\n" + b" ".join(fields) + b"\n" + bytes(range(36))
     decode_or_typed_error(apply_edits(raw, edits))
+
+
+# ---- property test: the decoder against the spec's filter formulas ----
+
+
+def paeth_predictor(a: int, b: int, c: int) -> int:
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    return b if pb <= pc else c
+
+
+def filter_rows(pixels: np.ndarray, filters) -> bytes:
+    """PNG scanlines of (H, W, C) uint8 pixels, row y filtered with
+    ``filters[y]`` by the RFC 2083 formulas in plain ints."""
+    height, width, bpp = pixels.shape
+    prev = [0] * (width * bpp)
+    out = bytearray()
+    for y in range(height):
+        cur = pixels[y].reshape(-1).tolist()
+        out.append(filters[y])
+        for x, (raw, b) in enumerate(zip(cur, prev)):
+            a = cur[x - bpp] if x >= bpp else 0
+            c = prev[x - bpp] if x >= bpp else 0
+            pred = (0, a, b, (a + b) // 2, paeth_predictor(a, b, c))[filters[y]]
+            out.append((raw - pred) % 256)
+        prev = cur
+    return bytes(out)
+
+
+@FUZZ
+@given(
+    width=st.sampled_from((1, 2, 37, 192)),
+    channels=st.sampled_from((3, 4)),
+    filters=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decode_matches_spec_filters(width, channels, filters, seed):
+    pixels = np.random.default_rng(seed).integers(0, 256, (len(filters), width, channels), dtype=np.uint8)
+    header = ihdr(width, len(filters), 2 if channels == 3 else 6)
+    img = I.decode_image(png_file(header, zlib.compress(filter_rows(pixels, filters))))
+    assert np.array_equal(np.round(img.data * 255.0), pixels[:, :, :3])

@@ -5,7 +5,7 @@ import pytest
 
 import fftsr.tensor as T
 from fftsr import losses as L
-from fftsr.errors import ShapeError
+from fftsr.errors import ConfigError, DomainError, ShapeError
 from fftsr.tensor import Tensor
 
 from gradcheck import check_gradients, to_float64
@@ -89,7 +89,7 @@ class TestCharbonnier:
 
     def test_bad_eps(self):
         x, y = rand_pair(6)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             L.charbonnier(Tensor(x), Tensor(y), 0.0)
 
 
@@ -231,7 +231,7 @@ class TestTotalLoss:
         assert (w.adversarial, w.perceptual, w.mge, w.ssim, w.charbonnier) == (1, 1, 1, 1, 1)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             L.LossWeights(adversarial=-1.0)
 
 

@@ -3,9 +3,11 @@ import pkgutil
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fftsr
+from fftsr import fft, image, tensor
 
 MODULES = ["fftsr"] + [f"fftsr.{m.name}" for m in pkgutil.iter_modules(fftsr.__path__)]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -31,3 +33,29 @@ def test_pyproject_names_only_what_exists():
         assert callable(getattr(importlib.import_module(module), attr))
     for requirement in project["dependencies"]:
         importlib.import_module(requirement.split(">")[0].split("=")[0].strip())
+
+
+# each cache with a builder of one distinct entry per size n >= 2
+MATRIX_CACHES = {
+    "fft._mats": (fft._mats, lambda n: fft._mats("cfwd", n, np.dtype(np.float32))[0]),
+    "image._axis_matrix": (image._axis_matrix, lambda n: image._axis_matrix(n, 2 * n)),
+    "tensor._filter_matrix": (
+        tensor._filter_matrix,
+        lambda n: tensor._filter_matrix(n, (0.25, 0.5, 0.25), np.dtype(np.float32)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_CACHES)
+def test_matrix_caches_are_bounded_and_read_only(name):
+    cached, build = MATRIX_CACHES[name]
+    cached.cache_clear()
+    maxsize = cached.cache_info().maxsize
+    oldest, second = build(2), build(3)
+    for n in range(4, maxsize + 3):  # maxsize + 1 distinct sizes in all
+        build(n)
+    assert cached.cache_info().currsize == maxsize
+    assert build(3) is second
+    assert build(2) is not oldest
+    with pytest.raises(ValueError):
+        oldest[0, 0] = 1.0
