@@ -143,8 +143,10 @@ def default_config() -> RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse ``key = value`` lines; '#' starts a comment; unknown keys fail."""
+    """Parse ``key = value`` lines; '#' starts a comment; unknown and
+    repeated keys fail."""
     values = dict(default_config().values)
+    set_on: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -156,6 +158,9 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         values[key] = _coerce(key, value)
     return RunConfig(values).validate()
 

@@ -23,7 +23,6 @@ from .tensor import Tensor
 
 __all__ = [
     "LossWeights",
-    "SsimParams",
     "ssim",
     "ssim_metric",
     "charbonnier",
@@ -39,6 +38,11 @@ __all__ = [
 
 LOG_CLIP = 1e-7  # discriminator outputs are clamped to [LOG_CLIP, 1 - LOG_CLIP]
 SOBEL_EPS = 1e-12
+# SSIM window size and Gaussian sigma, and c = (k L)^2 with L = 1 for [0, 1] data
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_C1 = (0.01 * 1.0) ** 2
+SSIM_C2 = (0.03 * 1.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -65,14 +69,6 @@ class LossWeights:
             raise ConfigError(f"charbonnier_eps must be finite and > 0, got {self.charbonnier_eps}")
 
 
-@dataclass(frozen=True)
-class SsimParams:
-    window_size: int = 11
-    sigma: float = 1.5
-    c1: float = (0.01 * 1.0) ** 2  # (k1 * L)^2 with L = 1 for [0, 1] data
-    c2: float = (0.03 * 1.0) ** 2
-
-
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     x = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(x * x) / (2.0 * sigma * sigma))
@@ -84,7 +80,7 @@ def _check_pair(x: Tensor, y: Tensor, op: str):
         raise ShapeError(f"{op}: shapes {x.shape} and {y.shape} differ")
 
 
-def ssim(x: Tensor, y: Tensor, p: SsimParams = SsimParams()) -> Tensor:
+def ssim(x: Tensor, y: Tensor) -> Tensor:
     """Mean structural similarity over 11x11 Gaussian windows.
 
     Local statistics come from Gaussian filtering with reflect borders;
@@ -92,7 +88,7 @@ def ssim(x: Tensor, y: Tensor, p: SsimParams = SsimParams()) -> Tensor:
     a scalar in [-1, 1]; use ``-ssim`` as the training loss.
     """
     _check_pair(x, y, "ssim")
-    taps = _gaussian_taps(p.window_size, p.sigma)
+    taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)
 
     def blur(t: Tensor) -> Tensor:
         n, c, h, w = t.shape
@@ -104,12 +100,12 @@ def ssim(x: Tensor, y: Tensor, p: SsimParams = SsimParams()) -> Tensor:
     xx = blur(x * x) - mu_x * mu_x
     yy = blur(y * y) - mu_y * mu_y
     xy = blur(x * y) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + p.c1) * (2.0 * xy + p.c2)
-    den = (mu_x * mu_x + mu_y * mu_y + p.c1) * (xx + yy + p.c2)
+    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * xy + SSIM_C2)
+    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (xx + yy + SSIM_C2)
     return T.mean(num / den)
 
 
-def ssim_metric(x: np.ndarray, y: np.ndarray, p: SsimParams = SsimParams()) -> float:
+def ssim_metric(x: np.ndarray, y: np.ndarray) -> float:
     """SSIM of two (..., H, W) arrays, evaluated off-graph in float64."""
     xs = np.asarray(x, dtype=np.float64)
     ys = np.asarray(y, dtype=np.float64)
@@ -119,7 +115,7 @@ def ssim_metric(x: np.ndarray, y: np.ndarray, p: SsimParams = SsimParams()) -> f
         xs = xs.transpose(2, 0, 1)[None]
         ys = ys.transpose(2, 0, 1)[None]
     with T.no_grad():
-        return float(ssim(Tensor(xs, dtype=np.float64), Tensor(ys, dtype=np.float64), p).item())
+        return float(ssim(Tensor(xs, dtype=np.float64), Tensor(ys, dtype=np.float64)).item())
 
 
 def charbonnier(x: Tensor, y: Tensor, eps: float = 1e-6) -> Tensor:

@@ -18,7 +18,7 @@ global average pooling, and a sigmoid head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +62,29 @@ class DiscriminatorConfig:
 
 @dataclass
 class NoiseState:
-    """Between-block Gaussian noise: amplitude sigma0 * multiplier."""
+    """Between-block Gaussian noise of amplitude sigma0 * multiplier.
+
+    :meth:`anneal` folds each step's generator loss into ``ema``, and keeps
+    the EMA after ``warmup_steps`` losses as the baseline ``initial``; the
+    multiplier is then clip(ema / initial, 0, 1), and 1.0 with no baseline.
+    """
 
     sigma0: float
-    multiplier: float = 1.0
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+    rng: np.random.Generator
+    warmup_steps: int = 100
+    ema_decay: float = 0.99
+    ema: float = 0.0
+    initial: float | None = None
+
+    @property
+    def multiplier(self) -> float:
+        return float(np.clip(self.ema / self.initial, 0.0, 1.0)) if self.initial else 1.0
+
+    def anneal(self, g_loss: float, step: int):
+        """Fold the generator loss of training step ``step`` into the EMA."""
+        self.ema = g_loss if step == 0 else self.ema_decay * self.ema + (1.0 - self.ema_decay) * g_loss
+        if step + 1 == self.warmup_steps:
+            self.initial = self.ema
 
 
 def inject_noise(x: Tensor, ns: NoiseState | None, training: bool) -> Tensor:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,7 +47,6 @@ class AdamW:
     def __init__(
         self,
         named_params: list[tuple[str, Tensor]],
-        lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
@@ -54,7 +54,6 @@ class AdamW:
     ):
         self.names = [n for n, _ in named_params]
         self.params = [p for _, p in named_params]
-        self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -63,9 +62,8 @@ class AdamW:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, lr: float | None = None):
-        """Apply one update from the gradients currently on the params."""
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float):
+        """Apply one update at rate ``lr`` from the gradients on the params."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
@@ -126,22 +124,35 @@ class PolicyAction:
 
 @dataclass
 class RestartPolicy:
-    """Finite state machine over the discriminator accuracy window."""
+    """Finite state machine over the discriminator accuracy window.
 
+    ``mode`` (``normal`` or ``disc-boost``) alone sets the multipliers;
+    a boost ends when the mean accuracy is back inside ``EXIT_BAND``. A
+    disabled policy observes nothing and stays normal.
+    """
+
+    EXIT_BAND: ClassVar[tuple[float, float]] = (0.55, 0.8)
+
+    enabled: bool = True
     window: int = 200
     acc_low: float = 0.5
     acc_high: float = 0.95
     lr_boost: float = 5.0
     adv_scale: float = 0.1
     cooldown: int = 1000
-    exit_band: tuple[float, float] = (0.55, 0.8)
     restart_every: int = 0  # > 0: also trigger periodically at this step interval
 
     mode: str = "normal"
-    disc_lr_multiplier: float = 1.0
-    adv_multiplier: float = 1.0
     last_trigger_step: int = -(10**9)
     _acc: list[float] = field(default_factory=list)
+
+    @property
+    def disc_lr_multiplier(self) -> float:
+        return self.lr_boost if self.mode == "disc-boost" else 1.0
+
+    @property
+    def adv_multiplier(self) -> float:
+        return self.adv_scale if self.mode == "disc-boost" else 1.0
 
     def observe(self, accuracy: float, step: int) -> PolicyAction:
         """Record one step's discriminator accuracy and transition.
@@ -149,6 +160,8 @@ class RestartPolicy:
         The window keeps rolling across mode changes, so the exit test
         sees genuinely fresh accuracies rather than a reset history.
         """
+        if not self.enabled:
+            return PolicyAction("none")
         self._acc.append(float(accuracy))
         if len(self._acc) > self.window:
             self._acc.pop(0)
@@ -163,14 +176,10 @@ class RestartPolicy:
                 reinit = step - self.last_trigger_step <= self.cooldown
                 self.last_trigger_step = step
                 self.mode = "disc-boost"
-                self.disc_lr_multiplier = self.lr_boost
-                self.adv_multiplier = self.adv_scale
                 return PolicyAction("enter_boost", reinit_discriminator=reinit)
             return PolicyAction("none")
 
-        if self.exit_band[0] <= mean_acc <= self.exit_band[1]:
+        if self.EXIT_BAND[0] <= mean_acc <= self.EXIT_BAND[1]:
             self.mode = "normal"
-            self.disc_lr_multiplier = 1.0
-            self.adv_multiplier = 1.0
             return PolicyAction("exit_boost")
         return PolicyAction("none")

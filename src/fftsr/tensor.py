@@ -456,30 +456,19 @@ def _unpad_grad(g: np.ndarray, pad: int, shape, mode: str) -> np.ndarray:
 # ---- convolution ----
 
 
+_NP_PAD_MODES = {"zero": "constant", "reflect": "reflect"}
+
+
 def _pad_cnhw(xt: np.ndarray, pad: int, mode: str) -> np.ndarray:
     """Spatial padding of a channel-first (C, N, H, W) block."""
     if pad == 0:
         return xt
-    c, n, h, w = xt.shape
-    p = pad
-    if mode == "zero":
-        out = np.zeros((c, n, h + 2 * p, w + 2 * p), dtype=xt.dtype)
-        out[:, :, p : p + h, p : p + w] = xt
-        return out
-    if mode != "reflect":
+    if mode not in _NP_PAD_MODES:
         raise ValueError(f"unknown pad mode {mode!r}")
-    if p > h - 1 or p > w - 1:
-        raise ShapeError(f"reflect pad {p} too large for spatial dims {(h, w)}")
-    out = np.empty((c, n, h + 2 * p, w + 2 * p), dtype=xt.dtype)
-    out[:, :, p : p + h, p : p + w] = xt
-    # mirror columns off the core, then rows off the full-width strip
-    rstop = w - 2 - p
-    out[:, :, p : p + h, :p] = xt[:, :, :, p:0:-1]
-    out[:, :, p : p + h, p + w :] = xt[:, :, :, w - 2 : (rstop if rstop >= 0 else None) : -1]
-    bstop = h - 2
-    out[:, :, :p, :] = out[:, :, 2 * p : p : -1, :]
-    out[:, :, p + h :, :] = out[:, :, p + h - 2 : (bstop if bstop >= 0 else None) : -1, :]
-    return out
+    h, w = xt.shape[2:]
+    if mode == "reflect" and (pad > h - 1 or pad > w - 1):
+        raise ShapeError(f"reflect pad {pad} too large for spatial dims {(h, w)}")
+    return np.pad(xt, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode=_NP_PAD_MODES[mode])
 
 
 def _im2col(xtp: np.ndarray, kh: int, kw: int, stride: int):

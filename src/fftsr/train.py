@@ -5,10 +5,12 @@ One step: (1) sample aligned LR/HR patches, (2) bicubic-upscale the LR
 side, (3) update the discriminator on diffused real vs diffused detached
 fake residuals, (4) update the generator on the five-term objective with
 the adversarial term flowing through the (freshly updated)
-discriminator, (5) advance the schedules, restart policy, diffusion
-state, and noise multiplier. All randomness lives in named per-purpose
-streams, so a (seed, config, data) triple fixes the entire metric
-stream, and a checkpoint restores bit-identical continuation.
+discriminator, (5) pass the step to the three adaptive controllers,
+each owning its settings and deciding for itself what changes: the
+restart policy (which may reinit the discriminator), the diffusion
+timestep and the noise annealing. All randomness lives in named
+per-purpose streams, so a (seed, config, data) triple fixes the entire
+metric stream, and a checkpoint restores bit-identical continuation.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ class DiffusionState:
     """Forward-chain Gaussian diffusion with an adaptive maximum timestep.
 
     alpha_bar follows a linear beta schedule; t = 0 adds no noise. The
-    maximum timestep tracks an EMA of sign(D(real) - 0.5): when the
-    discriminator keeps winning, t_max_current climbs, feeding it harder
-    inputs; when it struggles, the noise backs off.
+    maximum timestep tracks an EMA of sign(D(real) - 0.5), every
+    ``adapt_every`` steps: when the discriminator keeps winning, ``t``
+    climbs, feeding it harder inputs; when it struggles, it backs off.
     """
 
     t_max: int = 500
@@ -75,6 +77,7 @@ class DiffusionState:
     target: float = 0.6
     stride: int = 1
     ema_decay: float = 0.99
+    adapt_every: int = 4
     enabled: bool = True
 
     t: int = 0
@@ -103,8 +106,11 @@ class DiffusionState:
         noise = (np.sqrt(1.0 - bars).astype(residual.data.dtype)) * eps
         return residual * Tensor(signal) + Tensor(noise)
 
-    def adapt(self, d_real_values: np.ndarray):
-        """EMA the overfit estimate and nudge the max timestep toward target."""
+    def adapt(self, d_real_values: np.ndarray, step: int):
+        """On every ``adapt_every``-th training step, EMA the overfit
+        estimate and nudge the max timestep toward target."""
+        if (step + 1) % self.adapt_every:
+            return
         batch_sign = float(np.mean(np.sign(d_real_values - 0.5)))
         self.r_d = self.ema_decay * self.r_d + (1.0 - self.ema_decay) * batch_sign
         direction = int(np.sign(self.r_d - self.target))
@@ -174,7 +180,7 @@ _STREAMS = ("patch", "noise", "diffusion", "reinit")
 
 
 class Trainer:
-    """Owns both networks and every piece of adaptive training state."""
+    """Owns both networks, their optimisers and the adaptive controllers."""
 
     def __init__(self, cfg: RunConfig, seed: int, pairs: list[tuple[np.ndarray, np.ndarray]]):
         cfg.validate()
@@ -193,22 +199,22 @@ class Trainer:
 
         self.weights = cfg.build(L.LossWeights, "loss")
         self.extractor = L.PerceptualExtractor()
-        adam = {key: cfg.get(f"opt.{key}") for key in ("beta1", "beta2", "eps", "weight_decay")}
-        self.opt_g = AdamW(list(self.gen.named_parameters("gen.")), lr=cfg.get("opt.lr_g"), **adam)
-        self.opt_d = AdamW(list(self.disc.named_parameters("disc.")), lr=cfg.get("opt.lr_d"), **adam)
+        self.opt_g = self._adamw(self.gen, "gen.")
+        self.opt_d = self._adamw(self.disc, "disc.")
         self.sched_g = cfg.build(CosineRestartSchedule, "sched", base_lr=cfg.get("opt.lr_g"))
         self.sched_d = cfg.build(CosineRestartSchedule, "sched", base_lr=cfg.get("opt.lr_d"))
         self.policy = cfg.build(RestartPolicy, "policy")
-        self.policy_enabled = cfg.get("policy.enabled")
-        self.diffusion = cfg.build(DiffusionState, "diffusion", ema_decay=cfg.get("train.ema_decay"))
-        self.adapt_every = cfg.get("diffusion.adapt_every")
-        self.noise = NoiseState(sigma0=cfg.get("gen.noise_sigma"), rng=self.rng["noise"])
-        self.ema_decay = cfg.get("train.ema_decay")
-        self.noise_warmup = cfg.get("noise.warmup_steps")
-        self.loss_ema = 0.0
-        self.loss_initial = None
-        self.warmup_count = 0
+        ema_decay = cfg.get("train.ema_decay")
+        self.diffusion = cfg.build(DiffusionState, "diffusion", ema_decay=ema_decay)
+        self.noise = cfg.build(
+            NoiseState, "noise", sigma0=cfg.get("gen.noise_sigma"), ema_decay=ema_decay, rng=self.rng["noise"]
+        )
         self.step = 0
+
+    def _adamw(self, net, prefix: str) -> AdamW:
+        """A fresh optimiser, with zero moments, over ``net``'s parameters."""
+        adam = {key: self.cfg.get(f"opt.{key}") for key in ("beta1", "beta2", "eps", "weight_decay")}
+        return AdamW(list(net.named_parameters(prefix)), **adam)
 
     def _usable_pairs(self, pairs):
         """The pairs whose HR side holds a whole patch; every LR image must
@@ -289,13 +295,10 @@ class Trainer:
 
         correct = np.concatenate([d_real_vals > 0.5, d_fake_vals < 0.5])
         d_acc = float(np.mean(correct))
-        if self.policy_enabled:
-            action = self.policy.observe(d_acc, self.step)
-            if action.kind == "enter_boost" and action.reinit_discriminator:
-                self._reinit_discriminator()
-        if (self.step + 1) % self.adapt_every == 0:
-            self.diffusion.adapt(d_real_vals)
-        self._update_noise_multiplier(terms["g_loss"])
+        if self.policy.observe(d_acc, self.step).reinit_discriminator:
+            self._reinit_discriminator()
+        self.diffusion.adapt(d_real_vals, self.step)
+        self.noise.anneal(terms["g_loss"], self.step)
 
         record = {
             "step": self.step,
@@ -310,27 +313,11 @@ class Trainer:
         self.step += 1
         return record
 
-    def _update_noise_multiplier(self, g_loss: float):
-        if self.warmup_count == 0:
-            self.loss_ema = g_loss
-        else:
-            self.loss_ema = self.ema_decay * self.loss_ema + (1.0 - self.ema_decay) * g_loss
-        if self.warmup_count < self.noise_warmup:
-            self.warmup_count += 1
-            if self.warmup_count == self.noise_warmup:
-                self.loss_initial = self.loss_ema
-            return
-        if self.loss_initial is None or self.loss_initial == 0.0:
-            return
-        self.noise.multiplier = float(np.clip(self.loss_ema / self.loss_initial, 0.0, 1.0))
-
     def _reinit_discriminator(self):
         fresh = Discriminator(self.disc.cfg, self.rng["reinit"])
         for (_, old), (_, new) in zip(self.disc.named_parameters(), fresh.named_parameters()):
             old.data = new.data
-        self.opt_d.m = [np.zeros_like(p.data) for p in self.opt_d.params]
-        self.opt_d.v = [np.zeros_like(p.data) for p in self.opt_d.params]
-        self.opt_d.t = 0
+        self.opt_d = self._adamw(self.disc, "disc.")
 
     # ---- checkpoint integration ----
 
@@ -340,9 +327,9 @@ class Trainer:
     def _scalar_slots(self, bit_states: dict):
         """(key, owner, name, codec) of every scalar the checkpoint carries;
         the RNG entries live in ``bit_states``, one dict per stream."""
-        for key, path, codec in _SCALAR_FIELDS:
+        for path, codec in _SCALAR_FIELDS:
             *head, name = path.split(".")
-            yield f"state.{key}", reduce(getattr, head, self), name, codec
+            yield f"state.{path}", reduce(getattr, head, self), name, codec
         for stream, bits in bit_states.items():
             for key, (*head, name) in _RNG_FIELDS:
                 yield f"state.rng.{stream}.{key}", reduce(operator.getitem, head, bits), name, _INT
@@ -504,23 +491,19 @@ _FLOAT = (repr, float)
 _OPTIONAL_FLOAT = (lambda v: "none" if v is None else repr(v), lambda s: None if s == "none" else float(s))
 _STR = (str, str)
 
-# every scalar of trainer state: "state." key, attribute path on the
-# Trainer, codec; snapshot and restore both walk this one table
+# every stored scalar of trainer state, as "state." + its attribute path on
+# the Trainer, with its codec; snapshot and restore both walk this table
 _SCALAR_FIELDS = (
-    ("step", "step", _INT),
-    ("seed", "seed", _INT),
-    ("opt_g.t", "opt_g.t", _INT),
-    ("opt_d.t", "opt_d.t", _INT),
-    ("diffusion.t", "diffusion.t", _INT),
-    ("diffusion.r_d", "diffusion.r_d", _FLOAT),
-    ("noise.multiplier", "noise.multiplier", _FLOAT),
-    ("noise.ema", "loss_ema", _FLOAT),
-    ("noise.initial", "loss_initial", _OPTIONAL_FLOAT),
-    ("noise.warmup_count", "warmup_count", _INT),
-    ("policy.mode", "policy.mode", _STR),
-    ("policy.disc_lr_multiplier", "policy.disc_lr_multiplier", _FLOAT),
-    ("policy.adv_multiplier", "policy.adv_multiplier", _FLOAT),
-    ("policy.last_trigger_step", "policy.last_trigger_step", _INT),
+    ("step", _INT),
+    ("seed", _INT),
+    ("opt_g.t", _INT),
+    ("opt_d.t", _INT),
+    ("diffusion.t", _INT),
+    ("diffusion.r_d", _FLOAT),
+    ("noise.ema", _FLOAT),
+    ("noise.initial", _OPTIONAL_FLOAT),
+    ("policy.mode", _STR),
+    ("policy.last_trigger_step", _INT),
 )
 # the integers of one PCG64 stream: key suffix, path in ``bit_generator.state``
 _RNG_FIELDS = (

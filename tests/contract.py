@@ -1,0 +1,79 @@
+"""Behaviour contract: digests of training records and upscale output.
+
+Run from the repository root, on two commits, and compare the output:
+
+    PYTHONPATH=src python tests/contract.py CKPT
+
+Every line is a run name and the SHA-256 of its records (or of the
+upscaled pixels). The runs are 20 default-config steps (seed 0, 16
+corpus textures at 96 px); 12 steps of the small test config for seeds
+0, 1 and 3, with the restart policy off, and with a noise warm-up of 0
+and of 1 step; and a resume: if CKPT does not exist, 6 small-config
+steps (seed 3) are saved there, and the run named ``resume`` is the 6
+steps after loading CKPT. Point two commits at the same CKPT to check
+that one commit continues the other's checkpoint identically. The last
+two lines digest the bytes of two frames upscaled by the default run's
+generator.
+
+pytest does not collect this file (it does not match ``test_*.py``).
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from fftsr import train
+from fftsr.config import default_config
+from fftsr.corpus import make_texture_corpus
+from fftsr.image import Image, make_lr_hr_pair
+
+from test_train import SMALL
+
+
+def _pairs(count, size):
+    return [tuple(i.data for i in make_lr_hr_pair(img, 3)) for img in make_texture_corpus(count, size, seed=0)]
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(payload if isinstance(payload, bytes) else repr(payload).encode()).hexdigest()
+
+
+def _steps(trainer, n):
+    return [trainer.train_step() for _ in range(n)]
+
+
+def main(ckpt: Path):
+    small = default_config().replace(**SMALL)
+    small_pairs = _pairs(4, 24)
+
+    default = train.Trainer(default_config(), 0, _pairs(16, 96))
+    runs = {"default": _steps(default, 20)}
+    for seed in (0, 1, 3):
+        runs[f"small.seed{seed}"] = _steps(train.Trainer(small, seed, small_pairs), 12)
+    runs["small.policy_off"] = _steps(train.Trainer(small.replace(policy__enabled=False), 0, small_pairs), 12)
+    for warmup in (0, 1):
+        trainer = train.Trainer(small.replace(noise__warmup_steps=warmup), 0, small_pairs)
+        runs[f"small.warmup{warmup}"] = _steps(trainer, 12)
+
+    if not ckpt.exists():
+        first = train.Trainer(small, 3, small_pairs)
+        _steps(first, 6)
+        train.save_trainer(first, ckpt)
+    resumed = train.Trainer.from_checkpoint(train.read_checkpoint(ckpt), small_pairs)
+    runs["resume"] = _steps(resumed, 6)
+    for name, records in runs.items():
+        print(f"{name:18s} {_digest(records)}")
+    print(f"{'resume == seed3':18s} {runs['resume'] == runs['small.seed3'][6:]}")
+
+    frames = make_texture_corpus(2, 61, seed=1)
+    for img, (h, w) in zip(frames, ((35, 61), (32, 32))):
+        out = train.upscale_image(default.gen, Image(img.data[:h, :w]), 3)
+        print(f"{f'upscale.{h}x{w}':18s} {_digest(np.ascontiguousarray(out.data).tobytes())}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    main(Path(sys.argv[1]))

@@ -61,6 +61,11 @@ def test_bad_lines_raise_config_error(text):
         parse_config(text)
 
 
+def test_repeated_key_names_both_lines():
+    with pytest.raises(ConfigError, match="line 3: key 'gen.blocks' is already set on line 1"):
+        parse_config("gen.blocks = 2\ndata.batch = 4\ngen.blocks = 3\n")
+
+
 def test_replace_takes_underscored_keys_and_coerces():
     cfg = default_config().replace(gen__blocks="3", policy__enabled="no")
     assert cfg.get("gen.blocks") == 3 and cfg.get("policy.enabled") is False

@@ -26,8 +26,7 @@ class TestSsim:
         a, b = 0.5, 0.25
         x = Tensor(np.full((1, 3, 16, 16), a), dtype=np.float64)
         y = Tensor(np.full((1, 3, 16, 16), b), dtype=np.float64)
-        p = L.SsimParams()
-        expected = (2 * a * b + p.c1) / (a * a + b * b + p.c1)
+        expected = (2 * a * b + L.SSIM_C1) / (a * a + b * b + L.SSIM_C1)
         assert abs(L.ssim(x, y).item() - expected) < 1e-9
 
     def test_symmetry_bitwise(self):

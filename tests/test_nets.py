@@ -143,17 +143,41 @@ class TestNoise:
     def test_zero_multiplier_identity(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
-        ns = N.NoiseState(sigma0=0.3, multiplier=0.0, rng=np.random.default_rng(0))
+        ns = N.NoiseState(sigma0=0.3, rng=np.random.default_rng(0), ema=0.0, initial=1.0)
         out = N.inject_noise(x, ns, training=True)
         assert np.array_equal(out.data, x.data)
 
     def test_sample_variance_matches_amplitude(self):
         x = Tensor(np.zeros((1, 1, 320, 320), dtype=np.float32))
-        ns = N.NoiseState(sigma0=0.2, multiplier=0.7, rng=np.random.default_rng(42))
+        ns = N.NoiseState(sigma0=0.2, rng=np.random.default_rng(42), ema=0.7, initial=1.0)
         out = N.inject_noise(x, ns, training=True)
         sample_var = float(out.data.var())
         expected = (0.2 * 0.7) ** 2
         assert abs(sample_var - expected) < 0.02 * expected
+
+    @staticmethod
+    def anneal(losses, warmup_steps):
+        ns = N.NoiseState(sigma0=0.1, rng=np.random.default_rng(0), warmup_steps=warmup_steps, ema_decay=0.5)
+        multipliers = []
+        for step, loss in enumerate(losses):
+            ns.anneal(loss, step)
+            multipliers.append(ns.multiplier)
+        return ns, multipliers
+
+    def test_anneal_holds_one_through_warmup_then_follows_the_ema(self):
+        # EMA 4, 3 (the baseline), 2, 1.5, then above the baseline
+        ns, multipliers = self.anneal([4.0, 2.0, 1.0, 1.0, 20.0], warmup_steps=2)
+        assert ns.initial == 3.0
+        assert multipliers == [1.0, 1.0, 2.0 / 3.0, 0.5, 1.0]
+
+    def test_multiplier_is_exactly_one_at_the_baseline_step(self):
+        ns, multipliers = self.anneal([0.1, 0.2, 0.7], warmup_steps=3)
+        assert ns.initial == ns.ema and multipliers == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("warmup_steps, losses", [(0, [4.0, 2.0, 1.0, 0.5]), (2, [0.0, 0.0, 5.0, 1.0])])
+    def test_no_warmup_or_a_zero_baseline_keeps_one(self, warmup_steps, losses):
+        _, multipliers = self.anneal(losses, warmup_steps)
+        assert multipliers == [1.0] * len(losses)
 
 
 class TestGenerator:
@@ -189,8 +213,8 @@ class TestGenerator:
         rng = np.random.default_rng(10)
         gen = N.Generator(N.GeneratorConfig(blocks=2, width=8), rng)
         x = Tensor(rng.random((1, 3, 12, 12)).astype(np.float32))
-        a = gen(x, noise=N.NoiseState(0.1, 1.0, np.random.default_rng(5)), training=True).data
-        b = gen(x, noise=N.NoiseState(0.1, 1.0, np.random.default_rng(5)), training=True).data
+        a = gen(x, noise=N.NoiseState(0.1, np.random.default_rng(5)), training=True).data
+        b = gen(x, noise=N.NoiseState(0.1, np.random.default_rng(5)), training=True).data
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(20))

@@ -13,21 +13,21 @@ def make_param(values, name="p"):
 class TestAdamW:
     def test_zero_grad_decay_is_exact_multiplier(self):
         p = make_param([1.0, -2.0, 0.5])
-        opt = AdamW([p], lr=0.01, weight_decay=0.1)
+        opt = AdamW([p], weight_decay=0.1)
         theta = p[1].data.copy()
         for _ in range(3):
             p[1].grad = np.zeros(3)
-            opt.step()
+            opt.step(0.01)
             theta = theta * (1.0 - 0.01 * 0.1)
             assert np.array_equal(p[1].data, theta)
 
     def test_first_step_is_signed_unit_step(self):
         p = make_param([0.3, -0.7])
-        opt = AdamW([p], lr=0.05)
+        opt = AdamW([p])
         g = np.array([2.0, -3.0])
         p[1].grad = g.copy()
         before = p[1].data.copy()
-        opt.step()
+        opt.step(0.05)
         # with constant g the bias-corrected ratio is g/|g| up to eps
         expected = before - 0.05 * np.sign(g)
         assert np.abs(p[1].data - expected).max() < 1e-6
@@ -37,17 +37,17 @@ class TestAdamW:
         theta0 = rng.standard_normal(8)
         theta0 /= np.linalg.norm(theta0)  # ||theta0|| = 1
         p = make_param(theta0)
-        opt = AdamW([p], lr=0.05)
+        opt = AdamW([p])
         for _ in range(200):
             p[1].grad = 2.0 * p[1].data  # d/dtheta ||theta||^2
-            opt.step()
+            opt.step(0.05)
         assert np.linalg.norm(p[1].data) < 1e-3
 
     def test_weight_decay_zero_is_adam_bitwise(self):
         rng = np.random.default_rng(1)
         theta = rng.standard_normal(5)
         p = make_param(theta.copy())
-        opt = AdamW([p], lr=0.01, weight_decay=0.0)
+        opt = AdamW([p], weight_decay=0.0)
 
         # independent plain-Adam reference
         b1, b2 = 0.9, 0.999
@@ -57,7 +57,7 @@ class TestAdamW:
         for t in range(1, 21):
             g = rng.standard_normal(5)
             p[1].grad = g.copy()
-            opt.step()
+            opt.step(0.01)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * (g * g)
             m_hat = m / (1.0 - b1**t)
@@ -70,14 +70,14 @@ class TestAdamW:
         opt = AdamW([p])
         p[1].grad = np.array([np.nan])
         with pytest.raises(OptimizerError, match="gen.head.w"):
-            opt.step()
+            opt.step(1e-3)
 
     def test_step_counter_increments_by_one(self):
         p = make_param([1.0])
         opt = AdamW([p])
         for expected in (1, 2, 3):
             p[1].grad = np.ones(1)
-            opt.step()
+            opt.step(1e-3)
             assert opt.t == expected
 
 
@@ -194,6 +194,12 @@ class TestRestartPolicy:
         for step in range(51):
             kinds.append(policy.observe(0.65, step).kind)
         assert kinds[50] == "enter_boost"
+
+    def test_disabled_policy_never_acts(self):
+        policy = RestartPolicy(enabled=False, window=2, restart_every=3)
+        assert all(policy.observe(0.99, step).kind == "none" for step in range(10))
+        assert policy._acc == [] and policy.mode == "normal"
+        assert policy.disc_lr_multiplier == 1.0 and policy.adv_multiplier == 1.0
 
     def test_multipliers_never_stack(self):
         policy = RestartPolicy(window=4)

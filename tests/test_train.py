@@ -85,8 +85,25 @@ class TestResume:
             trainer.train_step()
         state, _ = trainer.snapshot()
         moved = {k for k in state if state[k] != fresh[k]}
-        for key in ("step", "diffusion.t", "noise.initial", "noise.multiplier", "policy.last_trigger_step"):
+        for key in ("step", "diffusion.t", "noise.initial", "noise.ema", "policy.last_trigger_step"):
             assert f"state.{key}" in moved
+
+    def test_checkpoint_with_the_recomputed_keys_resumes_equal(self, cfg, pairs, tmp_path):
+        # earlier checkpoints also stored four values that the others
+        # determine; a reader ignores them
+        trainer = train.Trainer(cfg, 3, pairs)
+        for _ in range(4):
+            trainer.train_step()
+        state, tensors = trainer.snapshot()
+        assert trainer.policy.mode == "disc-boost"
+        state["state.noise.multiplier"] = repr(trainer.noise.multiplier)
+        state["state.noise.warmup_count"] = "2"
+        state["state.policy.disc_lr_multiplier"] = repr(trainer.policy.disc_lr_multiplier)
+        state["state.policy.adv_multiplier"] = repr(trainer.policy.adv_multiplier)
+        path = tmp_path / "old.ckpt"
+        train.write_checkpoint(path, serialize_config(cfg), state, tensors)
+        resumed = train.Trainer.from_checkpoint(train.read_checkpoint(path), pairs)
+        assert [resumed.train_step() for _ in range(4)] == [trainer.train_step() for _ in range(4)]
 
     def test_generator_from_checkpoint_matches_trainer(self, cfg, pairs, tmp_path):
         trainer = train.Trainer(cfg, 0, pairs)
@@ -309,6 +326,38 @@ class TestUpscaleMinimumSize:
     def test_single_pixel_upscales_with_the_default_kernel(self):
         gen = train.build_generator(default_config())
         assert train.upscale_image(gen, Image(np.full((1, 1, 3), 0.5)), 3).data.shape == (3, 3, 3)
+
+
+class TestDiffusionState:
+    @pytest.mark.parametrize("state", [dict(enabled=False, t=5), dict(t=0)])
+    def test_no_noise_draws_no_random_numbers(self, state):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        residual = Tensor(np.full((2, 3, 4, 4), 0.25, dtype=np.float32))
+        assert train.DiffusionState(**state).diffuse(residual, rng) is residual
+        assert rng.bit_generator.state == before
+
+    def test_adapt_runs_on_every_nth_step_and_climbs_to_t_max(self):
+        # D(real) above 0.5 drives r_d up past a target of 0
+        diffusion = train.DiffusionState(t_max=10, target=0.0, stride=3, adapt_every=2, ema_decay=0.5)
+        ts, r_ds = [], []
+        for step in range(10):
+            diffusion.adapt(np.array([0.9, 0.8]), step)
+            ts.append(diffusion.t)
+            r_ds.append(diffusion.r_d)
+        assert ts == [0, 3, 3, 6, 6, 9, 9, 10, 10, 10]
+        assert r_ds[0] == 0.0 and r_ds[1] == 0.5 and r_ds[2] == 0.5
+
+    def test_adapt_falls_to_zero_and_holds_at_the_target(self):
+        diffusion = train.DiffusionState(t_max=10, target=0.0, stride=3, adapt_every=1, t=4)
+        ts = []
+        for step in range(3):
+            diffusion.adapt(np.array([0.1, 0.2]), step)
+            ts.append(diffusion.t)
+        assert ts == [1, 0, 0]
+        level = train.DiffusionState(t_max=10, target=0.0, stride=3, adapt_every=1, t=4)
+        level.adapt(np.array([0.5, 0.5]), 0)  # sign 0 keeps r_d on the target
+        assert level.t == 4 and level.r_d == 0.0
 
 
 def test_discriminator_reinit_restarts_adam(cfg, pairs):
