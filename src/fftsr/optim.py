@@ -126,11 +126,12 @@ class PolicyAction:
 class RestartPolicy:
     """Finite state machine over the discriminator accuracy window.
 
-    ``mode`` (``normal`` or ``disc-boost``) alone sets the multipliers;
+    ``mode`` (one of ``MODES``) alone sets the multipliers;
     a boost ends when the mean accuracy is back inside ``EXIT_BAND``. A
     disabled policy observes nothing and stays normal.
     """
 
+    MODES: ClassVar[tuple[str, str]] = ("normal", "disc-boost")
     EXIT_BAND: ClassVar[tuple[float, float]] = (0.55, 0.8)
 
     enabled: bool = True

@@ -343,11 +343,15 @@ class Trainer:
         return state, tensors
 
     def restore(self, state: dict, tensors: dict):
-        """Inverse of :meth:`snapshot`; a missing or malformed entry raises
-        :class:`CheckpointError` naming the ``state`` or ``tensor table``."""
+        """Inverse of :meth:`snapshot`; a missing or malformed entry, or a
+        value no run reaches, raises :class:`CheckpointError` naming the
+        ``state`` or ``tensor table``."""
         bit_states = {name: rng.bit_generator.state for name, rng in self.rng.items()}
         for key, owner, name, (_, dec) in self._scalar_slots(bit_states):
             _set(owner, name, _decode_state(state, key, dec))
+        if self.diffusion.t > self.diffusion.t_max:
+            msg = f"state entry 'state.diffusion.t' = {self.diffusion.t} is above t_max {self.diffusion.t_max}"
+            raise CheckpointError(msg, section="state")
         for name, rng in self.rng.items():
             try:
                 rng.bit_generator.state = bit_states[name]
@@ -361,7 +365,7 @@ class Trainer:
 
     @classmethod
     def from_checkpoint(cls, ckpt: "Checkpoint", pairs) -> "Trainer":
-        trainer = cls(ckpt.config, _decode_state(ckpt.state, "state.seed", int), pairs)
+        trainer = cls(ckpt.config, _decode_state(ckpt.state, "state.seed", _COUNT[1]), pairs)
         trainer.restore(ckpt.state, ckpt.tensors)
         return trainer
 
@@ -485,24 +489,38 @@ def generator_from_checkpoint(ckpt: Checkpoint) -> Generator:
 
 # ---- checkpoint state table ----
 
+
+def _checked(parse, admits, what: str):
+    """A decoder that parses text and raises ``ValueError`` for a value no run reaches."""
+
+    def decode(text: str):
+        value = parse(text)
+        if not admits(value):
+            raise ValueError(f"{text!r} is not {what}")
+        return value
+
+    return decode
+
+
 # (encode to text, decode from text)
 _INT = (str, int)
-_FLOAT = (repr, float)
-_OPTIONAL_FLOAT = (lambda v: "none" if v is None else repr(v), lambda s: None if s == "none" else float(s))
-_STR = (str, str)
+_COUNT = (str, _checked(int, lambda v: v >= 0, "a count >= 0"))
+_FLOAT = (repr, _checked(float, math.isfinite, "a finite float"))
+_OPTIONAL_FLOAT = (lambda v: "none" if v is None else repr(v), lambda s: None if s == "none" else _FLOAT[1](s))
+_MODE = (str, _checked(str, RestartPolicy.MODES.__contains__, f"one of {RestartPolicy.MODES}"))
 
 # every stored scalar of trainer state, as "state." + its attribute path on
 # the Trainer, with its codec; snapshot and restore both walk this table
 _SCALAR_FIELDS = (
-    ("step", _INT),
-    ("seed", _INT),
-    ("opt_g.t", _INT),
-    ("opt_d.t", _INT),
-    ("diffusion.t", _INT),
+    ("step", _COUNT),
+    ("seed", _COUNT),
+    ("opt_g.t", _COUNT),
+    ("opt_d.t", _COUNT),
+    ("diffusion.t", _COUNT),
     ("diffusion.r_d", _FLOAT),
     ("noise.ema", _FLOAT),
     ("noise.initial", _OPTIONAL_FLOAT),
-    ("policy.mode", _STR),
+    ("policy.mode", _MODE),
     ("policy.last_trigger_step", _INT),
 )
 # the integers of one PCG64 stream: key suffix, path in ``bit_generator.state``

@@ -11,9 +11,11 @@ corpus textures at 96 px); 12 steps of the small test config for seeds
 and of 1 step; and a resume: if CKPT does not exist, 6 small-config
 steps (seed 3) are saved there, and the run named ``resume`` is the 6
 steps after loading CKPT. Point two commits at the same CKPT to check
-that one commit continues the other's checkpoint identically. The last
-two lines digest the bytes of two frames upscaled by the default run's
-generator.
+that one commit continues the other's checkpoint identically. Two lines
+digest the bytes of two frames upscaled by the default run's generator.
+The last lines digest the outputs of the forward transform and of its
+adjoint on seeded float32 inputs, at the training batch shape and at 13
+channels for the four HR frame sizes of the upscale benchmark.
 
 pytest does not collect this file (it does not match ``test_*.py``).
 """
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fftsr import train
+from fftsr import fft, train
 from fftsr.config import default_config
 from fftsr.corpus import make_texture_corpus
 from fftsr.image import Image, make_lr_hr_pair
@@ -71,6 +73,13 @@ def main(ckpt: Path):
     for img, (h, w) in zip(frames, ((35, 61), (32, 32))):
         out = train.upscale_image(default.gen, Image(img.data[:h, :w]), 3)
         print(f"{f'upscale.{h}x{w}':18s} {_digest(np.ascontiguousarray(out.data).tobytes())}")
+
+    rng = np.random.default_rng(0)
+    for n, h, w in ((8, 48, 48), (1, 324, 576), (1, 225, 225), (1, 105, 183), (1, 96, 96)):
+        x = rng.standard_normal((n, 13, h, w)).astype(np.float32)
+        g = rng.standard_normal((n, 26, h, fft.half_width(w))).astype(np.float32)
+        print(f"{f'rfft2d.{n}x13x{h}x{w}':28s} {_digest(fft.rfft2d_array(x).tobytes())}")
+        print(f"{f'rfft2d_adjoint.{n}x13x{h}x{w}':28s} {_digest(fft.rfft2d_adjoint(g, w).tobytes())}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,10 @@ def matrix_dft1d(x, inverse=False):
     """1-D complex DFT through the cached cosine/sine matrices that the 2-D
     transforms apply along each image axis."""
     x = np.asarray(x, dtype=np.complex128)
-    c, s = F._mats("cinv" if inverse else "cfwd", x.shape[-1], np.float64)
+    n = x.shape[-1]
+    c, s = F._dft(n, False, np.float64)
+    if inverse:
+        c, s = c / n, -s / n
     return (x.real @ c - x.imag @ s) + 1j * (x.real @ s + x.imag @ c)
 
 
@@ -61,7 +64,7 @@ def test_all_lengths_match_naive(n):
     assert np.abs(matrix_dft1d(x) - naive_dft1d(x)).max() < 1e-9
     assert np.abs(matrix_dft1d(x, inverse=True) - naive_dft1d(x, inverse=True)).max() < 1e-9
     # the real-input matrices keep the first n // 2 + 1 bins
-    cw, sw = F._mats("rfwd", n, np.float64)
+    cw, sw = F._dft(n, True, np.float64)
     half = x.real @ cw + 1j * (x.real @ sw)
     assert np.abs(half - naive_dft1d(x.real)[: F.half_width(n)]).max() < 1e-9
 
@@ -140,6 +143,20 @@ class TestRfft2d:
             x = rng.standard_normal((2, 3, h, w)).astype(dtype)
             back = F.irfft2d_array(F.rfft2d_array(x), w)
             assert np.abs(back - x).max() < tol
+
+    @pytest.mark.parametrize("h", [2, 3, 4, 7])
+    @pytest.mark.parametrize("w", [2, 3, 4, 5, 8, 9])
+    def test_matches_numpy_fft(self, h, w):
+        # an arbitrary half spectrum is not the spectrum of any real
+        # signal (its DC and Nyquist columns are not Hermitian), as the
+        # ReLU outputs that the network inverts are not
+        rng = np.random.default_rng(100 * h + w)
+        x = rng.standard_normal((2, 3, h, w))
+        s = F.rfft2d_array(x)
+        assert np.abs(s[:, :3] + 1j * s[:, 3:] - np.fft.rfft2(x)).max() < 1e-12
+        spec = rng.standard_normal((2, 6, h, w // 2 + 1))
+        ref = np.fft.irfft2(spec[:, :3] + 1j * spec[:, 3:], s=(h, w))
+        assert np.abs(F.irfft2d_array(spec, w) - ref).max() < 1e-14
 
     def test_dc_only_spectrum_gives_constant(self):
         h, w, c = 5, 6, 0.81

@@ -1,3 +1,4 @@
+import re
 import struct
 import zlib
 
@@ -104,6 +105,32 @@ class TestResume:
         train.write_checkpoint(path, serialize_config(cfg), state, tensors)
         resumed = train.Trainer.from_checkpoint(train.read_checkpoint(path), pairs)
         assert [resumed.train_step() for _ in range(4)] == [trainer.train_step() for _ in range(4)]
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("state.diffusion.t", "100000"),
+            ("state.diffusion.t", "-3"),
+            ("state.step", "-5"),
+            ("state.seed", "-1"),
+            ("state.opt_g.t", "-1"),
+            ("state.policy.mode", "boost"),
+            ("state.noise.ema", "nan"),
+            ("state.noise.initial", "inf"),
+            ("state.diffusion.r_d", "inf"),
+        ],
+    )
+    def test_unreachable_state_value_is_refused(self, cfg, pairs, tmp_path, key, text):
+        # each parses, but no run reaches it; restoring it failed later, mid-run
+        trainer = train.Trainer(cfg, 0, pairs)
+        trainer.train_step()
+        state, tensors = trainer.snapshot()
+        state[key] = text
+        path = tmp_path / "unreachable.ckpt"
+        train.write_checkpoint(path, serialize_config(cfg), state, tensors)
+        with pytest.raises(CheckpointError, match=re.escape(repr(key))) as info:
+            train.Trainer.from_checkpoint(train.read_checkpoint(path), pairs)
+        assert info.value.section == "state"
 
     def test_generator_from_checkpoint_matches_trainer(self, cfg, pairs, tmp_path):
         trainer = train.Trainer(cfg, 0, pairs)
