@@ -1,16 +1,16 @@
 """Adversarial training loop with diffusive discriminator inputs,
 noise-level annealing, and bit-exact checkpoints.
 
-One step: (1) sample aligned LR/HR patches, (2) bicubic-upscale the LR
-side, (3) update the discriminator on diffused real vs diffused detached
-fake residuals, (4) update the generator on the five-term objective with
-the adversarial term flowing through the (freshly updated)
-discriminator, (5) pass the step to the three adaptive controllers,
-each owning its settings and deciding for itself what changes: the
-restart policy (which may reinit the discriminator), the diffusion
-timestep and the noise annealing. All randomness lives in named
-per-purpose streams, so a (seed, config, data) triple fixes the entire
-metric stream, and a checkpoint restores bit-identical continuation.
+One step: (1) crop one window of each pair's whole-frame upscale and HR,
+(2) update the discriminator on diffused real vs diffused detached fake
+residuals, (3) update the generator on the five-term objective with the
+adversarial term flowing through the (freshly updated) discriminator,
+(4) pass the step to the three adaptive controllers, each owning its
+settings and deciding for itself what changes: the restart policy (which
+may reinit the discriminator), the diffusion timestep and the noise
+annealing. All randomness lives in named per-purpose streams, so a
+(seed, config, data) triple fixes the entire metric stream, and a
+checkpoint restores bit-identical continuation.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .config import RunConfig, parse_config, serialize_config
-from .errors import CheckpointError, FftsrError, ShapeError, TooSmallError
-from .image import Image, resample_bicubic, resample_nchw
+from .errors import CheckpointError, FftsrError, ImageError, ShapeError, TooSmallError
+from .image import Image, resample_bicubic
 from .nets import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, NoiseState
 from .optim import AdamW, CosineRestartSchedule, RestartPolicy
 from .tensor import Tensor
@@ -107,9 +107,9 @@ class DiffusionState:
         return residual * Tensor(signal) + Tensor(noise)
 
     def adapt(self, d_real_values: np.ndarray, step: int):
-        """On every ``adapt_every``-th training step, EMA the overfit
+        """While enabled, on every ``adapt_every``-th step, EMA the overfit
         estimate and nudge the max timestep toward target."""
-        if (step + 1) % self.adapt_every:
+        if not self.enabled or (step + 1) % self.adapt_every:
             return
         batch_sign = float(np.mean(np.sign(d_real_values - 0.5)))
         self.r_d = self.ema_decay * self.r_d + (1.0 - self.ema_decay) * batch_sign
@@ -127,26 +127,22 @@ def sample_patches(
     rng: np.random.Generator,
     batch: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform aligned crops -> (lr NCHW, hr NCHW) float32 batches.
+    """Uniform aligned crops -> (up NCHW, hr NCHW) float32 batches.
 
-    Crop offsets are multiples of ``scale`` so the LR crop is exactly the
-    corresponding window of the prepared LR image.
+    Each pair is (up, hr) of equal shape, ``up`` the whole-frame upscale
+    :func:`upscale_image` uses; both crops take one window, at offsets on
+    the LR grid (multiples of ``scale``).
     """
-    lr_patch = patch // scale
-    lrs = np.empty((batch, 3, lr_patch, lr_patch), dtype=np.float32)
-    hrs = np.empty((batch, 3, patch, patch), dtype=np.float32)
+    ups = np.empty((batch, 3, patch, patch), dtype=np.float32)
+    hrs = np.empty_like(ups)
     n = len(pairs)
     for b in range(batch):
-        idx = int(rng.integers(0, n))
-        lr, hr = pairs[idx]
-        max_y = (hr.shape[0] - patch) // scale
-        max_x = (hr.shape[1] - patch) // scale
-        y0 = int(rng.integers(0, max_y + 1)) * scale
-        x0 = int(rng.integers(0, max_x + 1)) * scale
+        up, hr = pairs[int(rng.integers(0, n))]
+        y0 = int(rng.integers(0, (hr.shape[0] - patch) // scale + 1)) * scale
+        x0 = int(rng.integers(0, (hr.shape[1] - patch) // scale + 1)) * scale
+        ups[b] = up[y0 : y0 + patch, x0 : x0 + patch].transpose(2, 0, 1)
         hrs[b] = hr[y0 : y0 + patch, x0 : x0 + patch].transpose(2, 0, 1)
-        ly, lx = y0 // scale, x0 // scale
-        lrs[b] = lr[ly : ly + lr_patch, lx : lx + lr_patch].transpose(2, 0, 1)
-    return lrs, hrs
+    return ups, hrs
 
 
 # ---- inference helpers ----
@@ -217,16 +213,20 @@ class Trainer:
         return AdamW(list(net.named_parameters(prefix)), **adam)
 
     def _usable_pairs(self, pairs):
-        """The pairs whose HR side holds a whole patch; every LR image must
-        be its HR image downscaled by exactly ``scale``."""
+        """(up, hr) of the pairs whose HR holds a whole patch, ``up`` the LR
+        image upscaled by exactly ``scale`` and HR trimmed to match. Each LR
+        must be its HR downscaled by ``scale``, all pixels in [0, 1]."""
         usable = []
         for i, (lr, hr) in enumerate(pairs):
             lr, hr = np.asarray(lr, dtype=np.float32), np.asarray(hr, dtype=np.float32)
             want = (hr.shape[0] // self.scale, hr.shape[1] // self.scale)
             if lr.shape[:2] != want:
                 raise ShapeError(f"pair {i}: LR image is {lr.shape[:2]}, expected {want} for HR {hr.shape[:2]}")
+            if not all(((a >= 0) & (a <= 1)).all() for a in (lr, hr)):
+                raise ImageError(f"pair {i}: a pixel value is not finite or lies outside [0, 1]")
+            hr = hr[: want[0] * self.scale, : want[1] * self.scale]
             if hr.shape[0] >= self.patch and hr.shape[1] >= self.patch:
-                usable.append((lr, hr))
+                usable.append((resample_bicubic(Image(lr), *hr.shape[:2]).data, hr))
         if not usable:
             raise FftsrError(f"no training image is at least {self.patch}px on both sides")
         return usable
@@ -281,13 +281,10 @@ class Trainer:
             )
 
     def train_step(self) -> dict:
-        lr_b, hr_b = sample_patches(
-            self.pairs, self.patch, self.scale, self.rng["patch"], self.batch
-        )
-        up = resample_nchw(lr_b, self.patch, self.patch)
-        up_t = Tensor(up)
+        up_b, hr_b = sample_patches(self.pairs, self.patch, self.scale, self.rng["patch"], self.batch)
+        up_t = Tensor(up_b)
         hr_t = Tensor(hr_b)
-        real_res = Tensor(hr_b - up)
+        real_res = Tensor(hr_b - up_b)
 
         fake_res = self.gen(up_t, noise=self.noise, training=True)
         d_loss, d_real_vals, d_fake_vals, lr_d = self._disc_update(real_res, fake_res.detach())
@@ -342,7 +339,7 @@ class Trainer:
         tensors["state.policy.window"] = np.asarray(self.policy._acc, dtype=np.float64)
         return state, tensors
 
-    def restore(self, state: dict, tensors: dict):
+    def _restore(self, state: dict, tensors: dict):
         """Inverse of :meth:`snapshot`; a missing or malformed entry, or a
         value no run reaches, raises :class:`CheckpointError` naming the
         ``state`` or ``tensor table``."""
@@ -366,7 +363,7 @@ class Trainer:
     @classmethod
     def from_checkpoint(cls, ckpt: "Checkpoint", pairs) -> "Trainer":
         trainer = cls(ckpt.config, _decode_state(ckpt.state, "state.seed", _COUNT[1]), pairs)
-        trainer.restore(ckpt.state, ckpt.tensors)
+        trainer._restore(ckpt.state, ckpt.tensors)
         return trainer
 
 

@@ -13,9 +13,11 @@ steps (seed 3) are saved there, and the run named ``resume`` is the 6
 steps after loading CKPT. Point two commits at the same CKPT to check
 that one commit continues the other's checkpoint identically. Two lines
 digest the bytes of two frames upscaled by the default run's generator.
-The last lines digest the outputs of the forward transform and of its
-adjoint on seeded float32 inputs, at the training batch shape and at 13
-channels for the four HR frame sizes of the upscale benchmark.
+``sample.up`` and ``sample.hr`` digest the two sides of 20 batches that
+``train.sample_patches`` crops from the default run's pairs. The last
+lines digest the outputs of the forward transform and of its adjoint on
+seeded float32 inputs, at the training batch shape and at 13 channels
+for the four HR frame sizes of the upscale benchmark.
 
 pytest does not collect this file (it does not match ``test_*.py``).
 """
@@ -73,6 +75,11 @@ def main(ckpt: Path):
     for img, (h, w) in zip(frames, ((35, 61), (32, 32))):
         out = train.upscale_image(default.gen, Image(img.data[:h, :w]), 3)
         print(f"{f'upscale.{h}x{w}':18s} {_digest(np.ascontiguousarray(out.data).tobytes())}")
+
+    rng = np.random.default_rng(0)
+    batches = [train.sample_patches(default.pairs, 48, 3, rng, 8) for _ in range(20)]
+    for k, side in enumerate(("up", "hr")):
+        print(f"{f'sample.{side}':18s} {_digest(b''.join(batch[k].tobytes() for batch in batches))}")
 
     rng = np.random.default_rng(0)
     for n, h, w in ((8, 48, 48), (1, 324, 576), (1, 225, 225), (1, 105, 183), (1, 96, 96)):

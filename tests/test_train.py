@@ -8,8 +8,8 @@ import pytest
 from fftsr import train
 from fftsr.config import default_config, serialize_config
 from fftsr.corpus import make_texture_corpus
-from fftsr.errors import CheckpointError, FftsrError, ShapeError, TooSmallError
-from fftsr.image import Image, make_lr_hr_pair
+from fftsr.errors import CheckpointError, FftsrError, ImageError, ShapeError, TooSmallError
+from fftsr.image import Image, make_lr_hr_pair, resample_bicubic
 from fftsr.optim import AdamW
 from fftsr.tensor import Tensor
 
@@ -340,6 +340,52 @@ class TestPairShapes:
             train.Trainer(cfg, 0, [(np.concatenate([lr, lr]), hr), pairs[1]])
 
 
+def _nan_pixel(a):
+    a = a.copy()
+    a[3, 4, 1] = np.nan
+    return a
+
+
+class TestPairValues:
+    @pytest.mark.parametrize(
+        "spoil_lr, spoil_hr",
+        [(_nan_pixel, None), (None, _nan_pixel), ((lambda a: a * 255),) * 2],
+        ids=["nan_in_lr", "nan_in_hr", "times_255"],
+    )
+    def test_bad_pixel_values_are_rejected(self, cfg, pairs, spoil_lr, spoil_hr):
+        lr, hr = pairs[1]
+        pair = (spoil_lr(lr) if spoil_lr else lr, spoil_hr(hr) if spoil_hr else hr)
+        with pytest.raises(ImageError, match="pair 1"):
+            train.Trainer(cfg, 0, [pairs[0], pair])
+
+
+class TestTrainingInput:
+    """Training crops the generator input that inference computes."""
+
+    @pytest.fixture
+    def odd(self):
+        # HR 97x98 keeps a row and two columns past 3 x its 32x32 LR
+        hr = make_texture_corpus(1, 98, seed=2)[0].data[:97]
+        return make_lr_hr_pair(Image(hr), 3)[0].data, hr
+
+    def test_crops_are_windows_of_the_whole_frame_upscale(self, cfg, pairs, odd):
+        given = [*pairs, odd]
+        trainer = train.Trainer(cfg, 0, given)
+        scale, patch = trainer.scale, trainer.patch
+        assert trainer.pairs[-1][0].shape == trainer.pairs[-1][1].shape == (96, 96, 3)
+        ups, hrs = train.sample_patches(trainer.pairs, patch, scale, np.random.default_rng(1), 64)
+        replay = np.random.default_rng(1)
+        for up, hr in zip(ups, hrs):
+            lr, whole = given[int(replay.integers(0, len(given)))]
+            h, w = lr.shape[:2]
+            y0 = int(replay.integers(0, h - patch // scale + 1)) * scale
+            x0 = int(replay.integers(0, w - patch // scale + 1)) * scale
+            window = np.s_[y0 : y0 + patch, x0 : x0 + patch]
+            want = resample_bicubic(Image(lr), scale * h, scale * w).data[window]
+            assert up.transpose(1, 2, 0).tobytes() == want.astype(np.float32).tobytes()
+            assert hr.transpose(1, 2, 0).tobytes() == whole[window].astype(np.float32).tobytes()
+
+
 class TestUpscaleMinimumSize:
     def test_frame_under_the_kernel_minimum_is_rejected(self):
         gen = train.build_generator(default_config().replace(gen__kernel=13))
@@ -363,6 +409,11 @@ class TestDiffusionState:
         residual = Tensor(np.full((2, 3, 4, 4), 0.25, dtype=np.float32))
         assert train.DiffusionState(**state).diffuse(residual, rng) is residual
         assert rng.bit_generator.state == before
+
+    def test_disabled_chain_records_no_timestep(self, cfg, pairs):
+        trainer = train.Trainer(cfg.replace(diffusion__enabled=False), 0, pairs)
+        records = [trainer.train_step() for _ in range(6)]
+        assert [(r["T"], r["r_d"]) for r in records] == [(0, 0.0)] * 6
 
     def test_adapt_runs_on_every_nth_step_and_climbs_to_t_max(self):
         # D(real) above 0.5 drives r_d up past a target of 0
