@@ -15,7 +15,8 @@ class AxisError(FftsrError):
 
 class DomainError(FftsrError):
     """An op received an input outside its domain: a negative input to a
-    strict-mode elementwise op, or a Charbonnier eps that is not positive."""
+    strict-mode elementwise op, a Charbonnier eps that is not positive, or
+    a conv2d stride, padding or pad mode that is not defined."""
 
 
 class ConfigError(FftsrError):

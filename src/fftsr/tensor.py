@@ -73,6 +73,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def _tracked(parents: Sequence["Tensor"]) -> bool:
+    """Whether an op on ``parents`` is recorded in the graph."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 class Tensor:
     """N-dimensional float array, optionally tracked by the autodiff graph."""
 
@@ -104,7 +109,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        tracked = _grad_enabled and any(p.requires_grad for p in parents)
+        tracked = _tracked(parents)
         out.requires_grad = tracked
         if tracked:
             out._parents = tuple(parents)
@@ -463,30 +468,56 @@ def _pad_cnhw(xt: np.ndarray, pad: int, mode: str) -> np.ndarray:
     """Spatial padding of a channel-first (C, N, H, W) block."""
     if pad == 0:
         return xt
-    if mode not in _NP_PAD_MODES:
-        raise ValueError(f"unknown pad mode {mode!r}")
     h, w = xt.shape[2:]
     if mode == "reflect" and (pad > h - 1 or pad > w - 1):
         raise ShapeError(f"reflect pad {pad} too large for spatial dims {(h, w)}")
     return np.pad(xt, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode=_NP_PAD_MODES[mode])
 
 
-def _im2col(xtp: np.ndarray, kh: int, kw: int, stride: int):
-    """(C, N, Hp, Wp) -> ((kh*kw*C, N*OH*OW) col matrix, OH, OW).
+# An untracked conv2d builds its columns one band of output rows at a time,
+# in one reused buffer of about this many bytes. A band small enough to stay
+# in cache is still there when the band's GEMM reads it; the full column
+# matrix (87 MB for 13 -> 26 channels at 324x576) goes out to DRAM and back.
+# On a Xeon with 2 MiB of L2 per core, budgets of 128 KiB to 1 MiB ran
+# fastest; at 2 MiB and above the band no longer fits in L2 beside the
+# GEMM's packed panels, and the 324x576 convs ran 1.2-2x slower.
+_BAND_BYTES = 1 << 20
+
+
+def _fill_cols(xtp: np.ndarray, stride: int, r0: int, r1: int, dst: np.ndarray):
+    """Copy the kh*kw taps of output rows [r0, r1) of (C, N, Hp, Wp) input into
+    dst, laid out (kh, kw, C, N, r1 - r0, OW).
 
     Channel-first input makes each of the kh*kw fills a plain strided
     slice copy, which beats a sliding-window gather at these sizes.
     """
-    c, n, hp, wp = xtp.shape
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    cols = np.empty((kh, kw, c, n, oh, ow), dtype=xtp.dtype)
+    kh, kw, ow = dst.shape[0], dst.shape[1], dst.shape[-1]
     for i in range(kh):
-        hi = i + stride * (oh - 1) + 1
+        top, bottom = i + stride * r0, i + stride * (r1 - 1) + 1
         for j in range(kw):
-            wj = j + stride * (ow - 1) + 1
-            cols[i, j] = xtp[:, :, i:hi:stride, j:wj:stride]
-    return cols.reshape(kh * kw * c, n * oh * ow), oh, ow
+            dst[i, j] = xtp[:, :, top:bottom:stride, j : j + stride * (ow - 1) + 1 : stride]
+
+
+def _conv_bands(xtp: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """Untracked conv2d forward: (C, N, Hp, Wp) input -> (N, Cout, OH, OW).
+
+    Each band of output rows of one image fills a slice of one reused
+    column buffer and gets one GEMM, written straight into its rows of the
+    output. No backward pass reads the columns, so none is kept.
+    """
+    c, n = xtp.shape[:2]
+    depth, cout = kmat.shape
+    out = np.empty((n, cout, oh, ow), dtype=np.result_type(kmat, xtp))
+    flat = out.reshape(n, cout, oh * ow)
+    rows = max(1, min(oh, _BAND_BYTES // (depth * ow * xtp.itemsize)))
+    buf = np.empty(depth * rows * ow, dtype=xtp.dtype)
+    for b in range(n):
+        for r0 in range(0, oh, rows):
+            r1 = min(r0 + rows, oh)
+            band = buf[: depth * (r1 - r0) * ow].reshape(kh, kw, c, 1, r1 - r0, ow)
+            _fill_cols(xtp[:, b : b + 1], stride, r0, r1, band)
+            np.matmul(kmat.T, band.reshape(depth, (r1 - r0) * ow), out=flat[b, :, r0 * ow : r1 * ow])
+    return out
 
 
 def _conv1x1_forward(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
@@ -512,16 +543,33 @@ def conv2d(
 
     kernel is (Cout, Cin, kh, kw); output spatial size is
     floor((H + 2*padding - kh) / stride) + 1. Backward produces gradients
-    for the input, the kernel, and the bias.
+    for the input, the kernel, and the bias. A stride below 1, a negative
+    padding or a pad_mode other than "zero" or "reflect" raises
+    :class:`DomainError`; a kernel larger than the padded input raises
+    :class:`ShapeError`.
+
+    A tracked call builds the full im2col column matrix, because the kernel
+    gradient reads it. An untracked call (under :func:`no_grad`, or with no
+    input that requires a gradient) never reads the columns again, so it
+    builds them one band of output rows at a time in a cache-sized buffer
+    and writes each band's GEMM straight into the output. For 13 -> 26
+    channels at 324x576 that takes the call's peak from 111 to 29 MiB and
+    its time to about half. Both paths give bit-equal outputs.
     """
+    if stride < 1:
+        raise DomainError(f"conv2d: stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise DomainError(f"conv2d: padding must be >= 0, got {padding}")
+    if pad_mode not in _NP_PAD_MODES:
+        raise DomainError(f"conv2d: pad_mode must be one of {sorted(_NP_PAD_MODES)}, got {pad_mode!r}")
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("conv2d expects NCHW input and OIHW kernel")
     n, cin, h, w = x.shape
     cout, cink, kh, kw = kernel.shape
     if cin != cink:
         raise ShapeError(f"conv2d: input has {cin} channels, kernel expects {cink}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    if h + 2 * padding < kh or w + 2 * padding < kw:
+        raise ShapeError(f"conv2d: a {kh}x{kw} kernel does not fit a {h}x{w} input padded by {padding}")
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     if kh == 1 and kw == 1 and stride == 1 and padding == 0:
@@ -538,9 +586,21 @@ def conv2d(
         return Tensor._from_op(out_data, parents, grads[: len(parents)], "conv1x1")
 
     xtp = _pad_cnhw(np.ascontiguousarray(x.data.transpose(1, 0, 2, 3)), padding, pad_mode)
-    cols, oh, ow = _im2col(xtp, kh, kw, stride)
-    # kernel laid out to match the (kh, kw, cin) column ordering
+    oh = (xtp.shape[2] - kh) // stride + 1
+    ow = (xtp.shape[3] - kw) // stride + 1
+    # kernel laid out to match the (kh, kw, cin) column ordering; every GEMM
+    # reads it as the transposed view kmat.T, which keeps outputs bit-equal
+    # between the two paths
     kmat = np.ascontiguousarray(kernel.data.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout))
+    if not _tracked(parents):
+        out_data = _conv_bands(xtp, kmat, kh, kw, stride, oh, ow)
+        if bias is not None:
+            out_data += bias.data.reshape(1, cout, 1, 1)
+        return Tensor._from_op(out_data, parents, (), "conv2d")
+
+    cols = np.empty((kh, kw, cin, n, oh, ow), dtype=xtp.dtype)
+    _fill_cols(xtp, stride, 0, oh, cols)
+    cols = cols.reshape(kh * kw * cin, n * oh * ow)
     out = kmat.T @ cols
     out_data = np.ascontiguousarray(out.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3))
     if bias is not None:

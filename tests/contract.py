@@ -11,8 +11,10 @@ corpus textures at 96 px); 12 steps of the small test config for seeds
 and of 1 step; and a resume: if CKPT does not exist, 6 small-config
 steps (seed 3) are saved there, and the run named ``resume`` is the 6
 steps after loading CKPT. Point two commits at the same CKPT to check
-that one commit continues the other's checkpoint identically. Two lines
-digest the bytes of two frames upscaled by the default run's generator.
+that one commit continues the other's checkpoint identically. Three lines
+digest the bytes of frames upscaled by the default run's generator: two
+small ones and one of 108x192, the largest frame of the upscale benchmark,
+whose 324x576 convolutions each run in many row bands.
 ``sample.up`` and ``sample.hr`` digest the two sides of 20 batches that
 ``train.sample_patches`` crops from the default run's pairs. The last
 lines digest the outputs of the forward transform and of its adjoint on
@@ -75,6 +77,9 @@ def main(ckpt: Path):
     for img, (h, w) in zip(frames, ((35, 61), (32, 32))):
         out = train.upscale_image(default.gen, Image(img.data[:h, :w]), 3)
         print(f"{f'upscale.{h}x{w}':18s} {_digest(np.ascontiguousarray(out.data).tobytes())}")
+    big = make_texture_corpus(1, 192, seed=2)[0]
+    out = train.upscale_image(default.gen, Image(big.data[:108]), 3)
+    print(f"{'upscale.108x192':18s} {_digest(np.ascontiguousarray(out.data).tobytes())}")
 
     rng = np.random.default_rng(0)
     batches = [train.sample_patches(default.pairs, 48, 3, rng, 8) for _ in range(20)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,106 @@ class TestConv2d:
             return T.mean(T.conv2d(ts[0], ts[1], ts[2], stride=stride, padding=1, pad_mode=pad_mode) ** 2.0)
 
         check_gradients(fn, [x, k, b], rng=rng)
+
+    @pytest.mark.parametrize(
+        "ksize, kwargs, argument",
+        [
+            (3, dict(stride=0, padding=1), "stride"),
+            (1, dict(stride=-2), "stride"),
+            (3, dict(padding=-1), "padding"),
+            (1, dict(padding=-1), "padding"),
+            (3, dict(padding=1, pad_mode="wrap"), "pad_mode"),
+            (3, dict(padding=0, pad_mode="wrap"), "pad_mode"),
+            (1, dict(padding=0, pad_mode="wrap"), "pad_mode"),
+        ],
+        ids=["stride0", "stride-2-1x1", "padding-1", "padding-1-1x1", "wrap-pad1", "wrap-pad0", "wrap-pad0-1x1"],
+    )
+    def test_bad_arguments_raise_domain_error(self, ksize, kwargs, argument):
+        x = Tensor(np.ones((1, 2, 6, 6), dtype=np.float32))
+        k = Tensor(np.ones((3, 2, ksize, ksize), dtype=np.float32))
+        with pytest.raises(DomainError, match=argument):
+            T.conv2d(x, k, **kwargs)
+
+    @pytest.mark.parametrize("size, ksize, padding", [(2, 3, 0), (2, 5, 0), (2, 7, 2), (0, 1, 0)])
+    def test_kernel_larger_than_padded_input_raises_shape_error(self, size, ksize, padding):
+        x = Tensor(np.ones((1, 2, size, size + 3), dtype=np.float32))
+        k = Tensor(np.ones((3, 2, ksize, ksize), dtype=np.float32))
+        for requires_grad in (False, True):
+            k.requires_grad = requires_grad
+            with pytest.raises(ShapeError, match="does not fit"):
+                T.conv2d(x, k, padding=padding)
+
+
+class TestUntrackedConv2d:
+    """Untracked calls run in row bands; tracked calls keep the full column matrix."""
+
+    @pytest.mark.parametrize(
+        "xshape, kshape, stride, padding, pad_mode, bias, dtype, band_rows",
+        [
+            # band_rows None: the module's own budget splits this frame
+            ((1, 13, 97, 130), (26, 13, 3, 3), 1, 1, "reflect", True, np.float32, None),
+            ((2, 3, 50, 61), (5, 3, 3, 3), 2, 1, "zero", False, np.float32, 3),
+            ((1, 4, 60, 70), (6, 4, 5, 5), 1, 2, "reflect", True, np.float32, 7),
+            ((2, 5, 90, 77), (7, 5, 3, 3), 1, 1, "zero", True, np.float64, 7),
+        ],
+        ids=["13to26-reflect-bias", "stride2-zero", "5x5-pad2", "float64"],
+    )
+    def test_many_bands_match_the_tracked_path(
+        self, monkeypatch, xshape, kshape, stride, padding, pad_mode, bias, dtype, band_rows
+    ):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(xshape).astype(dtype)
+        k = rng.standard_normal(kshape).astype(dtype)
+        b = rng.standard_normal(kshape[0]).astype(dtype) if bias else None
+        cout, cin, kh, kw = kshape
+        oh = (xshape[2] + 2 * padding - kh) // stride + 1
+        ow = (xshape[3] + 2 * padding - kw) // stride + 1
+        if band_rows is not None:  # a budget of band_rows and a half rows of columns
+            row_bytes = kh * kw * cin * ow * np.dtype(dtype).itemsize
+            monkeypatch.setattr(T, "_BAND_BYTES", row_bytes * band_rows + row_bytes // 2)
+
+        def conv():
+            args = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, k, b) if a is not None]
+            return T.conv2d(*args, stride=stride, padding=padding, pad_mode=pad_mode).data
+
+        bands = []
+        fill = T._fill_cols
+
+        def spy(xtp, stride_, r0, r1, dst):
+            bands.append((xtp.shape[1], r0, r1))
+            fill(xtp, stride_, r0, r1, dst)
+
+        monkeypatch.setattr(T, "_fill_cols", spy)
+        with T.no_grad():
+            untracked = conv()
+        assert untracked.dtype == dtype and untracked.flags.c_contiguous
+        per_image = len(bands) // xshape[0]
+        assert len(bands) == per_image * xshape[0] and per_image >= 3
+        rows = [r1 - r0 for _, r0, r1 in bands[:per_image]]
+        assert all(n == 1 for n, _, _ in bands)
+        assert [r0 for _, r0, _ in bands[:per_image]] == list(np.cumsum([0] + rows[:-1]))
+        assert sum(rows) == oh and 0 < rows[-1] < rows[0]
+
+        bands.clear()
+        tracked = conv()
+        assert bands == [(xshape[0], 0, oh)]
+        assert tracked.shape == (xshape[0], cout, oh, ow)
+        assert np.array_equal(untracked, tracked)
+
+    def test_peak_memory_is_bounded(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((1, 13, 324, 576), dtype=np.float32))
+        k = Tensor(rng.standard_normal((26, 13, 3, 3), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = T.conv2d(x, k, padding=1, pad_mode="reflect")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 26, 324, 576)
+        # the output alone is 18.5 MiB; a full column matrix would add 83.6 MiB
+        assert peak < 40 * 2**20
 
 
 class TestBatchNorm:
