@@ -73,11 +73,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _tracked(parents: Sequence["Tensor"]) -> bool:
-    """Whether an op on ``parents`` is recorded in the graph."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
-
-
 class Tensor:
     """N-dimensional float array, optionally tracked by the autodiff graph."""
 
@@ -109,7 +104,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        tracked = _tracked(parents)
+        tracked = _grad_enabled and any(p.requires_grad for p in parents)
         out.requires_grad = tracked
         if tracked:
             out._parents = tuple(parents)
@@ -474,7 +469,7 @@ def _pad_cnhw(xt: np.ndarray, pad: int, mode: str) -> np.ndarray:
     return np.pad(xt, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode=_NP_PAD_MODES[mode])
 
 
-# An untracked conv2d builds its columns one band of output rows at a time,
+# conv2d builds its forward columns one band of output rows at a time,
 # in one reused buffer of about this many bytes. A band small enough to stay
 # in cache is still there when the band's GEMM reads it; the full column
 # matrix (87 MB for 13 -> 26 channels at 324x576) goes out to DRAM and back.
@@ -499,11 +494,11 @@ def _fill_cols(xtp: np.ndarray, stride: int, r0: int, r1: int, dst: np.ndarray):
 
 
 def _conv_bands(xtp: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Untracked conv2d forward: (C, N, Hp, Wp) input -> (N, Cout, OH, OW).
+    """conv2d forward: (C, N, Hp, Wp) input -> (N, Cout, OH, OW).
 
     Each band of output rows of one image fills a slice of one reused
     column buffer and gets one GEMM, written straight into its rows of the
-    output. No backward pass reads the columns, so none is kept.
+    output. No column is kept: the kernel gradient builds its own.
     """
     c, n = xtp.shape[:2]
     depth, cout = kmat.shape
@@ -548,13 +543,12 @@ def conv2d(
     :class:`DomainError`; a kernel larger than the padded input raises
     :class:`ShapeError`.
 
-    A tracked call builds the full im2col column matrix, because the kernel
-    gradient reads it. An untracked call (under :func:`no_grad`, or with no
-    input that requires a gradient) never reads the columns again, so it
-    builds them one band of output rows at a time in a cache-sized buffer
-    and writes each band's GEMM straight into the output. For 13 -> 26
-    channels at 324x576 that takes the call's peak from 111 to 29 MiB and
-    its time to about half. Both paths give bit-equal outputs.
+    Every call that is not a plain 1x1, tracked or not, builds its im2col
+    columns one band of output rows at a time in a cache-sized buffer and
+    writes each band's GEMM straight into the output. For 13 -> 26 channels
+    at 324x576 the call peaks at 29 MiB, where one full column matrix took
+    it to 111 MiB. The full matrix is built only in backward, and only when
+    the kernel needs a gradient, so the graph keeps no columns alive.
     """
     if stride < 1:
         raise DomainError(f"conv2d: stride must be >= 1, got {stride}")
@@ -590,25 +584,15 @@ def conv2d(
     ow = (xtp.shape[3] - kw) // stride + 1
     # kernel laid out to match the (kh, kw, cin) column ordering; every GEMM
     # reads it as the transposed view kmat.T, which keeps outputs bit-equal
-    # between the two paths
+    # to the one-shot GEMM
     kmat = np.ascontiguousarray(kernel.data.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout))
-    if not _tracked(parents):
-        out_data = _conv_bands(xtp, kmat, kh, kw, stride, oh, ow)
-        if bias is not None:
-            out_data += bias.data.reshape(1, cout, 1, 1)
-        return Tensor._from_op(out_data, parents, (), "conv2d")
-
-    cols = np.empty((kh, kw, cin, n, oh, ow), dtype=xtp.dtype)
-    _fill_cols(xtp, stride, 0, oh, cols)
-    cols = cols.reshape(kh * kw * cin, n * oh * ow)
-    out = kmat.T @ cols
-    out_data = np.ascontiguousarray(out.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3))
+    out_data = _conv_bands(xtp, kmat, kh, kw, stride, oh, ow)
     if bias is not None:
         out_data += bias.data.reshape(1, cout, 1, 1)
 
     # Both gradients below need g as a (cout, N*OH*OW) matrix. The input
-    # gradient runs first and hands it to the kernel gradient, which drops
-    # it; only a kernel that needs no gradient leaves it with the graph.
+    # gradient runs first and, when the kernel needs a gradient, hands it
+    # to the kernel gradient, which drops it.
     handoff = [None, None]  # (g, its matrix)
 
     def gmat_of(g):
@@ -616,7 +600,8 @@ def conv2d(
 
     def input_grad(g):
         gmat = gmat_of(g)
-        handoff[:] = g, gmat
+        if kernel.requires_grad:
+            handoff[:] = g, gmat
         gcols = (kmat @ gmat).reshape(kh, kw, cin, n, oh, ow)
         gpad = np.zeros_like(xtp)
         for i in range(kh):
@@ -632,6 +617,8 @@ def conv2d(
         handoff[:] = None, None
         if given is not g:
             gmat = gmat_of(g)
+        cols = np.empty((kh * kw * cin, n * oh * ow), dtype=xtp.dtype)
+        _fill_cols(xtp, stride, 0, oh, cols.reshape(kh, kw, cin, n, oh, ow))
         gk = (gmat @ cols.T).T.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
         return np.ascontiguousarray(gk)
 

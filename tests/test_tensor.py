@@ -300,7 +300,8 @@ class TestConv2d:
 
 
 class TestUntrackedConv2d:
-    """Untracked calls run in row bands; tracked calls keep the full column matrix."""
+    """Tracked and untracked calls run in the same row bands, bit-equal to one
+    full-column GEMM; only the kernel gradient builds the full columns."""
 
     @pytest.mark.parametrize(
         "xshape, kshape, stride, padding, pad_mode, bias, dtype, band_rows",
@@ -349,11 +350,64 @@ class TestUntrackedConv2d:
         assert [r0 for _, r0, _ in bands[:per_image]] == list(np.cumsum([0] + rows[:-1]))
         assert sum(rows) == oh and 0 < rows[-1] < rows[0]
 
+        untracked_bands = list(bands)
         bands.clear()
         tracked = conv()
-        assert bands == [(xshape[0], 0, oh)]
+        assert bands == untracked_bands
         assert tracked.shape == (xshape[0], cout, oh, ow)
-        assert np.array_equal(untracked, tracked)
+
+        # the one-shot GEMM over one full column matrix
+        pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        xtp = np.pad(x.transpose(1, 0, 2, 3), pad, mode={"zero": "constant", "reflect": "reflect"}[pad_mode])
+        cols = np.empty((kh, kw, cin, xshape[0], oh, ow), dtype=dtype)
+        fill(xtp, stride, 0, oh, cols)
+        kmat = np.ascontiguousarray(k.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout))
+        ref = (kmat.T @ cols.reshape(kh * kw * cin, -1)).reshape(cout, xshape[0], oh, ow).transpose(1, 0, 2, 3)
+        if b is not None:
+            ref = ref + b.reshape(1, cout, 1, 1)
+        assert np.array_equal(untracked, ref)
+        assert np.array_equal(tracked, ref)
+
+    @pytest.mark.parametrize("needs", ["kernel", "input", "both"])
+    def test_full_columns_are_built_only_for_the_kernel_gradient(self, monkeypatch, needs):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((2, 3, 20, 17), dtype=np.float32), requires_grad=needs != "kernel")
+        k = Tensor(rng.standard_normal((4, 3, 3, 3), dtype=np.float32), requires_grad=needs != "input")
+        row_bytes = 3 * 3 * 3 * 17 * 4  # one output row of float32 columns
+        monkeypatch.setattr(T, "_BAND_BYTES", 4 * row_bytes)  # five bands an image
+        bands = []
+        fill = T._fill_cols
+
+        def spy(xtp, stride, r0, r1, dst):
+            bands.append((xtp.shape[1], r0, r1))
+            fill(xtp, stride, r0, r1, dst)
+
+        monkeypatch.setattr(T, "_fill_cols", spy)
+        out = T.conv2d(x, k, padding=1, pad_mode="reflect")
+        assert len(bands) == 2 * 5 and all(n == 1 for n, _, _ in bands)
+        bands.clear()
+        T.sum(out).backward()
+        assert bands == ([] if needs == "input" else [(2, 0, 20)])
+
+    def test_tracked_graph_keeps_no_columns(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((8, 13, 48, 48), dtype=np.float32), requires_grad=True)
+        k = Tensor(rng.standard_normal((26, 13, 3, 3), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, k, padding=1, pad_mode="reflect")
+            after_forward = tracemalloc.get_traced_memory()[0]
+            loss = T.sum(out)
+            loss.backward()
+            after_backward = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert loss.requires_grad and x.grad.shape == x.shape
+        # the output is 1.83 MiB and the padded input 0.99 MiB; one full
+        # column matrix would add 8.23 MiB
+        assert after_forward < 4 * 2**20
+        # with the kernel frozen, nothing will read the output gradient's matrix
+        assert after_backward < 6.5 * 2**20
 
     def test_peak_memory_is_bounded(self):
         rng = np.random.default_rng(12)
