@@ -2,10 +2,16 @@
 the Fourier-convolution nets.
 
 ``rfft2d``/``irfft2d`` are NCHW tensor ops. They evaluate the DFT through
-cached cosine/sine matrix products (one GEMM per image axis), which at
+cached cosine/sine matrix products (GEMMs along each image axis), which at
 convolution-sized inputs is faster in numpy than a strided butterfly
 loop and works for every crop size without padding. The half spectrum
 is stored with real and imaginary planes stacked as two channel groups.
+
+Each side length ``n`` keeps one table pair, ``cos`` and ``-sin`` of
+``2 pi t k / n`` for ``k <= n // 2``. Where an axis has all ``n`` outputs
+(H in both directions, W in the adjoint) the GEMMs make only rows
+``k <= n // 2``: cos is even in k and sin is odd, so row ``n - k`` is row k
+with the sine term negated, and the rest is mirrored, at half the work.
 
 One transform is written out: ``F`` (:func:`rfft2d_array`), the
 unnormalized ``X_kl = sum x_nm exp(-2 pi i (nk/H + ml/W))`` for
@@ -33,42 +39,72 @@ def half_width(w: int) -> int:
     return w // 2 + 1
 
 
-# a frame size takes two entries (the full pair of H, the half pair of W);
-# 32 hold sixteen frame sizes, and an evicted one is only rebuilt
+# a frame size takes one entry per distinct side length; 32 hold sixteen
+# frame sizes, and an evicted one is only rebuilt
 @functools.lru_cache(maxsize=32)
-def _dft(n: int, half: bool, dtype) -> tuple:
-    """Read-only ``(cos, -sin)`` of ``2 pi t k / n``, ``t, k < n``; ``k <= n // 2`` if ``half``."""
+def _dft(n: int, dtype) -> tuple:
+    """Read-only ``(cos, -sin)`` of ``2 pi t k / n`` for ``t < n``, ``k <= n // 2``."""
     t = np.arange(n, dtype=np.float64)
-    ang = 2.0 * np.pi * np.outer(t, t[: half_width(n)] if half else t) / n
+    ang = 2.0 * np.pi * np.outer(t, t[: half_width(n)]) / n
     pair = (np.cos(ang).astype(dtype), (-np.sin(ang)).astype(dtype))
     for mat in pair:
         mat.setflags(write=False)
     return pair
 
 
-def _mm_h(arr: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Matrix product along axis -2 of an (..., H, W) array."""
-    return np.swapaxes(np.swapaxes(arr, -1, -2) @ mat, -1, -2)
+def _mirror(a: np.ndarray, b: np.ndarray, out: np.ndarray, first, second) -> None:
+    """Fill the last axis of ``out`` (length n) from rows ``k <= n // 2`` of
+    a cosine product ``a`` and a sine product ``b``.
+
+    cos is even in k and sin is odd, so row ``n - k`` of the full product is
+    row k with the sine term negated: row k gets ``first(a, b)`` and row
+    ``n - k`` gets ``second(a, b)`` of row k.
+    """
+    n = out.shape[-1]
+    r = (n - 1) // 2
+    first(a, b, out=out[..., : a.shape[-1]])
+    second(a[..., 1 : r + 1], b[..., 1 : r + 1], out=out[..., n - 1 : n - 1 - r : -1])
+
+
+def _along_h(z: np.ndarray, inverse: bool) -> np.ndarray:
+    """Complex DFT along H of (N, 2C, H, W) stacked (re | im) planes, with
+    kernel ``exp(-2 pi i t k / H)``, or ``exp(+...)`` if ``inverse``."""
+    c = z.shape[1] // 2
+    ch, sh = _dft(z.shape[2], z.dtype)
+    # rows k <= H // 2 only, moved to the last axis for the mirror
+    p = np.swapaxes(ch.T @ z, -1, -2)
+    q = np.swapaxes(sh.T @ z, -1, -2)
+    out = np.empty(z.shape, z.dtype)
+    rows = np.swapaxes(out, -1, -2)
+    # exp(-i...) rows k <= H // 2 are p_re - q_im and p_im + q_re; exp(+i...) swaps the signs
+    ops = (np.add, np.subtract) if inverse else (np.subtract, np.add)
+    _mirror(p[:, :c], q[:, c:], rows[:, :c], *ops)
+    _mirror(p[:, c:], q[:, :c], rows[:, c:], *ops[::-1])
+    return out
 
 
 def _forward(x: np.ndarray) -> np.ndarray:
     """``F``: (N, C, H, W) -> (N, 2C, H, W//2+1)."""
-    cw, sw = _dft(x.shape[-1], True, x.dtype)
-    rre, rim = x @ cw, x @ sw
-    ch, sh = _dft(x.shape[-2], False, x.dtype)
-    yre = _mm_h(rre, ch) - _mm_h(rim, sh)
-    yim = _mm_h(rre, sh) + _mm_h(rim, ch)
-    return np.concatenate([yre, yim], axis=1)
+    n, c, h, w = x.shape
+    cw, sw = _dft(w, x.dtype)
+    z = np.empty((n, 2 * c, h, half_width(w)), x.dtype)
+    np.matmul(x, cw, out=z[:, :c])
+    np.matmul(x, sw, out=z[:, c:])
+    return _along_h(z, inverse=False)
 
 
 def _adjoint(g: np.ndarray, w: int) -> np.ndarray:
     """``F*``: (N, 2C, H, W//2+1) -> (N, C, H, w)."""
-    gre, gim = np.split(g, 2, axis=1)
-    ch, sh = _dft(g.shape[2], False, g.dtype)
-    rre = _mm_h(gre, ch.T) + _mm_h(gim, sh.T)
-    rim = -_mm_h(gre, sh.T) + _mm_h(gim, ch.T)
-    cw, sw = _dft(w, True, g.dtype)
-    return rre @ cw.T + rim @ sw.T
+    y = _along_h(g, inverse=True)
+    c = y.shape[1] // 2
+    cw, sw = _dft(w, g.dtype)
+    m = half_width(w)
+    # columns t <= w // 2 only
+    a = y[:, :c] @ cw[:m].T
+    b = y[:, c:] @ sw[:m].T
+    out = np.empty(a.shape[:-1] + (w,), g.dtype)
+    _mirror(a, b, out, np.add, np.subtract)
+    return out
 
 
 def _weights(h: int, w: int, dtype) -> np.ndarray:

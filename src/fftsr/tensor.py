@@ -99,7 +99,8 @@ class Tensor:
         the output's gradient to that parent's gradient. A function may
         return a gradient at the broadcast output shape; ``backward`` sums it
         down to the parent's shape. It runs only for parents that require a
-        gradient, in parent order.
+        gradient, in parent order; a parent that needed none when the op ran
+        may have ``None`` in its place.
         """
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -594,6 +595,7 @@ def conv2d(
     # gradient runs first and, when the kernel needs a gradient, hands it
     # to the kernel gradient, which drops it.
     handoff = [None, None]  # (g, its matrix)
+    pshape, dtype = xtp.shape, xtp.dtype
 
     def gmat_of(g):
         return np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, n * oh * ow)
@@ -603,7 +605,7 @@ def conv2d(
         if kernel.requires_grad:
             handoff[:] = g, gmat
         gcols = (kmat @ gmat).reshape(kh, kw, cin, n, oh, ow)
-        gpad = np.zeros_like(xtp)
+        gpad = np.zeros(pshape, dtype)
         for i in range(kh):
             hi = i + stride * (oh - 1) + 1
             for j in range(kw):
@@ -612,15 +614,20 @@ def conv2d(
         gt = _unpad_grad(gpad, padding, (cin, n, h, w), pad_mode)
         return np.ascontiguousarray(gt.transpose(1, 0, 2, 3))
 
-    def kernel_grad(g):
-        given, gmat = handoff
-        handoff[:] = None, None
-        if given is not g:
-            gmat = gmat_of(g)
-        cols = np.empty((kh * kw * cin, n * oh * ow), dtype=xtp.dtype)
-        _fill_cols(xtp, stride, 0, oh, cols.reshape(kh, kw, cin, n, oh, ow))
-        gk = (gmat @ cols.T).T.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
-        return np.ascontiguousarray(gk)
+    # only the kernel gradient reads the padded input, so a graph keeps it
+    # alive only when that gradient will run
+    kernel_grad = None
+    if kernel.requires_grad:
+
+        def kernel_grad(g):
+            given, gmat = handoff
+            handoff[:] = None, None
+            if given is not g:
+                gmat = gmat_of(g)
+            cols = np.empty((kh * kw * cin, n * oh * ow), dtype=xtp.dtype)
+            _fill_cols(xtp, stride, 0, oh, cols.reshape(kh, kw, cin, n, oh, ow))
+            gk = (gmat @ cols.T).T.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
+            return np.ascontiguousarray(gk)
 
     return Tensor._from_op(out_data, parents, (input_grad, kernel_grad, _channel_sum)[: len(parents)], "conv2d")
 

@@ -31,14 +31,15 @@ def naive_dft2d(img):
 
 
 def matrix_dft1d(x, inverse=False):
-    """1-D complex DFT through the cached cosine/sine matrices that the 2-D
-    transforms apply along each image axis."""
+    """1-D complex DFT through the cached half cosine/sine pair that the 2-D
+    transforms apply along each image axis, mirrored to the full length by
+    the rule they use."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
-    c, s = F._dft(n, False, np.float64)
-    if inverse:
-        c, s = c / n, -s / n
-    return (x.real @ c - x.imag @ s) + 1j * (x.real @ s + x.imag @ c)
+    c, s = F._dft(n, np.float64)
+    out = np.empty_like(x)
+    F._mirror(x @ c, 1j * (x @ s), out, *((np.subtract, np.add) if inverse else (np.add, np.subtract)))
+    return out / n if inverse else out
 
 
 def test_delta_transforms_to_constant():
@@ -64,7 +65,7 @@ def test_all_lengths_match_naive(n):
     assert np.abs(matrix_dft1d(x) - naive_dft1d(x)).max() < 1e-9
     assert np.abs(matrix_dft1d(x, inverse=True) - naive_dft1d(x, inverse=True)).max() < 1e-9
     # the real-input matrices keep the first n // 2 + 1 bins
-    cw, sw = F._dft(n, True, np.float64)
+    cw, sw = F._dft(n, np.float64)
     half = x.real @ cw + 1j * (x.real @ sw)
     assert np.abs(half - naive_dft1d(x.real)[: F.half_width(n)]).max() < 1e-9
 
@@ -187,6 +188,30 @@ class TestRfft2d:
             lhs = (F.irfft2d_array(s, w) * g).sum()
             rhs = (s * F.irfft2d_adjoint(g)).sum()
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("h", range(2, 10))
+    @pytest.mark.parametrize("w", range(2, 10))
+    def test_adjoint_identities_at_every_small_size(self, h, w):
+        # odd and even sides on both axes; a side of 2 mirrors no row
+        rng = np.random.default_rng(10 * h + w)
+        x = rng.standard_normal((2, 3, h, w))
+        y = rng.standard_normal((2, 6, h, w // 2 + 1))
+        lhs = (F.rfft2d_array(x) * y).sum()
+        assert abs(lhs - (x * F.rfft2d_adjoint(y, w)).sum()) < 1e-10 * max(1.0, abs(lhs))
+        lhs = (F.irfft2d_array(y, w) * x).sum()
+        assert abs(lhs - (y * F.irfft2d_adjoint(x)).sum()) < 1e-10 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("h", [32, 33, 105, 108])
+    @pytest.mark.parametrize("w", [32, 33, 105, 108])
+    def test_frame_sizes_match_numpy_fft(self, h, w):
+        rng = np.random.default_rng(1000 * h + w)
+        x = rng.standard_normal((1, 2, h, w))
+        s = F.rfft2d_array(x)
+        ref = np.fft.rfft2(x)
+        assert np.abs(s[:, :2] + 1j * s[:, 2:] - ref).max() <= 1e-9 * np.abs(ref).max()
+        spec = rng.standard_normal((1, 4, h, w // 2 + 1))
+        ref = np.fft.irfft2(spec[:, :2] + 1j * spec[:, 2:], s=(h, w))
+        assert np.abs(F.irfft2d_array(spec, w) - ref).max() <= 1e-9 * np.abs(ref).max()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_tensor_op_grads(self, seed):

@@ -37,7 +37,7 @@ def test_pyproject_names_only_what_exists():
 
 # each cache with a builder of one distinct entry per size n >= 2
 MATRIX_CACHES = {
-    "fft._dft": (fft._dft, lambda n: fft._dft(n, False, np.dtype(np.float32))[0]),
+    "fft._dft": (fft._dft, lambda n: fft._dft(n, np.dtype(np.float32))[0]),
     "image._axis_matrix": (image._axis_matrix, lambda n: image._axis_matrix(n, 2 * n)),
     "tensor._filter_matrix": (
         tensor._filter_matrix,

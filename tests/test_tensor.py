@@ -409,6 +409,20 @@ class TestUntrackedConv2d:
         # with the kernel frozen, nothing will read the output gradient's matrix
         assert after_backward < 6.5 * 2**20
 
+    def test_frozen_kernel_graph_keeps_no_padded_input(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((8, 13, 48, 48), dtype=np.float32), requires_grad=True)
+        k = Tensor(rng.standard_normal((26, 13, 3, 3), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, k, padding=1, pad_mode="reflect")
+            after_forward = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # the output is 1.83 MiB; only the kernel gradient reads the 0.99 MiB padded input
+        assert after_forward < 2.2 * 2**20
+
     def test_peak_memory_is_bounded(self):
         rng = np.random.default_rng(12)
         x = Tensor(rng.standard_normal((1, 13, 324, 576), dtype=np.float32))
