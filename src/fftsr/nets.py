@@ -10,6 +10,13 @@ and ReLU-activated. A block keeps its width, and its output has the same
 local/global split as its input; a split with no global (or no local)
 channels leaves a single path.
 
+In eval mode each BatchNorm is a fixed per-channel affine map, and it is
+folded into the convolutions that feed it: their kernels are scaled per
+output channel and one conv bias carries the shifts, so the eval forward
+makes no BatchNorm pass. The folded kernels are built from the
+parameters on every call; nothing is cached and no parameter or buffer
+is written.
+
 The generator predicts a tanh-bounded residual in [-1, 1] on top of a
 bicubic upscale; callers compose ``clamp(bicubic + residual, 0, 1)``.
 The discriminator scores residual images with a strided conv stack,
@@ -156,13 +163,22 @@ class Conv2d(Module):
         else:
             self.b = None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(
-            x, self.w, self.b, stride=self.stride, padding=self.padding, pad_mode=self.pad_mode
-        )
+    def __call__(self, x: Tensor, scale: np.ndarray | None = None, shift: np.ndarray | None = None) -> Tensor:
+        """conv(x); with ``scale``, conv(x) * scale + shift per output
+        channel, as one conv with its kernel rows scaled and ``shift`` (if
+        given) as its bias. Only a conv without a bias is scaled."""
+        w, b = self.w, self.b
+        if scale is not None:
+            w = Tensor(self.w.data * scale.reshape(-1, 1, 1, 1))
+            b = None if shift is None else Tensor(shift)
+        return T.conv2d(x, w, b, stride=self.stride, padding=self.padding, pad_mode=self.pad_mode)
 
 
 class BatchNorm2d(Module):
+    """Calling it normalizes by batch statistics and updates the running
+    ones (train mode). In eval mode the layer is the affine map of
+    :meth:`affine`, which the modules fold into their convolutions."""
+
     def __init__(self, channels: int):
         self.momentum = 0.1
         self.eps = 1e-5
@@ -173,21 +189,20 @@ class BatchNorm2d(Module):
         self._params = ["gamma", "beta"]
         self._buffers = ["running_mean", "running_var"]
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         out, rm, rv = T.batch_norm2d(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            training=training,
-            momentum=self.momentum,
-            eps=self.eps,
+            x, self.gamma, self.beta, self.running_mean, self.running_var, momentum=self.momentum, eps=self.eps
         )
-        if training:
-            self.running_mean = rm.astype(x.data.dtype)
-            self.running_var = rv.astype(x.data.dtype)
+        self.running_mean = rm.astype(x.data.dtype)
+        self.running_var = rv.astype(x.data.dtype)
         return out
+
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """(scale, shift) of the eval-mode map x * scale + shift, from the
+        running statistics: scale = gamma / sqrt(var + eps) and
+        shift = beta - mean * scale."""
+        scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
+        return scale, self.beta.data - self.running_mean * scale
 
 
 class Linear(Module):
@@ -204,7 +219,12 @@ class Linear(Module):
 class SpectralTransform(Module):
     """Global-branch operator on ``channels`` channels: 1x1 conv, real FFT,
     1x1 conv on stacked (re, im) channels with norm + ReLU, inverse FFT,
-    1x1 conv."""
+    1x1 conv.
+
+    In eval mode the norm is folded into ``conv_freq``, and ``scale`` and
+    ``shift``, when given, into ``conv_out``: the output is then
+    conv_out(...) * scale + shift per channel, for the enclosing block's
+    norm."""
 
     def __init__(self, rng: np.random.Generator, channels: int):
         self.conv_in = Conv2d(rng, channels, channels, kernel=1)
@@ -212,15 +232,23 @@ class SpectralTransform(Module):
         self.bn_freq = BatchNorm2d(2 * channels)
         self.conv_out = Conv2d(rng, channels, channels, kernel=1, bias=False)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, training: bool, scale=None, shift=None) -> Tensor:
         spec = rfft2d(self.conv_in(x))
-        spec = T.relu(self.bn_freq(self.conv_freq(spec), training))
-        return self.conv_out(irfft2d(spec, x.shape[3]))
+        if training:
+            spec = T.relu(self.bn_freq(self.conv_freq(spec)))
+        else:
+            spec = T.relu(self.conv_freq(spec, *self.bn_freq.affine()))
+        return self.conv_out(irfft2d(spec, x.shape[3]), scale, shift)
 
 
 class FfcBlock(Module):
     """One FFC block of ``channels`` channels, ``l`` local and ``g`` global,
-    with the same split on its input and its output."""
+    with the same split on its input and its output.
+
+    In eval mode ``bn_l`` and ``bn_g`` are folded into the convs that feed
+    them: ``conv_from_l``'s rows are scaled by both norms' scales and its
+    bias carries both shifts, ``conv_gl`` is scaled by ``bn_l``'s and the
+    spectral ``conv_out`` by ``bn_g``'s."""
 
     def __init__(self, rng: np.random.Generator, channels: int, global_fraction: float, kernel: int):
         self.g = int(round(global_fraction * channels))
@@ -240,14 +268,30 @@ class FfcBlock(Module):
             self.bn_g = BatchNorm2d(self.g)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
+        if not training:
+            return self._folded(x)
         if not self.g:
-            return T.relu(self.bn_l(self.conv_from_l(x), training))
+            return T.relu(self.bn_l(self.conv_from_l(x)))
         if not self.l:
-            return T.relu(self.bn_g(self.spectral(x, training), training))
+            return T.relu(self.bn_g(self.spectral(x, True)))
         x_l, x_g = T.split_channels(x, [self.l, self.g])
         to_l, to_g = T.split_channels(self.conv_from_l(x_l), [self.l, self.g])
-        local = T.relu(self.bn_l(to_l + self.conv_gl(x_g), training))
-        glob = T.relu(self.bn_g(to_g + self.spectral(x_g, training), training))
+        local = T.relu(self.bn_l(to_l + self.conv_gl(x_g)))
+        glob = T.relu(self.bn_g(to_g + self.spectral(x_g, True)))
+        return T.concat([local, glob], axis=1)
+
+    def _folded(self, x: Tensor) -> Tensor:
+        """The eval forward, with both norms folded into the convs."""
+        if not self.g:
+            return T.relu(self.conv_from_l(x, *self.bn_l.affine()))
+        if not self.l:
+            return T.relu(self.spectral(x, False, *self.bn_g.affine()))
+        (s_l, t_l), (s_g, t_g) = self.bn_l.affine(), self.bn_g.affine()
+        x_l, x_g = T.split_channels(x, [self.l, self.g])
+        both = self.conv_from_l(x_l, np.concatenate([s_l, s_g]), np.concatenate([t_l, t_g]))
+        to_l, to_g = T.split_channels(both, [self.l, self.g])
+        local = T.relu(to_l + self.conv_gl(x_g, s_l))
+        glob = T.relu(to_g + self.spectral(x_g, False, s_g))
         return T.concat([local, glob], axis=1)
 
 

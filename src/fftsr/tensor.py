@@ -679,15 +679,15 @@ def batch_norm2d(
     beta: Tensor,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    training: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
 ):
-    """Per-channel batch normalization over an NCHW tensor.
+    """Per-channel batch normalization over an NCHW tensor, by batch
+    statistics (train mode).
 
-    Train mode normalizes by batch statistics and returns updated running
-    stats (new arrays; the caller rebinds its buffers). Eval mode uses the
-    provided running stats and returns them unchanged.
+    Returns the output and the updated running stats (new arrays; the
+    caller rebinds its buffers). Eval mode has no op here: the networks
+    fold the running-stats affine map into their convolutions.
     """
     if x.data.ndim != 4:
         raise ShapeError("batch_norm2d expects NCHW input")
@@ -697,30 +697,23 @@ def batch_norm2d(
     gview = gamma.data.reshape(1, c, 1, 1)
     bview = beta.data.reshape(1, c, 1, 1)
 
-    if training:
-        mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
-        xc = x.data - mu
-        m = x.data.size // c
-        var = np.einsum("nchw,nchw->c", xc, xc) / m
-        var = var.reshape(1, c, 1, 1)
-        inv = 1.0 / np.sqrt(var + eps)
-        # single fused pass: out = xc * (gamma * inv) + beta
-        out_data = xc * (gview * inv) + bview
-        new_mean = (1.0 - momentum) * running_mean + momentum * mu.reshape(c)
-        new_var = (1.0 - momentum) * running_var + momentum * var.reshape(c)
-        xhat = xc * inv
+    mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
+    xc = x.data - mu
+    m = x.data.size // c
+    var = np.einsum("nchw,nchw->c", xc, xc) / m
+    var = var.reshape(1, c, 1, 1)
+    inv = 1.0 / np.sqrt(var + eps)
+    # single fused pass: out = xc * (gamma * inv) + beta
+    out_data = xc * (gview * inv) + bview
+    new_mean = (1.0 - momentum) * running_mean + momentum * mu.reshape(c)
+    new_var = (1.0 - momentum) * running_var + momentum * var.reshape(c)
+    xhat = xc * inv
 
-        def input_grad(g):
-            dxhat = g * gview
-            s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            return inv * (dxhat - s1 / m - xhat * s2 / m)
+    def input_grad(g):
+        dxhat = g * gview
+        s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+        s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        return inv * (dxhat - s1 / m - xhat * s2 / m)
 
-        grads = (input_grad, lambda g: np.einsum("nchw,nchw->c", g, xhat), _channel_sum)
-        return Tensor._from_op(out_data, (x, gamma, beta), grads, "batch_norm"), new_mean, new_var
-
-    inv = 1.0 / np.sqrt(running_var.reshape(1, c, 1, 1) + eps)
-    xhat = (x.data - running_mean.reshape(1, c, 1, 1)) * inv
-    out_data = gview * xhat + bview
-    grads = (lambda g: g * gview * inv, lambda g: (g * xhat).sum(axis=(0, 2, 3)), _channel_sum)
-    return Tensor._from_op(out_data, (x, gamma, beta), grads, "batch_norm_eval"), running_mean, running_var
+    grads = (input_grad, lambda g: np.einsum("nchw,nchw->c", g, xhat), _channel_sum)
+    return Tensor._from_op(out_data, (x, gamma, beta), grads, "batch_norm"), new_mean, new_var

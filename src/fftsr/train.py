@@ -563,7 +563,8 @@ def _tensor_slots(*modules, opts=()):
 
 def _load_tensors(slots, tensors: dict):
     """Copy every slot's stored array in; it must match the slot's current
-    array in shape and dtype."""
+    array in shape and dtype, hold only finite values and, for a
+    BatchNorm ``running_var``, none below 0."""
     for key, owner, name in slots:
         want, got = _get(owner, name), tensors.get(key)
         if got is None:
@@ -573,4 +574,8 @@ def _load_tensors(slots, tensors: dict):
                 f"tensor {key!r} is {got.dtype}{got.shape}, expected {want.dtype}{want.shape}",
                 section="tensor table",
             )
+        if not np.isfinite(got).all():
+            raise CheckpointError(f"tensor {key!r} holds a non-finite value", section="tensor table")
+        if key.endswith(".running_var") and (got < 0).any():
+            raise CheckpointError(f"tensor {key!r} holds a negative variance", section="tensor table")
         _set(owner, name, got.copy())

@@ -23,7 +23,7 @@ class TestFfcBlock:
         got = block(x, training=True).data
         ref_conv = T.conv2d(x, block.conv_from_l.w, None, padding=1, pad_mode="reflect")
         bn = to_float64(N.BatchNorm2d(8))
-        ref = T.relu(bn(ref_conv, True)).data
+        ref = T.relu(bn(ref_conv)).data
         assert np.abs(got - ref).max() < 1e-6
 
     def test_alpha_one_is_pure_spectral_path(self):
@@ -32,7 +32,7 @@ class TestFfcBlock:
         x = Tensor(rng.standard_normal((1, 8, 8, 8)), dtype=np.float64)
         got = block(x, training=True).data
         bn = to_float64(N.BatchNorm2d(8))
-        ref = T.relu(bn(block.spectral(x, True), True)).data
+        ref = T.relu(bn(block.spectral(x, True))).data
         assert np.abs(got - ref).max() < 1e-6
         assert not hasattr(block, "conv_from_l")
 
@@ -52,7 +52,7 @@ class TestFfcBlock:
         bn_l = to_float64(N.BatchNorm2d(block.l))
         bn_g = to_float64(N.BatchNorm2d(block.g))
         ref = T.concat(
-            [T.relu(bn_l(to_l + block.conv_gl(x_g), True)), T.relu(bn_g(to_g, True))], axis=1
+            [T.relu(bn_l(to_l + block.conv_gl(x_g))), T.relu(bn_g(to_g))], axis=1
         ).data
         assert np.abs(got - ref).max() < 1e-6
 
@@ -95,7 +95,9 @@ class TestSpectralTransform:
         got = st(x, training=False).data
         # eval-mode norm with fresh running stats is identity up to eps scaling
         spec = rfft2d(x)
-        ref = irfft2d(T.relu(st.bn_freq(spec, False)), 6).data
+        scale, shift = st.bn_freq.affine()
+        spec = Tensor(spec.data * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1))
+        ref = irfft2d(T.relu(spec), 6).data
         assert np.abs(got - ref).max() < 1e-6
 
     def test_single_frequency_locality(self):
@@ -130,6 +132,82 @@ class TestSpectralTransform:
 
         params = list(st.named_parameters()) + [("input", x)]
         check_param_gradients(loss, params, rng=rng, max_coords_per_tensor=3)
+
+
+def seed_norms(module, rng):
+    """Give every BatchNorm in ``module`` non-trivial parameters and
+    running statistics, in float64."""
+    for _, bn, _ in module.named_buffers():
+        c = bn.gamma.shape[0]
+        bn.gamma.data = rng.uniform(0.5, 1.5, c)
+        bn.beta.data = rng.standard_normal(c)
+        bn.running_mean = rng.standard_normal(c)
+        bn.running_var = rng.uniform(0.05, 2.0, c)
+    return module
+
+
+def norm_ref(bn, x):
+    """Eval-mode BatchNorm written out from the running statistics."""
+    view = lambda a: a.reshape(1, -1, 1, 1)
+    xhat = (x.data - view(bn.running_mean)) / np.sqrt(view(bn.running_var) + bn.eps)
+    return Tensor(view(bn.gamma.data) * xhat + view(bn.beta.data))
+
+
+def spectral_ref(st, x):
+    spec = T.relu(norm_ref(st.bn_freq, st.conv_freq(rfft2d(st.conv_in(x)))))
+    return st.conv_out(irfft2d(spec, x.shape[3]))
+
+
+def block_ref(block, x):
+    if not block.g:
+        return T.relu(norm_ref(block.bn_l, block.conv_from_l(x)))
+    if not block.l:
+        return T.relu(norm_ref(block.bn_g, spectral_ref(block.spectral, x)))
+    x_l, x_g = T.split_channels(x, [block.l, block.g])
+    to_l, to_g = T.split_channels(block.conv_from_l(x_l), [block.l, block.g])
+    local = T.relu(norm_ref(block.bn_l, to_l + block.conv_gl(x_g)))
+    glob = T.relu(norm_ref(block.bn_g, to_g + spectral_ref(block.spectral, x_g)))
+    return T.concat([local, glob], axis=1)
+
+
+def generator_ref(gen, x):
+    h = T.relu(gen.head(x))
+    for block in gen.blocks:
+        h = block_ref(block, h)
+    return T.tanh(gen.tail(h))
+
+
+def assert_close(got, ref):
+    assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+class TestEvalFold:
+    """The eval forward folds every BatchNorm into the convs that feed it;
+    it must equal the unfolded convs followed by the affine map."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 1.0])
+    def test_generator_matches_unfolded(self, fraction):
+        rng = np.random.default_rng(20)
+        cfg = N.GeneratorConfig(blocks=2, width=8, global_fraction=fraction)
+        gen = seed_norms(to_float64(N.Generator(cfg, np.random.default_rng(1))), rng)
+        x = Tensor(rng.random((1, 3, 12, 14)), dtype=np.float64)
+        with T.no_grad():
+            assert_close(gen(x, training=False).data, generator_ref(gen, x).data)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 1.0])
+    def test_block_matches_unfolded(self, fraction):
+        rng = np.random.default_rng(21)
+        block = seed_norms(make_block(fraction, seed=2), rng)
+        x = Tensor(rng.standard_normal((2, 8, 9, 10)), dtype=np.float64)
+        assert_close(block(x, training=False).data, block_ref(block, x).data)
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
+    def test_spectral_transform_matches_unfolded(self, fraction):
+        rng = np.random.default_rng(22)
+        st = make_block(fraction, seed=3).spectral
+        seed_norms(st, rng)
+        x = Tensor(rng.standard_normal((2, st.conv_in.w.shape[0], 9, 10)), dtype=np.float64)
+        assert_close(st(x, training=False).data, spectral_ref(st, x).data)
 
 
 class TestNoise:

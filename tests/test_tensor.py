@@ -5,9 +5,10 @@ import pytest
 
 from fftsr import tensor as T
 from fftsr.errors import AxisError, DomainError, ShapeError
+from fftsr.nets import BatchNorm2d
 from fftsr.tensor import Tensor
 
-from gradcheck import check_gradients
+from gradcheck import check_gradients, to_float64
 
 
 def test_add_componentwise():
@@ -445,24 +446,25 @@ class TestBatchNorm:
         x = Tensor(rng.standard_normal((4, 3, 5, 5)) * 3.0 + 2.0, dtype=np.float64)
         gamma = Tensor(np.ones(3), dtype=np.float64)
         beta = Tensor(np.zeros(3), dtype=np.float64)
-        out, _, _ = T.batch_norm2d(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
+        out, _, _ = T.batch_norm2d(x, gamma, beta, np.zeros(3), np.ones(3))
         assert np.abs(out.data.mean(axis=(0, 2, 3))).max() < 1e-6
         assert np.abs(out.data.var(axis=(0, 2, 3)) - 1.0).max() < 1e-5
 
     def test_eval_identity_with_unit_stats(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.standard_normal((2, 3, 4, 4)), dtype=np.float64)
-        gamma = Tensor(np.ones(3), dtype=np.float64)
-        beta = Tensor(np.zeros(3), dtype=np.float64)
-        out, _, _ = T.batch_norm2d(x, gamma, beta, np.zeros(3), np.ones(3), training=False, eps=0.0)
-        assert np.allclose(out.data, x.data)
+        x = rng.standard_normal((2, 3, 4, 4))
+        bn = to_float64(BatchNorm2d(3))
+        bn.eps = 0.0
+        scale, shift = bn.affine()
+        out = x * scale.reshape(1, 3, 1, 1) + shift.reshape(1, 3, 1, 1)
+        assert np.allclose(out, x)
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((8, 2, 6, 6)) + 5.0, dtype=np.float64)
         gamma = Tensor(np.ones(2), dtype=np.float64)
         beta = Tensor(np.zeros(2), dtype=np.float64)
-        _, rm, rv = T.batch_norm2d(x, gamma, beta, np.zeros(2), np.ones(2), training=True, momentum=0.1)
+        _, rm, rv = T.batch_norm2d(x, gamma, beta, np.zeros(2), np.ones(2), momentum=0.1)
         mu = x.data.mean(axis=(0, 2, 3))
         assert np.allclose(rm, 0.1 * mu)
 
@@ -470,21 +472,18 @@ class TestBatchNorm:
         x = Tensor(np.full((2, 1, 3, 3), 0.7))
         gamma = Tensor(np.ones(1))
         beta = Tensor(np.zeros(1))
-        out, _, _ = T.batch_norm2d(x, gamma, beta, np.zeros(1), np.ones(1), training=True)
+        out, _, _ = T.batch_norm2d(x, gamma, beta, np.zeros(1), np.ones(1))
         assert np.isfinite(out.data).all()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_grads_match_finite_differences(self, seed):
         rng = np.random.default_rng(500 + seed)
-        training = seed % 2 == 0
         x = rng.standard_normal((2, 2, 3, 3))
         gamma = rng.uniform(0.5, 1.5, 2)
         beta = rng.standard_normal(2)
 
         def fn(ts):
-            out, _, _ = T.batch_norm2d(
-                ts[0], ts[1], ts[2], np.zeros(2), np.ones(2), training=training
-            )
+            out, _, _ = T.batch_norm2d(ts[0], ts[1], ts[2], np.zeros(2), np.ones(2))
             return T.mean(out * out * 0.5 + out)
 
         check_gradients(fn, [x, gamma, beta], rng=rng)

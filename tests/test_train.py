@@ -211,13 +211,17 @@ class TestRestoreChecks:
         trainer.train_step()
         return trainer.snapshot()
 
-    def section_of(self, cfg, pairs, tmp_path, state, tensors):
+    def error_of(self, load, cfg, tmp_path, state, tensors):
         path = tmp_path / "crafted.ckpt"
         train.write_checkpoint(path, serialize_config(cfg), state, tensors)
         ckpt = train.read_checkpoint(path)
         with pytest.raises(CheckpointError) as info:
-            train.Trainer.from_checkpoint(ckpt, pairs)
-        return info.value.section
+            load(ckpt)
+        return info.value
+
+    def section_of(self, cfg, pairs, tmp_path, state, tensors):
+        load = lambda ckpt: train.Trainer.from_checkpoint(ckpt, pairs)
+        return self.error_of(load, cfg, tmp_path, state, tensors).section
 
     @pytest.mark.parametrize("key", ["state.seed", "state.step", "state.noise.ema", "state.rng.patch.inc"])
     def test_missing_state_key(self, cfg, pairs, tmp_path, snap, key):
@@ -266,6 +270,35 @@ class TestRestoreChecks:
         state, tensors = snap
         tensors["state.policy.window"] = np.full(cfg.get("policy.window") + 1, 0.5)
         assert self.section_of(cfg, pairs, tmp_path, state, tensors) == "tensor table"
+
+    @pytest.mark.parametrize("loader", ["trainer", "generator"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("param.gen.head.w", np.nan),
+            ("param.gen.tail.b", np.inf),
+            ("buffer.gen.blocks0.bn_l.running_mean", -np.inf),
+            ("buffer.gen.blocks0.spectral.bn_freq.running_var", np.nan),
+            ("buffer.gen.blocks0.bn_g.running_var", -0.5),
+        ],
+    )
+    def test_bad_generator_value_fails_at_load(self, cfg, pairs, tmp_path, snap, loader, key, value):
+        state, tensors = snap
+        tensors[key] = tensors[key].copy()
+        tensors[key].flat[0] = value
+        load = {
+            "trainer": lambda ckpt: train.Trainer.from_checkpoint(ckpt, pairs),
+            "generator": train.generator_from_checkpoint,
+        }[loader]
+        err = self.error_of(load, cfg, tmp_path, state, tensors)
+        assert err.section == "tensor table" and repr(key) in str(err)
+
+    @pytest.mark.parametrize("key", ["param.disc.fc.w", "opt.g.v.gen.head.w", "opt.d.m.disc.convs0.b"])
+    def test_non_finite_trainer_tensor_fails_at_load(self, cfg, pairs, tmp_path, snap, key):
+        state, tensors = snap
+        tensors[key] = np.full_like(tensors[key], np.nan)
+        err = self.error_of(lambda ckpt: train.Trainer.from_checkpoint(ckpt, pairs), cfg, tmp_path, state, tensors)
+        assert err.section == "tensor table" and repr(key) in str(err)
 
     def test_generator_from_checkpoint_checks_shapes(self, cfg, pairs, tmp_path, snap):
         state, tensors = snap
@@ -399,6 +432,30 @@ class TestUpscaleMinimumSize:
     def test_single_pixel_upscales_with_the_default_kernel(self):
         gen = train.build_generator(default_config())
         assert train.upscale_image(gen, Image(np.full((1, 1, 3), 0.5)), 3).data.shape == (3, 3, 3)
+
+
+class TestUpscaleLeavesTheModelAlone:
+    """The eval forward folds BatchNorm into freshly built kernels; it
+    writes no parameter or buffer, so training goes on as if it never ran."""
+
+    @staticmethod
+    def state_bytes(gen):
+        arrays = {name: t.data for name, t in gen.named_parameters()}
+        arrays.update({name: getattr(owner, attr) for name, owner, attr in gen.named_buffers()})
+        return {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()}
+
+    def test_parameters_and_buffers_are_byte_identical(self, cfg, pairs):
+        trainer = train.Trainer(cfg, 0, pairs)
+        trainer.train_step()
+        before = self.state_bytes(trainer.gen)
+        train.upscale_image(trainer.gen, Image(pairs[0][0]), 3)
+        assert self.state_bytes(trainer.gen) == before
+
+    def test_train_step_after_an_upscale_is_unchanged(self, cfg, pairs):
+        plain, probed = train.Trainer(cfg, 0, pairs), train.Trainer(cfg, 0, pairs)
+        assert probed.train_step() == plain.train_step()
+        train.upscale_image(probed.gen, Image(pairs[0][0]), 3)
+        assert probed.train_step() == plain.train_step()
 
 
 class TestDiffusionState:
