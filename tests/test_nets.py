@@ -137,7 +137,8 @@ class TestSpectralTransform:
 def seed_norms(module, rng):
     """Give every BatchNorm in ``module`` non-trivial parameters and
     running statistics, in float64."""
-    for _, bn, _ in module.named_buffers():
+    # each norm owns two buffers, so it is listed twice
+    for bn in {id(bn): bn for _, bn, _ in module.named_buffers()}.values():
         c = bn.gamma.shape[0]
         bn.gamma.data = rng.uniform(0.5, 1.5, c)
         bn.beta.data = rng.standard_normal(c)
