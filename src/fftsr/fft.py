@@ -1,34 +1,35 @@
 """Differentiable 2-D real Fourier transforms for the spectral branch of
 the Fourier-convolution nets.
 
-``rfft2d``/``irfft2d`` are NCHW tensor ops. They evaluate the DFT through
-cached cosine/sine matrix products (GEMMs along each image axis), which at
-convolution-sized inputs is faster in numpy than a strided butterfly
-loop and works for every crop size without padding. The half spectrum
-is stored with real and imaginary planes stacked as two channel groups.
+``rfft2d``/``irfft2d`` are NCHW tensor ops over numpy's pocketfft
+(``np.fft.rfft2``/``irfft2``), at every size and for every side length,
+prime ones included. The half spectrum is stored with real and imaginary
+planes stacked as two channel groups, ``(re | im)``.
 
-Each side length ``n`` keeps one table pair, ``cos`` and ``-sin`` of
-``2 pi t k / n`` for ``k <= n // 2``. Where an axis has all ``n`` outputs
-(H in both directions, W in the adjoint) the GEMMs make only rows
-``k <= n // 2``: cos is even in k and sin is odd, so row ``n - k`` is row k
-with the sine term negated, and the rest is mirrored, at half the work.
-
-One transform is written out: ``F`` (:func:`rfft2d_array`), the
-unnormalized ``X_kl = sum x_nm exp(-2 pi i (nk/H + ml/W))`` for
-``l <= W // 2``, and its adjoint ``F*`` (:func:`rfft2d_adjoint`), the
-transposed matrices in reverse order. The inverse is ``F* D``
+One transform is defined: ``F`` (:func:`rfft2d_array`), the unnormalized
+``X_kl = sum x_nm exp(-2 pi i (nk/H + ml/W))`` for ``l <= W // 2``, and its
+adjoint ``F*`` (:func:`rfft2d_adjoint`). The inverse is ``F* D``
 (:func:`irfft2d_array`), its adjoint ``D F`` (:func:`irfft2d_adjoint`):
 the diagonal ``D`` weighs each stored column by its Hermitian multiplicity
-over ``H * W``, 1 at DC and, for even ``W``, at Nyquist, else 2.
+over ``H * W``, 1 at DC and, for even ``W``, at Nyquist, else 2. So
+``F*`` is ``irfft2`` of its input divided by ``D``, ``F* D`` is plain
+``irfft2`` (which takes the real part of the DC and Nyquist columns), and
+``D F`` is ``rfft2`` times ``D``.
+
+The forward calls use ``norm="forward"`` and scale the result while
+splitting it into ``(re | im)``. With the default norm, numpy 2.x passes
+the forward factor as the Python int 1, which selects a float32 loop
+several times slower than the one a float factor selects. Before numpy
+2.0, pocketfft computes float32 input in float64: the results are the
+same to float32 rounding, only slower, and are cast back to the input
+dtype.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .tensor import Tensor
 
 __all__ = ["rfft2d", "irfft2d", "rfft2d_array", "irfft2d_array", "half_width"]
@@ -39,106 +40,73 @@ def half_width(w: int) -> int:
     return w // 2 + 1
 
 
-# a frame size takes one entry per distinct side length; 32 hold sixteen
-# frame sizes, and an evicted one is only rebuilt
-@functools.lru_cache(maxsize=32)
-def _dft(n: int, dtype) -> tuple:
-    """Read-only ``(cos, -sin)`` of ``2 pi t k / n`` for ``t < n``, ``k <= n // 2``."""
-    t = np.arange(n, dtype=np.float64)
-    ang = 2.0 * np.pi * np.outer(t, t[: half_width(n)]) / n
-    pair = (np.cos(ang).astype(dtype), (-np.sin(ang)).astype(dtype))
-    for mat in pair:
-        mat.setflags(write=False)
-    return pair
+def _multiplicity(w: int, dtype) -> np.ndarray:
+    """Hermitian multiplicity of each stored column: one where the column is
+    its own mirror (2l = 0 mod W), else two."""
+    return (1 + (2 * np.arange(half_width(w)) % w != 0)).astype(dtype)
 
 
-def _mirror(a: np.ndarray, b: np.ndarray, out: np.ndarray, first, second) -> None:
-    """Fill the last axis of ``out`` (length n) from rows ``k <= n // 2`` of
-    a cosine product ``a`` and a sine product ``b``.
-
-    cos is even in k and sin is odd, so row ``n - k`` of the full product is
-    row k with the sine term negated: row k gets ``first(a, b)`` and row
-    ``n - k`` gets ``second(a, b)`` of row k.
-    """
-    n = out.shape[-1]
-    r = (n - 1) // 2
-    first(a, b, out=out[..., : a.shape[-1]])
-    second(a[..., 1 : r + 1], b[..., 1 : r + 1], out=out[..., n - 1 : n - 1 - r : -1])
-
-
-def _along_h(z: np.ndarray, inverse: bool) -> np.ndarray:
-    """Complex DFT along H of (N, 2C, H, W) stacked (re | im) planes, with
-    kernel ``exp(-2 pi i t k / H)``, or ``exp(+...)`` if ``inverse``."""
-    c = z.shape[1] // 2
-    ch, sh = _dft(z.shape[2], z.dtype)
-    # rows k <= H // 2 only, moved to the last axis for the mirror
-    p = np.swapaxes(ch.T @ z, -1, -2)
-    q = np.swapaxes(sh.T @ z, -1, -2)
-    out = np.empty(z.shape, z.dtype)
-    rows = np.swapaxes(out, -1, -2)
-    # exp(-i...) rows k <= H // 2 are p_re - q_im and p_im + q_re; exp(+i...) swaps the signs
-    ops = (np.add, np.subtract) if inverse else (np.subtract, np.add)
-    _mirror(p[:, :c], q[:, c:], rows[:, :c], *ops)
-    _mirror(p[:, c:], q[:, :c], rows[:, c:], *ops[::-1])
-    return out
-
-
-def _forward(x: np.ndarray) -> np.ndarray:
-    """``F``: (N, C, H, W) -> (N, 2C, H, W//2+1)."""
+def _forward(x: np.ndarray, factor) -> np.ndarray:
+    """``rfft2(x) / (H * W) * factor`` as (N, 2C, H, W//2+1) stacked (re | im)."""
     n, c, h, w = x.shape
-    cw, sw = _dft(w, x.dtype)
-    z = np.empty((n, 2 * c, h, half_width(w)), x.dtype)
-    np.matmul(x, cw, out=z[:, :c])
-    np.matmul(x, sw, out=z[:, c:])
-    return _along_h(z, inverse=False)
-
-
-def _adjoint(g: np.ndarray, w: int) -> np.ndarray:
-    """``F*``: (N, 2C, H, W//2+1) -> (N, C, H, w)."""
-    y = _along_h(g, inverse=True)
-    c = y.shape[1] // 2
-    cw, sw = _dft(w, g.dtype)
-    m = half_width(w)
-    # columns t <= w // 2 only
-    a = y[:, :c] @ cw[:m].T
-    b = y[:, c:] @ sw[:m].T
-    out = np.empty(a.shape[:-1] + (w,), g.dtype)
-    _mirror(a, b, out, np.add, np.subtract)
+    s = np.fft.rfft2(x, norm="forward")
+    out = np.empty((n, 2 * c, h, half_width(w)), x.dtype)
+    np.multiply(s.real, factor, out=out[:, :c])
+    np.multiply(s.imag, factor, out=out[:, c:])
     return out
 
 
-def _weights(h: int, w: int, dtype) -> np.ndarray:
-    """Diagonal of ``D``: a column that is its own mirror (2l = 0 mod W) counts once."""
-    twice = 2 * np.arange(half_width(w)) % w != 0
-    return ((1.0 + twice) / (h * w)).astype(dtype)
+def _inverse(g: np.ndarray, w: int, factor) -> np.ndarray:
+    """``irfft2`` of the stacked (re | im) spectrum ``g`` times ``factor``:
+    (N, 2C, H, W//2+1) -> (N, C, H, w)."""
+    n, c2, h, wh = g.shape
+    c = c2 // 2
+    z = np.empty((n, c, h, wh), np.result_type(g.dtype, np.complex64))
+    np.multiply(g[:, :c], factor, out=z.real)
+    np.multiply(g[:, c:], factor, out=z.imag)
+    return np.fft.irfft2(z, s=(h, w)).astype(g.dtype, copy=False)
+
+
+def _check(a: np.ndarray, name: str, w: int | None = None) -> None:
+    """Reject, before any compute, what the transforms do not define: an
+    array that is not 4-D or not float, or a side under 2. ``w`` is the
+    signal width when it is not the last axis of ``a``."""
+    if a.ndim != 4:
+        raise ShapeError(f"{name} needs an (N, C, H, W) array, got shape {a.shape}")
+    if a.dtype not in (np.float32, np.float64):
+        raise DomainError(f"{name} needs float32 or float64 input, got {a.dtype}")
+    h, w = a.shape[2], a.shape[3] if w is None else w
+    if h < 2 or w < 2:
+        raise ShapeError(f"{name} needs spatial dims >= 2, got {h}x{w}")
 
 
 # the public names wrap the private bodies, so span tracing times the inverse as irfft2d
 def rfft2d_array(x: np.ndarray) -> np.ndarray:
     """Forward real 2-D DFT of (N, C, H, W); returns (N, 2C, H, W//2+1)."""
+    _check(x, "rfft2d")
     _, _, h, w = x.shape
-    if h < 2 or w < 2:
-        raise ShapeError("rfft2d needs spatial dims >= 2")
-    return _forward(x)
+    return _forward(x, x.dtype.type(h * w))
 
 
 def rfft2d_adjoint(g: np.ndarray, w: int) -> np.ndarray:
     """Adjoint of :func:`rfft2d_array` for backward passes."""
-    return _adjoint(g, w)
+    h = g.shape[2]
+    return _inverse(g, w, h * w / _multiplicity(w, g.dtype))
 
 
 def irfft2d_array(s: np.ndarray, out_w: int) -> np.ndarray:
     """Inverse of the stored half spectrum: (N, 2C, H, Wh) -> (N, C, H, out_w)."""
+    _check(s, "irfft2d", out_w)
     if s.shape[1] % 2 != 0:
         raise ShapeError("spectrum tensor must carry an even channel count (re, im groups)")
     if half_width(out_w) != s.shape[3]:
         raise ShapeError(f"out_w {out_w} inconsistent with stored width {s.shape[3]}")
-    return _adjoint(s * _weights(s.shape[2], out_w, s.dtype), out_w)
+    return _inverse(s, out_w, s.dtype.type(1))
 
 
 def irfft2d_adjoint(g: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`irfft2d_array` for backward passes."""
-    return _forward(g) * _weights(g.shape[2], g.shape[3], g.dtype)
+    return _forward(g, _multiplicity(g.shape[3], g.dtype))
 
 
 # ---- differentiable tensor ops ----

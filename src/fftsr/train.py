@@ -155,10 +155,14 @@ def build_generator(cfg: RunConfig, seed: int = 0) -> Generator:
 def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
     """clamp(bicubic(img) + G(bicubic(img)), 0, 1) in eval mode.
 
+    ``scale`` must be an integer of at least 2, else :class:`ImageError`.
     The upscaled frame must be at least ``max(2, gen.cfg.kernel // 2 + 1)``
     px on each side, which the reflect padding and the spectral transform
-    need; a smaller one raises :class:`TooSmallError` before any compute.
+    need; a smaller one raises :class:`TooSmallError`. Both checks run
+    before any compute.
     """
+    if not isinstance(scale, (int, np.integer)) or scale < 2:
+        raise ImageError(f"scale must be an integer >= 2, got {scale!r}")
     minimum = max(2, gen.cfg.kernel // 2 + 1)
     if scale * min(img.height, img.width) < minimum:
         raise TooSmallError(f"LR frame {img.height}x{img.width} at scale {scale} is under the minimum of {minimum} px")

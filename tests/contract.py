@@ -17,9 +17,9 @@ small ones and one of 108x192, the largest frame of the upscale benchmark,
 whose 324x576 convolutions each run in many row bands.
 ``sample.up`` and ``sample.hr`` digest the two sides of 20 batches that
 ``train.sample_patches`` crops from the default run's pairs. The last
-lines digest the outputs of the forward transform and of its adjoint on
-seeded float32 inputs, at the training batch shape and at 13 channels
-for the four HR frame sizes of the upscale benchmark.
+lines digest the outputs of the forward transform, the inverse and their
+adjoints on seeded float32 inputs, at the training batch shape and at 13
+channels for the four HR frame sizes of the upscale benchmark.
 
 pytest does not collect this file (it does not match ``test_*.py``).
 """
@@ -92,6 +92,8 @@ def main(ckpt: Path):
         g = rng.standard_normal((n, 26, h, fft.half_width(w))).astype(np.float32)
         print(f"{f'rfft2d.{n}x13x{h}x{w}':28s} {_digest(fft.rfft2d_array(x).tobytes())}")
         print(f"{f'rfft2d_adjoint.{n}x13x{h}x{w}':28s} {_digest(fft.rfft2d_adjoint(g, w).tobytes())}")
+        print(f"{f'irfft2d.{n}x13x{h}x{w}':28s} {_digest(fft.irfft2d_array(g, w).tobytes())}")
+        print(f"{f'irfft2d_adjoint.{n}x13x{h}x{w}':28s} {_digest(fft.irfft2d_adjoint(x).tobytes())}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fftsr import fft as F
-from fftsr.errors import ShapeError
+from fftsr.errors import DomainError, ShapeError
 from fftsr.tensor import Tensor
 
 from gradcheck import check_gradients
@@ -30,78 +30,158 @@ def naive_dft2d(img):
     return out
 
 
-def matrix_dft1d(x, inverse=False):
-    """1-D complex DFT through the cached half cosine/sine pair that the 2-D
-    transforms apply along each image axis, mirrored to the full length by
-    the rule they use."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    c, s = F._dft(n, np.float64)
-    out = np.empty_like(x)
-    F._mirror(x @ c, 1j * (x @ s), out, *((np.subtract, np.add) if inverse else (np.add, np.subtract)))
-    return out / n if inverse else out
+def spectrum(s):
+    """Complex form of a stored (re | im) half spectrum."""
+    c = s.shape[1] // 2
+    return s[:, :c] + 1j * s[:, c:]
+
+
+def multiplicity(w):
+    """Hermitian multiplicity of each stored column: 1 where 2l = 0 mod w, else 2."""
+    return np.where(2 * np.arange(F.half_width(w)) % w == 0, 1.0, 2.0)
+
+
+def along_h(fn, a, **kw):
+    return np.swapaxes(fn(np.swapaxes(a, -1, -2), **kw), -1, -2)
+
+
+def ref_rfft2(x):
+    """``F`` from the definition: naive_dft1d along W, its first
+    W // 2 + 1 bins, then naive_dft1d along H."""
+    return along_h(naive_dft1d, naive_dft1d(x)[..., : F.half_width(x.shape[-1])])
+
+
+def ref_irfft2(z, w):
+    """``F* D`` from the definition: the inverse naive_dft1d along H, then
+    each stored column weighted by its multiplicity, zero-filled to w, the
+    inverse along W and its real part."""
+    full = np.zeros(z.shape[:-1] + (w,), np.complex128)
+    full[..., : F.half_width(w)] = along_h(naive_dft1d, z, inverse=True) * multiplicity(w)
+    return naive_dft1d(full, inverse=True).real
 
 
 def test_delta_transforms_to_constant():
-    out = matrix_dft1d([1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(out, np.ones(4), atol=1e-12)
+    x = np.zeros((1, 1, 4, 4))
+    x[0, 0, 0, 0] = 1.0
+    assert np.allclose(spectrum(F.rfft2d_array(x)), np.ones((4, 3)), atol=1e-12)
+    # and a flat real half spectrum is the spectrum of a delta
+    flat = np.zeros((1, 2, 4, 3))
+    flat[0, 0] = 1.0
+    assert np.allclose(F.irfft2d_array(flat, 4), x, atol=1e-12)
 
 
 def test_constant_transforms_to_dc():
-    out = matrix_dft1d([1.0, 1.0, 1.0, 1.0])
-    assert np.allclose(out, [4.0, 0.0, 0.0, 0.0], atol=1e-12)
+    want = np.zeros((4, 3))
+    want[0, 0] = 16.0
+    assert np.allclose(spectrum(F.rfft2d_array(np.ones((1, 1, 4, 4)))), want, atol=1e-12)
+    dc = np.zeros((1, 2, 4, 3))
+    dc[0, 0] = want
+    assert np.allclose(F.irfft2d_array(dc, 4), 1.0, atol=1e-12)
 
 
 def test_length_six_matches_naive():
     rng = np.random.default_rng(0)
-    x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    assert np.abs(matrix_dft1d(x) - naive_dft1d(x)).max() < 1e-10
+    x = rng.standard_normal((1, 1, 6, 6))
+    assert np.abs(spectrum(F.rfft2d_array(x))[0, 0] - naive_dft2d(x[0, 0])[:, :4]).max() < 1e-10
+    s = rng.standard_normal((1, 2, 6, 4))
+    assert np.abs(F.irfft2d_array(s, 6) - ref_irfft2(spectrum(s), 6)).max() < 1e-10
 
 
-@pytest.mark.parametrize("n", list(range(1, 65)))
+@pytest.mark.parametrize("n", list(range(2, 65)))
 def test_all_lengths_match_naive(n):
+    # n on each axis, against an odd and an even other side; lengths with a
+    # large prime factor take another pocketfft algorithm
     rng = np.random.default_rng(n)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.abs(matrix_dft1d(x) - naive_dft1d(x)).max() < 1e-9
-    assert np.abs(matrix_dft1d(x, inverse=True) - naive_dft1d(x, inverse=True)).max() < 1e-9
-    # the real-input matrices keep the first n // 2 + 1 bins
-    cw, sw = F._dft(n, np.float64)
-    half = x.real @ cw + 1j * (x.real @ sw)
-    assert np.abs(half - naive_dft1d(x.real)[: F.half_width(n)]).max() < 1e-9
+    for h, w in ((n, 5), (n, 6), (5, n), (6, n)):
+        x = rng.standard_normal((1, 2, h, w))
+        assert np.abs(spectrum(F.rfft2d_array(x)) - ref_rfft2(x)).max() < 1e-9
+        s = rng.standard_normal((1, 4, h, F.half_width(w)))
+        assert np.abs(F.irfft2d_array(s, w) - ref_irfft2(spectrum(s), w)).max() < 1e-9
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 17, 31, 48, 64])
+@pytest.mark.parametrize("n", [2, 3, 8, 12, 17, 31, 48, 64])
 def test_round_trip(n):
     rng = np.random.default_rng(n + 100)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.abs(matrix_dft1d(matrix_dft1d(x), inverse=True) - x).max() < 1e-9
+    for h, w in ((n, n), (n, n + 1), (n + 1, n)):
+        x = rng.standard_normal((2, 3, h, w))
+        assert np.abs(F.irfft2d_array(F.rfft2d_array(x), w) - x).max() < 1e-9
 
 
-@pytest.mark.parametrize("n", list(range(1, 65)))
+@pytest.mark.parametrize("n", list(range(2, 65)))
 def test_parseval(n):
     rng = np.random.default_rng(n + 200)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    xs = (np.abs(x) ** 2).sum()
-    fs = (np.abs(matrix_dft1d(x)) ** 2).sum() / n
-    assert abs(xs - fs) <= 1e-9 * max(1.0, abs(xs))
+    for h, w in ((n, n), (n, n + 1)):
+        x = rng.standard_normal((1, 1, h, w))
+        xs = (x**2).sum()
+        fs = (np.abs(spectrum(F.rfft2d_array(x))) ** 2 * multiplicity(w)).sum() / (h * w)
+        assert abs(xs - fs) <= 1e-9 * max(1.0, xs)
 
 
 def test_linearity():
     rng = np.random.default_rng(5)
-    x = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-    y = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-    a, b = 1.7 - 0.3j, -0.9 + 2.1j
-    lhs = matrix_dft1d(a * x + b * y)
-    rhs = a * matrix_dft1d(x) + b * matrix_dft1d(y)
-    assert np.abs(lhs - rhs).max() < 1e-9
+    x, y = rng.standard_normal((2, 1, 3, 7, 21))
+    a, b = 1.7, -0.9
+    lhs = F.rfft2d_array(a * x + b * y)
+    assert np.abs(lhs - (a * F.rfft2d_array(x) + b * F.rfft2d_array(y))).max() < 1e-9
+    s, t = rng.standard_normal((2, 1, 6, 7, 11))
+    lhs = F.irfft2d_array(a * s + b * t, 21)
+    assert np.abs(lhs - (a * F.irfft2d_array(s, 21) + b * F.irfft2d_array(t, 21))).max() < 1e-9
 
 
 def test_batched_rows_match_per_row():
+    # every body transforms each (image, channel) plane on its own; real
+    # channel c pairs with spectrum channels c (re) and c + C (im)
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
-    batched = matrix_dft1d(x)
-    for i in range(5):
-        assert np.abs(batched[i] - matrix_dft1d(x[i])).max() < 1e-10
+    x = rng.standard_normal((3, 2, 12, 10))
+    g = rng.standard_normal((3, 4, 12, 6))
+    to_spectrum = (F.rfft2d_array, F.irfft2d_adjoint)
+    to_real = (lambda a: F.rfft2d_adjoint(a, 10), lambda a: F.irfft2d_array(a, 10))
+    for i in range(3):
+        for c in range(2):
+            real, spec = np.s_[i : i + 1, c : c + 1], np.s_[i : i + 1, c::2]
+            for body in to_spectrum:
+                assert np.abs(body(x[real]) - body(x)[spec]).max() < 1e-10
+            for body in to_real:
+                assert np.abs(body(g[spec]) - body(g)[real]).max() < 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_body_keeps_the_dtype(dtype):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((2, 3, 9, 10)).astype(dtype)
+    g = rng.standard_normal((2, 6, 9, 6)).astype(dtype)
+    for out in (F.rfft2d_array(x), F.rfft2d_adjoint(g, 10), F.irfft2d_array(g, 10), F.irfft2d_adjoint(x)):
+        assert out.dtype == dtype
+
+
+class TestInputChecks:
+    """The public transforms refuse, before any compute, input they do not
+    define, with a typed error."""
+
+    @pytest.mark.parametrize("shape", [(6, 6), (3, 6, 6), (1, 1, 2, 6, 6)])
+    def test_array_that_is_not_4d(self, shape):
+        with pytest.raises(ShapeError, match="N, C, H, W"):
+            F.rfft2d_array(np.zeros(shape))
+        with pytest.raises(ShapeError, match="N, C, H, W"):
+            F.irfft2d_array(np.zeros(shape[:-1] + (4,)), 6)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.bool_, np.float16, np.complex128])
+    def test_dtype_that_is_not_float32_or_float64(self, dtype):
+        ramp = np.arange(36).reshape(1, 1, 6, 6).astype(dtype)
+        with pytest.raises(DomainError, match=np.dtype(dtype).name):
+            F.rfft2d_array(ramp)
+        with pytest.raises(DomainError, match=np.dtype(dtype).name):
+            F.irfft2d_array(np.zeros((1, 2, 6, 4), dtype), 6)
+
+    @pytest.mark.parametrize("h,w", [(1, 6), (6, 1), (0, 6), (6, 0), (1, 1)])
+    def test_rfft2d_side_under_two(self, h, w):
+        with pytest.raises(ShapeError, match=">= 2"):
+            F.rfft2d_array(np.zeros((1, 1, h, w)))
+
+    @pytest.mark.parametrize("h,out_w", [(1, 6), (0, 6), (6, 1), (6, 0), (1, 1)])
+    def test_irfft2d_side_under_two(self, h, out_w):
+        with pytest.raises(ShapeError, match=">= 2"):
+            F.irfft2d_array(np.zeros((1, 2, h, F.half_width(out_w))), out_w)
 
 
 class TestRfft2d:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fftsr
-from fftsr import fft, image, tensor
+from fftsr import image, tensor
 
 MODULES = ["fftsr"] + [f"fftsr.{m.name}" for m in pkgutil.iter_modules(fftsr.__path__)]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -37,7 +37,6 @@ def test_pyproject_names_only_what_exists():
 
 # each cache with a builder of one distinct entry per size n >= 2
 MATRIX_CACHES = {
-    "fft._dft": (fft._dft, lambda n: fft._dft(n, np.dtype(np.float32))[0]),
     "image._axis_matrix": (image._axis_matrix, lambda n: image._axis_matrix(n, 2 * n)),
     "tensor._filter_matrix": (
         tensor._filter_matrix,

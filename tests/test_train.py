@@ -434,6 +434,19 @@ class TestUpscaleMinimumSize:
         assert train.upscale_image(gen, Image(np.full((1, 1, 3), 0.5)), 3).data.shape == (3, 3, 3)
 
 
+class TestUpscaleScale:
+    @pytest.mark.parametrize("scale", [1.5, 3.0, "3", 1, 0, -1, True])
+    def test_scale_that_is_not_an_integer_of_at_least_two(self, scale):
+        gen = train.build_generator(default_config())
+        with pytest.raises(ImageError, match="scale must be an integer >= 2") as err:
+            train.upscale_image(gen, Image(np.full((4, 4, 3), 0.5)), scale)
+        assert repr(scale) in str(err.value)
+
+    def test_numpy_integer_scale_upscales(self):
+        gen = train.build_generator(default_config())
+        assert train.upscale_image(gen, Image(np.full((4, 4, 3), 0.5)), np.int64(2)).data.shape == (8, 8, 3)
+
+
 class TestUpscaleLeavesTheModelAlone:
     """The eval forward folds BatchNorm into freshly built kernels; it
     writes no parameter or buffer, so training goes on as if it never ran."""
