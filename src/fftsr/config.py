@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "CONFIG_SCHEMA", "parse_config", "serialize_config", "default_config"]
+__all__ = ["RunConfig", "CONFIG_SCHEMA", "check_value", "parse_config", "serialize_config", "default_config"]
 
 
 # key -> (default, type, allowed interval or None, help); every number has an
@@ -96,10 +96,8 @@ class RunConfig:
         return cls(**kwargs, **extra)
 
     def validate(self):
-        for key, (_, _, interval, _) in CONFIG_SCHEMA.items():
-            value = self.get(key)
-            if interval is not None and not _within(value, interval):
-                raise ConfigError(f"{key} = {value!r} is outside {interval}")
+        for key in CONFIG_SCHEMA:
+            check_value(key, self.get(key))
         scale, patch = self.get("data.scale"), self.get("data.patch")
         if patch % scale != 0:
             raise ConfigError(f"data.patch {patch} not divisible by data.scale {scale}")
@@ -107,6 +105,14 @@ class RunConfig:
         if kernel % 2 == 0 or kernel // 2 >= patch:
             raise ConfigError(f"gen.kernel {kernel} must be odd, with a reflect pad below data.patch {patch}")
         return self
+
+
+def check_value(key: str, value, name: str | None = None) -> None:
+    """Raise ``ConfigError`` unless ``value`` lies in the interval of config
+    key ``key``; the message calls the value ``name`` (default ``key``)."""
+    interval = CONFIG_SCHEMA[key][2]
+    if interval is not None and not _within(value, interval):
+        raise ConfigError(f"{name or key} = {value!r} is outside {interval}")
 
 
 def _within(value, interval: str) -> bool:

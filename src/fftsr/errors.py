@@ -16,8 +16,9 @@ class AxisError(FftsrError):
 class DomainError(FftsrError):
     """An op received an input outside its domain: a negative input to a
     strict-mode elementwise op, a Charbonnier eps that is not positive, a
-    conv2d stride, padding or pad mode that is not defined, or a spectral
-    transform input that is not float32 or float64."""
+    conv2d stride, padding or pad mode that is not defined, a spectral
+    transform input that is not float32 or float64, or a negative
+    learning-rate schedule step."""
 
 
 class ConfigError(FftsrError):

@@ -2,8 +2,8 @@
 the Fourier-convolution nets.
 
 ``rfft2d``/``irfft2d`` are NCHW tensor ops over numpy's pocketfft
-(``np.fft.rfft2``/``irfft2``), at every size and for every side length,
-prime ones included. The half spectrum is stored with real and imaginary
+(``np.fft``), at every size and for every side length, prime ones
+included. The half spectrum is stored with real and imaginary
 planes stacked as two channel groups, ``(re | im)``.
 
 One transform is defined: ``F`` (:func:`rfft2d_array`), the unnormalized
@@ -16,13 +16,19 @@ over ``H * W``, 1 at DC and, for even ``W``, at Nyquist, else 2. So
 ``irfft2`` (which takes the real part of the DC and Nyquist columns), and
 ``D F`` is ``rfft2`` times ``D``.
 
-The forward calls use ``norm="forward"`` and scale the result while
-splitting it into ``(re | im)``. With the default norm, numpy 2.x passes
+Each transform is two 1-D passes: the real one along W, then the complex
+one along H, which runs in place (``out=``) on the buffer the first pass
+wrote, or, in the inverse, on the complex buffer built from ``(re | im)``.
+``np.fft.rfft2``/``irfft2`` make the same passes, but write the H pass
+into a fresh spectrum-sized array. In place, the results are
+bit-identical and that array is never allocated, paged in and filled,
+which is a large share of a transform at frame sizes. ``out=`` needs
+numpy 2.0.
+
+The forward passes use ``norm="forward"`` and the result is scaled while
+it is split into ``(re | im)``. With the default norm, numpy 2.x passes
 the forward factor as the Python int 1, which selects a float32 loop
-several times slower than the one a float factor selects. Before numpy
-2.0, pocketfft computes float32 input in float64: the results are the
-same to float32 rounding, only slower, and are cast back to the input
-dtype.
+several times slower than the one a float factor selects.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ def _multiplicity(w: int, dtype) -> np.ndarray:
 def _forward(x: np.ndarray, factor) -> np.ndarray:
     """``rfft2(x) / (H * W) * factor`` as (N, 2C, H, W//2+1) stacked (re | im)."""
     n, c, h, w = x.shape
-    s = np.fft.rfft2(x, norm="forward")
+    s = np.fft.rfft(x, axis=-1, norm="forward")
+    np.fft.fft(s, axis=-2, norm="forward", out=s)
     out = np.empty((n, 2 * c, h, half_width(w)), x.dtype)
     np.multiply(s.real, factor, out=out[:, :c])
     np.multiply(s.imag, factor, out=out[:, c:])
@@ -64,7 +71,8 @@ def _inverse(g: np.ndarray, w: int, factor) -> np.ndarray:
     z = np.empty((n, c, h, wh), np.result_type(g.dtype, np.complex64))
     np.multiply(g[:, :c], factor, out=z.real)
     np.multiply(g[:, c:], factor, out=z.imag)
-    return np.fft.irfft2(z, s=(h, w)).astype(g.dtype, copy=False)
+    np.fft.ifft(z, axis=-2, out=z)
+    return np.fft.irfft(z, n=w, axis=-1)
 
 
 def _check(a: np.ndarray, name: str, w: int | None = None) -> None:

@@ -281,17 +281,25 @@ class FfcBlock(Module):
         return T.concat([local, glob], axis=1)
 
     def _folded(self, x: Tensor) -> Tensor:
-        """The eval forward, with both norms folded into the convs."""
+        """The eval forward, with both norms folded into the convs.
+
+        The spectral branch runs first, while no other full-size output is
+        alive to share its peak with its transforms' buffers; the spectral
+        output and ``conv_from_l``'s (held by its channel views) are
+        released as soon as they are summed, before the ``concat``."""
         if not self.g:
             return T.relu(self.conv_from_l(x, *self.bn_l.affine()))
         if not self.l:
             return T.relu(self.spectral(x, False, *self.bn_g.affine()))
         (s_l, t_l), (s_g, t_g) = self.bn_l.affine(), self.bn_g.affine()
         x_l, x_g = T.split_channels(x, [self.l, self.g])
-        both = self.conv_from_l(x_l, np.concatenate([s_l, s_g]), np.concatenate([t_l, t_g]))
-        to_l, to_g = T.split_channels(both, [self.l, self.g])
+        spec = self.spectral(x_g, False, s_g)
+        scale, shift = np.concatenate([s_l, s_g]), np.concatenate([t_l, t_g])
+        to_l, to_g = T.split_channels(self.conv_from_l(x_l, scale, shift), [self.l, self.g])
+        glob = T.relu(to_g + spec)
+        del to_g, spec
         local = T.relu(to_l + self.conv_gl(x_g, s_l))
-        glob = T.relu(to_g + self.spectral(x_g, False, s_g))
+        del to_l
         return T.concat([local, glob], axis=1)
 
 

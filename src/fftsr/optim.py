@@ -24,7 +24,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import OptimizerError
+from .config import check_value
+from .errors import DomainError, OptimizerError
 from .tensor import Tensor
 
 __all__ = [
@@ -92,12 +93,25 @@ class AdamW:
 
 @dataclass(frozen=True)
 class CosineRestartSchedule:
-    """Deterministic warm-restart schedule; ``lr_at`` is a pure function."""
+    """Deterministic warm-restart schedule; ``lr_at`` is a pure function.
+    A field outside the interval of its config key raises ``ConfigError``."""
+
+    # each field -> its config key; opt.lr_d has the interval of opt.lr_g
+    FIELD_KEYS: ClassVar[dict[str, str]] = {
+        "base_lr": "opt.lr_g",
+        "cycle_steps": "sched.cycle_steps",
+        "peak_decay": "sched.peak_decay",
+        "floor_fraction": "sched.floor_fraction",
+    }
 
     base_lr: float
     cycle_steps: int = 2000
     peak_decay: float = 0.95
     floor_fraction: float = 0.5
+
+    def __post_init__(self):
+        for name, key in self.FIELD_KEYS.items():
+            check_value(key, getattr(self, name), f"schedule {name}")
 
     def peak(self, cycle: int) -> float:
         return self.base_lr * self.peak_decay**cycle
@@ -111,7 +125,7 @@ class CosineRestartSchedule:
 
     def lr_at(self, step: int) -> float:
         if step < 0:
-            raise ValueError("step must be >= 0")
+            raise DomainError(f"schedule step must be >= 0, got {step}")
         cycle, within = divmod(step, self.cycle_steps)
         return self.lr_at_phase(cycle, within / self.cycle_steps)
 

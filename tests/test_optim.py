@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fftsr.errors import OptimizerError
+from fftsr.errors import ConfigError, DomainError, OptimizerError
 from fftsr.optim import AdamW, CosineRestartSchedule, RestartPolicy
 from fftsr.tensor import Tensor
 
@@ -107,8 +107,27 @@ class TestSchedule:
         assert a == b
 
     def test_negative_step_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="-1"):
             CosineRestartSchedule(base_lr=1.0).lr_at(-1)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("base_lr", -1e-3),
+            ("base_lr", float("nan")),
+            ("base_lr", float("inf")),
+            ("cycle_steps", 0),
+            ("cycle_steps", -5),
+            ("peak_decay", -0.5),
+            ("peak_decay", float("nan")),
+            ("floor_fraction", 2.0),
+            ("floor_fraction", -0.1),
+        ],
+    )
+    def test_field_outside_its_config_interval(self, field, value):
+        kwargs = {"base_lr": 1.0, field: value}
+        with pytest.raises(ConfigError, match=f"schedule {field} = "):
+            CosineRestartSchedule(**kwargs)
 
 
 class TestRestartPolicy:

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import re
 import tomllib
 from pathlib import Path
 
@@ -33,6 +34,19 @@ def test_pyproject_names_only_what_exists():
         assert callable(getattr(importlib.import_module(module), attr))
     for requirement in project["dependencies"]:
         importlib.import_module(requirement.split(">")[0].split("=")[0].strip())
+
+
+def release(version: str) -> tuple[int, ...]:
+    """Leading numeric components of a version: "2.1.0rc1" -> (2, 1, 0)."""
+    return tuple(int(part) for part in re.match(r"\d+(\.\d+)*", version).group().split("."))
+
+
+def test_installed_numpy_meets_the_floor():
+    # the spectral transforms pass out= to np.fft, which numpy takes from 2.0 on
+    deps = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    (floor,) = [dep.partition(">=")[2] for dep in deps if dep.startswith("numpy")]
+    assert release(floor) >= (2, 0)
+    assert release(np.__version__) >= release(floor)
 
 
 # each cache with a builder of one distinct entry per size n >= 2
