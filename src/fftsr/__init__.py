@@ -1,10 +1,10 @@
 """Single-image super-resolution with Fourier-convolution residual GANs.
 
 The package is self-contained on numpy: it ships its own reverse-mode
-autodiff tensor engine, DFT-matrix Fourier transforms, PNG/PPM codecs
-and a bicubic resampler, the generator/discriminator pair, the five-term
-training objective, and a deterministic training loop with bit-exact
-checkpoints (:mod:`fftsr.train`).
+autodiff tensor engine, Fourier transforms on numpy's pocketfft, a PNG
+codec and a bicubic resampler, the generator/discriminator pair, the
+five-term training objective, and a deterministic training loop with
+bit-exact checkpoints (:mod:`fftsr.train`).
 """
 
 from .tensor import Tensor, no_grad

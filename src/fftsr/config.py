@@ -11,11 +11,12 @@ configuration text.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "CONFIG_SCHEMA", "check_value", "parse_config", "serialize_config", "default_config"]
+__all__ = ["RunConfig", "CONFIG_SCHEMA", "check_value", "check_fields", "parse_config", "serialize_config", "default_config"]
 
 
 # key -> (default, type, allowed interval or None, help); every number has an
@@ -55,8 +56,7 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "policy.adv_scale": (0.1, float, "[0, inf)", "generator adversarial-weight multiplier while boosted"),
     "policy.cooldown": (1000, int, "[0, inf)", "second trigger within this many steps reinitializes the discriminator"),
     "policy.restart_every": (0, int, "[0, inf)", "if > 0, also trigger a boost every N steps"),
-    "diffusion.enabled": (True, bool, None, "diffuse discriminator inputs"),
-    "diffusion.t_max": (500, int, "[0, inf)", "maximum diffusion timestep"),
+    "diffusion.t_max": (500, int, "[0, inf)", "maximum diffusion timestep; 0 turns diffusion off"),
     "diffusion.beta_start": (1e-4, float, "[0, 1]", "linear beta schedule start"),
     "diffusion.beta_end": (0.02, float, "[0, 1]", "linear beta schedule end"),
     "diffusion.target": (0.6, float, "[-1, 1]", "target discriminator overfit estimate r_d"),
@@ -108,11 +108,27 @@ class RunConfig:
 
 
 def check_value(key: str, value, name: str | None = None) -> None:
-    """Raise ``ConfigError`` unless ``value`` lies in the interval of config
-    key ``key``; the message calls the value ``name`` (default ``key``)."""
-    interval = CONFIG_SCHEMA[key][2]
+    """Raise ``ConfigError`` unless ``value`` is an integer that is not a
+    ``bool`` (for an int key) and lies in the interval of config key
+    ``key``; the message calls the value ``name`` (default ``key``)."""
+    _, typ, interval, _ = CONFIG_SCHEMA[key]
+    if typ is int and not _is_int(value):
+        raise ConfigError(f"{name or key} = {value!r} is not an integer")
     if interval is not None and not _within(value, interval):
         raise ConfigError(f"{name or key} = {value!r} is outside {interval}")
+
+
+def check_fields(obj, section: str, **keys: str) -> None:
+    """:func:`check_value` for each field of the dataclass ``obj`` that has
+    a config key: ``keys[field]`` if given, else ``<section>.<field>``."""
+    for f in dataclasses.fields(obj):
+        key = keys.get(f.name, f"{section}.{f.name}")
+        if key in CONFIG_SCHEMA:
+            check_value(key, getattr(obj, f.name), f"{type(obj).__name__}.{f.name}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _within(value, interval: str) -> bool:
@@ -136,7 +152,7 @@ def _coerce(key: str, raw):
         raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
     try:
         if typ is int:
-            if isinstance(raw, str) and any(c in raw for c in ".eE"):
+            if not (_is_int(raw) or (isinstance(raw, str) and not any(c in raw for c in ".eE"))):
                 raise ValueError(raw)
             return int(raw)
         return typ(raw)

@@ -1,20 +1,17 @@
-"""Image decode/encode and classical resampling.
+"""PNG decode/encode and classical resampling.
 
-Formats are deliberately minimal and fully pinned down so byte-level
-round trips are testable:
-
-* PNG, RFC-2083 subset: 8-bit, color type 2 (RGB) or 6 (RGBA, alpha
-  dropped on decode), no interlace. The encoder always writes color
-  type 2 with filter 0 rows and a fixed zlib level, so identical pixels
-  produce identical files. The decoder handles filters 0..4 (RFC 2083
-  section 6), one row at a time, with the channel count as the byte
-  distance to the left neighbour (RGBA alpha is dropped only after
-  unfiltering). None and Up are whole-row numpy; Sub is a per-channel
-  ``cumsum`` in uint8, which wraps mod 256. Average and Paeth read the
-  byte just unfiltered to their left, so they run serially, as one
-  plain-int loop per channel, which is many times faster than numpy
-  calls on single pixels.
-* Binary PPM (P6), maxval 255.
+The format is a minimal, fully pinned-down PNG subset (RFC 2083), so
+byte-level round trips are testable: 8-bit, color type 2 (RGB) or 6
+(RGBA, alpha dropped on decode), no interlace. The encoder always writes
+color type 2 with filter 0 rows and a fixed zlib level, so identical
+pixels produce identical files. The decoder handles filters 0..4 (RFC
+2083 section 6), one row at a time, with the channel count as the byte
+distance to the left neighbour (RGBA alpha is dropped only after
+unfiltering). None and Up are whole-row numpy; Sub is a per-channel
+``cumsum`` in uint8, which wraps mod 256. Average and Paeth read the
+byte just unfiltered to their left, so they run serially, as one
+plain-int loop per channel, which is many times faster than numpy calls
+on single pixels.
 
 The PNG decoder rejects a header that declares more than ``MAX_PIXELS``
 pixels, and inflates no more than the header's pixel count allows, so a
@@ -80,7 +77,8 @@ class Image:
 # ---- PNG ----
 
 
-def _png_decode(raw: bytes) -> Image:
+def decode_image(raw: bytes) -> Image:
+    """Decode PNG bytes into an :class:`Image`."""
     if len(raw) < 8 or raw[:8] != PNG_SIGNATURE:
         raise DecodeError("not a PNG stream (bad signature)", offset=0)
     pos = 8
@@ -203,7 +201,8 @@ def _unfilter_paeth(raw: bytes, up: bytes) -> bytearray:
     return out
 
 
-def _png_encode(img: Image) -> bytes:
+def encode_image(img: Image) -> bytes:
+    """Encode to PNG bytes; lossless at 8 bits."""
     pixels = np.round(np.clip(img.data, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w, _ = pixels.shape
     rows = np.zeros((h, w * 3 + 1), dtype=np.uint8)
@@ -222,86 +221,13 @@ def _write_chunk(out: bytearray, ctype: bytes, body: bytes):
     out += struct.pack(">I", zlib.crc32(ctype + body) & 0xFFFFFFFF)
 
 
-# ---- PPM ----
-
-
-def _ppm_decode(raw: bytes) -> Image:
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(raw):
-            if raw[pos : pos + 1].isspace():
-                pos += 1
-            elif raw[pos : pos + 1] == b"#":
-                while pos < len(raw) and raw[pos] not in (10, 13):
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DecodeError("truncated PPM header", offset=start)
-        return raw[start:pos]
-
-    def number():
-        tok = token()
-        # bytes.isdigit is ASCII-only, so signs, underscores and spaces fail
-        if not tok.isdigit():
-            raise DecodeError(f"PPM header field {tok[:16]!r} is not a decimal number", offset=pos - len(tok))
-        try:
-            return int(tok)
-        except ValueError:  # more digits than int() parses
-            raise DecodeError("PPM header field is too long", offset=pos - len(tok)) from None
-
-    if token() != b"P6":
-        raise DecodeError("not a binary PPM (P6) stream", offset=0)
-    w = number()
-    h = number()
-    maxval = number()
-    if w == 0 or h == 0:
-        raise DecodeError(f"PPM header declares {w}x{h} pixels", offset=pos)
-    if maxval != 255:
-        raise UnsupportedFormatError(f"PPM maxval {maxval} unsupported (255 only)")
-    pos += 1  # single whitespace byte after maxval
-    need = w * h * 3
-    body = raw[pos : pos + need]
-    if len(body) != need:
-        raise DecodeError(f"PPM pixel payload short by {need - len(body)} bytes", offset=pos)
-    arr = np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3)
-    return Image(arr.astype(np.float32) / 255.0)
-
-
-def _ppm_encode(img: Image) -> bytes:
-    pixels = np.round(np.clip(img.data, 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w, _ = pixels.shape
-    return b"P6\n%d %d\n255\n" % (w, h) + pixels.tobytes()
-
-
-def decode_image(raw: bytes) -> Image:
-    """Decode PNG or binary PPM bytes into an :class:`Image`."""
-    if raw[:8] == PNG_SIGNATURE:
-        return _png_decode(raw)
-    if raw[:2] == b"P6":
-        return _ppm_decode(raw)
-    raise DecodeError("unrecognized image signature", offset=0)
-
-
-def encode_image(img: Image, format: str = "png") -> bytes:
-    """Encode to PNG (default) or binary PPM bytes; lossless at 8 bits."""
-    if format == "png":
-        return _png_encode(img)
-    if format == "ppm":
-        return _ppm_encode(img)
-    raise UnsupportedFormatError(f"unknown encode format {format!r}")
-
-
 # ---- resampling ----
 
 
-def keys_weights(frac: float, a: float = -0.5) -> np.ndarray:
+def keys_weights(frac: float) -> np.ndarray:
     """Cubic convolution weights at taps (-1, 0, 1, 2) - frac offsets."""
+    a = -0.5  # the Keys kernel's free parameter
+
     def kernel(t):
         t = abs(t)
         if t <= 1.0:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DomainError, ShapeError
+from .config import check_fields
+from .errors import DomainError, ShapeError
 from .nets import Conv2d, Module
 from .tensor import Tensor
 
@@ -50,7 +51,8 @@ class LossWeights:
     """Scaling factors of the combined generator objective.
 
     Order of terms: adversarial, perceptual, gradient-error, SSIM,
-    Charbonnier. Defaults weight every term equally.
+    Charbonnier. Defaults weight every term equally. A field that its
+    ``loss.*`` config key would not take raises ``ConfigError``.
     """
 
     adversarial: float = 1.0
@@ -61,12 +63,7 @@ class LossWeights:
     charbonnier_eps: float = 1e-6
 
     def __post_init__(self):
-        for name in ("adversarial", "perceptual", "mge", "ssim", "charbonnier"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ConfigError(f"loss weight {name} must be finite and >= 0, got {v}")
-        if not (math.isfinite(self.charbonnier_eps) and self.charbonnier_eps > 0):
-            raise ConfigError(f"charbonnier_eps must be finite and > 0, got {self.charbonnier_eps}")
+        check_fields(self, "loss")
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -233,8 +230,8 @@ def total_generator_loss(
     )
 
 
-def psnr(x: np.ndarray, y: np.ndarray, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / MSE) in dB; +inf when the images are identical."""
+def psnr(x: np.ndarray, y: np.ndarray) -> float:
+    """10 log10(1 / MSE) in dB for images in [0, 1]; +inf when they are identical."""
     xs = np.asarray(x, dtype=np.float64)
     ys = np.asarray(y, dtype=np.float64)
     if xs.shape != ys.shape:
@@ -242,4 +239,4 @@ def psnr(x: np.ndarray, y: np.ndarray, peak: float = 1.0) -> float:
     mse = float(np.mean((xs - ys) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)

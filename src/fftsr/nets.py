@@ -25,11 +25,13 @@ global average pooling, and a sigmoid head.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import check_fields
 from .fft import irfft2d, rfft2d
 from .tensor import Tensor
 
@@ -50,6 +52,8 @@ __all__ = [
 
 # ---- configuration ----
 
+# a field that its config key would not take raises ConfigError
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -60,11 +64,17 @@ class GeneratorConfig:
     noise_sigma: float = 0.05
     zero_tail: bool = False
 
+    def __post_init__(self):
+        check_fields(self, "gen")
+
 
 @dataclass(frozen=True)
 class DiscriminatorConfig:
     width: int = 16
     layers: int = 3
+
+    def __post_init__(self):
+        check_fields(self, "disc")
 
 
 @dataclass
@@ -82,6 +92,9 @@ class NoiseState:
     ema_decay: float = 0.99
     ema: float = 0.0
     initial: float | None = None
+
+    def __post_init__(self):
+        check_fields(self, "noise", sigma0="gen.noise_sigma", ema_decay="train.ema_decay")
 
     @property
     def multiplier(self) -> float:
@@ -318,13 +331,16 @@ class Generator(Module):
         self.tail = Conv2d(rng, w, 3, kernel=3, padding=1, pad_mode="reflect", zero_init=cfg.zero_tail)
 
     def __call__(self, up: Tensor, noise: NoiseState | None = None, training: bool = False) -> Tensor:
-        h = T.relu(self.head(up))
-        last = len(self.blocks) - 1
-        for i, block in enumerate(self.blocks):
-            h = block(h, training)
-            if i < last:
-                h = inject_noise(h, noise, training)
-        return T.tanh(self.tail(h))
+        """The eval forward records no graph: its folded kernels are fresh
+        arrays, so no gradient could reach the parameters through them."""
+        with contextlib.nullcontext() if training else T.no_grad():
+            h = T.relu(self.head(up))
+            last = len(self.blocks) - 1
+            for i, block in enumerate(self.blocks):
+                h = block(h, training)
+                if i < last:
+                    h = inject_noise(h, noise, training)
+            return T.tanh(self.tail(h))
 
 
 class Discriminator(Module):

@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import check_value
+from .config import check_fields
 from .errors import DomainError, OptimizerError
 from .tensor import Tensor
 
@@ -94,15 +94,8 @@ class AdamW:
 @dataclass(frozen=True)
 class CosineRestartSchedule:
     """Deterministic warm-restart schedule; ``lr_at`` is a pure function.
-    A field outside the interval of its config key raises ``ConfigError``."""
-
-    # each field -> its config key; opt.lr_d has the interval of opt.lr_g
-    FIELD_KEYS: ClassVar[dict[str, str]] = {
-        "base_lr": "opt.lr_g",
-        "cycle_steps": "sched.cycle_steps",
-        "peak_decay": "sched.peak_decay",
-        "floor_fraction": "sched.floor_fraction",
-    }
+    A field that its config key would not take raises ``ConfigError``;
+    ``base_lr`` has the key ``opt.lr_g``, whose interval ``opt.lr_d`` shares."""
 
     base_lr: float
     cycle_steps: int = 2000
@@ -110,24 +103,15 @@ class CosineRestartSchedule:
     floor_fraction: float = 0.5
 
     def __post_init__(self):
-        for name, key in self.FIELD_KEYS.items():
-            check_value(key, getattr(self, name), f"schedule {name}")
-
-    def peak(self, cycle: int) -> float:
-        return self.base_lr * self.peak_decay**cycle
-
-    def lr_at_phase(self, cycle: int, phase: float) -> float:
-        """Learning rate at a continuous phase in [0, 1] of a cycle."""
-        shape = self.floor_fraction + (1.0 - self.floor_fraction) * (
-            1.0 + math.cos(math.pi * phase)
-        ) / 2.0
-        return self.peak(cycle) * shape
+        check_fields(self, "sched", base_lr="opt.lr_g")
 
     def lr_at(self, step: int) -> float:
         if step < 0:
             raise DomainError(f"schedule step must be >= 0, got {step}")
         cycle, within = divmod(step, self.cycle_steps)
-        return self.lr_at_phase(cycle, within / self.cycle_steps)
+        phase = within / self.cycle_steps
+        shape = self.floor_fraction + (1.0 - self.floor_fraction) * (1.0 + math.cos(math.pi * phase)) / 2.0
+        return self.base_lr * self.peak_decay**cycle * shape
 
 
 @dataclass(frozen=True)
@@ -142,7 +126,8 @@ class RestartPolicy:
 
     ``mode`` (one of ``MODES``) alone sets the multipliers;
     a boost ends when the mean accuracy is back inside ``EXIT_BAND``. A
-    disabled policy observes nothing and stays normal.
+    disabled policy observes nothing and stays normal. A setting that its
+    ``policy.*`` config key would not take raises ``ConfigError``.
     """
 
     MODES: ClassVar[tuple[str, str]] = ("normal", "disc-boost")
@@ -160,6 +145,9 @@ class RestartPolicy:
     mode: str = "normal"
     last_trigger_step: int = -(10**9)
     _acc: list[float] = field(default_factory=list)
+
+    def __post_init__(self):
+        check_fields(self, "policy")
 
     @property
     def disc_lr_multiplier(self) -> float:

@@ -51,7 +51,6 @@ __all__ = [
     "matmul",
     "reshape",
     "concat",
-    "narrow_channels",
     "split_channels",
     "conv2d",
     "sep_filter2d",
@@ -405,29 +404,22 @@ def concat(parts: Iterable[Tensor], axis: int = 1) -> Tensor:
     return Tensor._from_op(out_data, tuple(parts), grads, "concat")
 
 
-def narrow_channels(a: Tensor, start: int, length: int) -> Tensor:
-    """Slice ``length`` channels starting at ``start`` along axis 1."""
-    if start < 0 or start + length > a.shape[1]:
-        raise ShapeError(f"channel slice [{start}:{start + length}] outside {a.shape[1]}")
-
-    def grad(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
-        full[:, start : start + length] = g
-        return full
-
-    return Tensor._from_op(a.data[:, start : start + length], (a,), (grad,), "narrow")
-
-
 def split_channels(a: Tensor, sizes: Sequence[int]) -> tuple:
-    """Split along the channel axis into consecutive groups of ``sizes``."""
-    total = 0
-    outs = []
-    for n in sizes:
-        outs.append(narrow_channels(a, total, n))
-        total += n
-    if total != a.shape[1]:
+    """Split along the channel axis into consecutive groups of ``sizes``,
+    one ``"narrow"`` node per group."""
+    starts = list(itertools.accumulate(sizes, initial=0))
+    if any(n < 0 for n in sizes) or starts[-1] != a.shape[1]:
         raise ShapeError(f"split sizes {tuple(sizes)} do not cover {a.shape[1]} channels")
-    return tuple(outs)
+
+    def narrow(start, stop):
+        def grad(g):
+            full = np.zeros(a.shape, dtype=g.dtype)
+            full[:, start:stop] = g
+            return full
+
+        return Tensor._from_op(a.data[:, start:stop], (a,), (grad,), "narrow")
+
+    return tuple(narrow(start, start + n) for start, n in zip(starts, sizes))
 
 
 # ---- adjoint of spatial padding (conv2d backward) ----

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import losses as L
 from . import tensor as T
-from .config import RunConfig, parse_config, serialize_config
+from .config import RunConfig, check_fields, parse_config, serialize_config
 from .errors import CheckpointError, FftsrError, ImageError, ShapeError, TooSmallError
 from .image import Image, resample_bicubic
 from .nets import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, NoiseState
@@ -78,13 +78,13 @@ class DiffusionState:
     stride: int = 1
     ema_decay: float = 0.99
     adapt_every: int = 4
-    enabled: bool = True
 
     t: int = 0
     r_d: float = 0.0
     alpha_bar: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        check_fields(self, "diffusion", ema_decay="train.ema_decay")
         steps = max(self.t_max, 1)
         betas = np.linspace(self.beta_start, self.beta_end, steps, dtype=np.float64)
         bars = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
@@ -93,10 +93,10 @@ class DiffusionState:
     def diffuse(self, residual: Tensor, rng: np.random.Generator) -> Tensor:
         """sqrt(abar_t) * r + sqrt(1 - abar_t) * eps with t ~ U{0..t}.
 
-        Consumes no randomness when disabled or at t = 0, keeping the
-        non-diffusive ablation bit-identical to the t = 0 path.
+        Consumes no randomness at t = 0, which ``t_max = 0`` keeps for
+        good: a run without diffusion draws nothing from its stream.
         """
-        if not self.enabled or self.t == 0:
+        if self.t == 0:
             return residual
         n = residual.shape[0]
         ts = rng.integers(0, self.t + 1, size=n)
@@ -107,9 +107,9 @@ class DiffusionState:
         return residual * Tensor(signal) + Tensor(noise)
 
     def adapt(self, d_real_values: np.ndarray, step: int):
-        """While enabled, on every ``adapt_every``-th step, EMA the overfit
-        estimate and nudge the max timestep toward target."""
-        if not self.enabled or (step + 1) % self.adapt_every:
+        """On every ``adapt_every``-th step, EMA the overfit estimate and
+        nudge the max timestep toward target; with ``t_max = 0``, nothing."""
+        if self.t_max == 0 or (step + 1) % self.adapt_every:
             return
         batch_sign = float(np.mean(np.sign(d_real_values - 0.5)))
         self.r_d = self.ema_decay * self.r_d + (1.0 - self.ema_decay) * batch_sign
@@ -168,10 +168,9 @@ def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
         raise TooSmallError(f"LR frame {img.height}x{img.width} at scale {scale} is under the minimum of {minimum} px")
     up = resample_bicubic(img, img.height * scale, img.width * scale)
     x = Tensor(up.data.transpose(2, 0, 1)[None].astype(np.float32))
-    with T.no_grad():
-        residual = gen(x, noise=None, training=False)
-        sr = T.clamp(x + residual, 0.0, 1.0)
-    return Image(sr.data[0].transpose(1, 2, 0))
+    sr = gen(x, training=False).data  # a fresh array that no graph holds
+    sr += x.data
+    return Image(sr[0].transpose(1, 2, 0))  # Image clamps to [0, 1]
 
 
 # ---- trainer ----

@@ -1,13 +1,15 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from fftsr.config import CONFIG_SCHEMA, default_config, parse_config, serialize_config
 from fftsr.errors import ConfigError
 from fftsr.losses import LossWeights
-from fftsr.nets import DiscriminatorConfig, GeneratorConfig
+from fftsr.nets import DiscriminatorConfig, GeneratorConfig, NoiseState
 from fftsr.optim import CosineRestartSchedule, RestartPolicy
+from fftsr.train import DiffusionState
 
 CHANGED = dict(
     data__scale=2,
@@ -22,8 +24,8 @@ CHANGED = dict(
 )
 
 
-def test_schema_has_43_keys_in_sections():
-    assert len(CONFIG_SCHEMA) == 43
+def test_schema_has_42_keys_in_sections():
+    assert len(CONFIG_SCHEMA) == 42
     assert all("." in key for key in CONFIG_SCHEMA)
 
 
@@ -113,6 +115,19 @@ def test_out_of_range_values_fail_in_validate(override):
         parse_config(serialize_config(cfg))
 
 
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+def test_int_keys_take_only_integers_that_are_not_bools(value):
+    with pytest.raises(ConfigError, match="sched.cycle_steps"):
+        default_config().replace(sched__cycle_steps=value)
+    with pytest.raises(ConfigError, match="CosineRestartSchedule.cycle_steps = .* is not an integer"):
+        CosineRestartSchedule(base_lr=1.0, cycle_steps=value)
+
+
+def test_numpy_integers_are_integers():
+    assert default_config().replace(sched__cycle_steps=np.int64(3)).get("sched.cycle_steps") == 3
+    assert CosineRestartSchedule(base_lr=1.0, cycle_steps=np.int64(3)).lr_at(3) == 0.95
+
+
 def test_every_number_has_an_interval():
     for key, (default, typ, interval, _) in CONFIG_SCHEMA.items():
         assert (interval is None) == (typ is bool), key
@@ -140,6 +155,55 @@ class TestBuild:
         assert carried
         for key in carried:
             assert getattr(built, key.split(".")[1]) == self.NUDGED.get(key)
+
+    @pytest.mark.parametrize(
+        "cls, section, extra",
+        [
+            (GeneratorConfig, "gen", {}),
+            (DiscriminatorConfig, "disc", {}),
+            (LossWeights, "loss", {}),
+            (RestartPolicy, "policy", {}),
+            (DiffusionState, "diffusion", {}),
+            (CosineRestartSchedule, "sched", {"base_lr": 1.0}),
+            (NoiseState, "noise", {"sigma0": 0.05, "rng": None}),
+        ],
+        ids=["gen", "disc", "loss", "policy", "diffusion", "sched", "noise"],
+    )
+    def test_every_field_with_a_key_is_checked_against_it(self, cls, section, extra):
+        checked = [f.name for f in dataclasses.fields(cls) if f"{section}.{f.name}" in CONFIG_SCHEMA]
+        assert checked
+        for name in checked:
+            typ = CONFIG_SCHEMA[f"{section}.{name}"][1]
+            if typ is not bool:
+                bad = 2.5 if typ is int else math.nan
+                with pytest.raises(ConfigError, match=f"{cls.__name__}.{name} = "):
+                    cls(**{name: bad}, **extra)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RestartPolicy(window=0),
+            lambda: DiffusionState(adapt_every=0),
+            lambda: DiffusionState(ema_decay=1.5),
+            lambda: GeneratorConfig(width=0),
+            lambda: GeneratorConfig(global_fraction=2.0),
+            lambda: CosineRestartSchedule(base_lr=-1.0),
+            lambda: NoiseState(sigma0=math.nan, rng=None),
+        ],
+        ids=[
+            "policy.window",
+            "diffusion.adapt_every",
+            "train.ema_decay",
+            "gen.width",
+            "gen.global_fraction",
+            "opt.lr_g",
+            "gen.noise_sigma",
+        ],
+    )
+    def test_a_value_outside_its_key_interval_fails_at_construction(self, build):
+        # each of these used to raise ZeroDivisionError or a bare ValueError mid-run
+        with pytest.raises(ConfigError, match="is outside"):
+            build()
 
     def test_every_field_of_the_config_objects_has_a_key(self):
         for cls, section in ((GeneratorConfig, "gen"), (DiscriminatorConfig, "disc"), (LossWeights, "loss")):

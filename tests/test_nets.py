@@ -345,6 +345,15 @@ class TestGenerator:
         for name, p in gen.named_parameters():
             assert p.grad is not None and np.any(p.grad != 0), f"dead parameter {name}"
 
+    def test_eval_forward_records_no_graph(self):
+        # the folded kernels are fresh arrays: a graph through them would
+        # reach only the head, the tail and each spectral conv_in
+        rng = np.random.default_rng(14)
+        gen = N.Generator(N.GeneratorConfig(blocks=2, width=8), rng)
+        x = Tensor(rng.random((1, 3, 12, 12)).astype(np.float32), requires_grad=True)
+        assert not gen(x, training=False).requires_grad
+        assert gen(x, training=True).requires_grad
+
 
 class TestDiscriminator:
     def test_output_range_and_shape(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,10 @@ class TestSchedule:
 
     def test_end_of_cycle_half_anchor(self):
         s = CosineRestartSchedule(base_lr=3e-3, cycle_steps=100)
-        assert abs(s.lr_at_phase(0, 1.0) - 0.5 * 3e-3) < 1e-12
+        assert abs(s.lr_at(50) - 0.75 * 3e-3) < 1e-12
+        # the last step of a cycle is one step short of the floor
+        assert abs(s.lr_at(99) - 3e-3 * (0.5 + 0.25 * (1.0 + math.cos(math.pi * 0.99)))) < 1e-12
+        assert 0.5 * 3e-3 < s.lr_at(99) < 0.5 * 3e-3 * 1.001
 
     def test_next_peak_five_percent_lower_anchor(self):
         s = CosineRestartSchedule(base_lr=3e-3, cycle_steps=100)
@@ -126,7 +131,7 @@ class TestSchedule:
     )
     def test_field_outside_its_config_interval(self, field, value):
         kwargs = {"base_lr": 1.0, field: value}
-        with pytest.raises(ConfigError, match=f"schedule {field} = "):
+        with pytest.raises(ConfigError, match=f"CosineRestartSchedule.{field} = "):
             CosineRestartSchedule(**kwargs)
 
 

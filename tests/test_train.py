@@ -181,6 +181,14 @@ class TestCheckpointErrors:
         train.write_checkpoint(saved, "gen.blocks = many\n", state, tensors)
         assert self.section_of(saved) == "config"
 
+    def test_config_from_before_the_diffusion_switch_was_removed(self, saved, cfg, pairs):
+        # checkpoints written while diffusion.enabled existed embed the key
+        state, tensors = train.Trainer(cfg, 0, pairs).snapshot()
+        train.write_checkpoint(saved, serialize_config(cfg) + "diffusion.enabled = true\n", state, tensors)
+        with pytest.raises(CheckpointError, match="'diffusion.enabled'") as info:
+            train.read_checkpoint(saved)
+        assert info.value.section == "config"
+
     def test_config_overrunning_the_file(self, saved):
         raw = saved.read_bytes()
         rewrite(saved, raw[:8] + struct.pack("<I", len(raw)) + raw[12:])
@@ -472,16 +480,16 @@ class TestUpscaleLeavesTheModelAlone:
 
 
 class TestDiffusionState:
-    @pytest.mark.parametrize("state", [dict(enabled=False, t=5), dict(t=0)])
-    def test_no_noise_draws_no_random_numbers(self, state):
+    def test_no_noise_draws_no_random_numbers(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         residual = Tensor(np.full((2, 3, 4, 4), 0.25, dtype=np.float32))
-        assert train.DiffusionState(**state).diffuse(residual, rng) is residual
+        assert train.DiffusionState(t=0).diffuse(residual, rng) is residual
         assert rng.bit_generator.state == before
 
     def test_disabled_chain_records_no_timestep(self, cfg, pairs):
-        trainer = train.Trainer(cfg.replace(diffusion__enabled=False), 0, pairs)
+        # SMALL's target of -1 would let r_d drift if t_max = 0 still adapted
+        trainer = train.Trainer(cfg.replace(diffusion__t_max=0), 0, pairs)
         records = [trainer.train_step() for _ in range(6)]
         assert [(r["T"], r["r_d"]) for r in records] == [(0, 0.0)] * 6
 
