@@ -237,7 +237,9 @@ class SpectralTransform(Module):
     In eval mode the norm is folded into ``conv_freq``, and ``scale`` and
     ``shift``, when given, into ``conv_out``: the output is then
     conv_out(...) * scale + shift per channel, for the enclosing block's
-    norm."""
+    norm. The eval forward records no graph: a graph through the folded
+    kernels, which are fresh arrays, would leave their parameters
+    without gradients."""
 
     def __init__(self, rng: np.random.Generator, channels: int):
         self.conv_in = Conv2d(rng, channels, channels, kernel=1)
@@ -246,12 +248,13 @@ class SpectralTransform(Module):
         self.conv_out = Conv2d(rng, channels, channels, kernel=1, bias=False)
 
     def __call__(self, x: Tensor, training: bool, scale=None, shift=None) -> Tensor:
-        spec = rfft2d(self.conv_in(x))
-        if training:
-            spec = T.relu(self.bn_freq(self.conv_freq(spec)))
-        else:
-            spec = T.relu(self.conv_freq(spec, *self.bn_freq.affine()))
-        return self.conv_out(irfft2d(spec, x.shape[3]), scale, shift)
+        with contextlib.nullcontext() if training else T.no_grad():
+            spec = rfft2d(self.conv_in(x))
+            if training:
+                spec = T.relu(self.bn_freq(self.conv_freq(spec)))
+            else:
+                spec = T.relu(self.conv_freq(spec, *self.bn_freq.affine()))
+            return self.conv_out(irfft2d(spec, x.shape[3]), scale, shift)
 
 
 class FfcBlock(Module):
@@ -261,7 +264,8 @@ class FfcBlock(Module):
     In eval mode ``bn_l`` and ``bn_g`` are folded into the convs that feed
     them: ``conv_from_l``'s rows are scaled by both norms' scales and its
     bias carries both shifts, ``conv_gl`` is scaled by ``bn_l``'s and the
-    spectral ``conv_out`` by ``bn_g``'s."""
+    spectral ``conv_out`` by ``bn_g``'s. As in the spectral transform, the
+    eval forward records no graph."""
 
     def __init__(self, rng: np.random.Generator, channels: int, global_fraction: float, kernel: int):
         self.g = int(round(global_fraction * channels))
@@ -282,7 +286,8 @@ class FfcBlock(Module):
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if not training:
-            return self._folded(x)
+            with T.no_grad():
+                return self._folded(x)
         if not self.g:
             return T.relu(self.bn_l(self.conv_from_l(x)))
         if not self.l:

@@ -20,12 +20,16 @@ whose 324x576 convolutions each run in many row bands.
 lines digest the outputs of the forward transform, the inverse and their
 adjoints on seeded float32 inputs, at the training batch shape and at 13
 channels for the four HR frame sizes of the upscale benchmark.
+The ``decode.*`` lines digest ``decode_image``'s pixels for seeded PNGs at
+the six shapes of the ingest benchmark, with its 20-row filter cycle (3
+of 4 rows Paeth), and for one 360x640 frame of Paeth rows only.
 
 pytest does not collect this file (it does not match ``test_*.py``).
 """
 
 import hashlib
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +37,14 @@ import numpy as np
 from fftsr import fft, train
 from fftsr.config import default_config
 from fftsr.corpus import make_texture_corpus
-from fftsr.image import Image, make_lr_hr_pair
+from fftsr.image import Image, decode_image, make_lr_hr_pair
 
+from test_image import filter_rows, ihdr, png_file
 from test_train import SMALL
+
+# (height, width, channels) of the ingest benchmark's files and its row filters
+INGEST_SHAPES = ((192, 192, 3), (108, 192, 3), (90, 160, 4), (127, 127, 4), (96, 96, 3), (61, 109, 3))
+FILTER_CYCLE = (4, 4, 2, 4, 4, 1, 4, 4, 2, 4, 4, 4, 4, 4, 2, 4, 4, 4, 2, 4)
 
 
 def _pairs(count, size):
@@ -94,6 +103,14 @@ def main(ckpt: Path):
         print(f"{f'rfft2d_adjoint.{n}x13x{h}x{w}':28s} {_digest(fft.rfft2d_adjoint(g, w).tobytes())}")
         print(f"{f'irfft2d.{n}x13x{h}x{w}':28s} {_digest(fft.irfft2d_array(g, w).tobytes())}")
         print(f"{f'irfft2d_adjoint.{n}x13x{h}x{w}':28s} {_digest(fft.irfft2d_adjoint(x).tobytes())}")
+
+    rng = np.random.default_rng(0)
+    files = [(shape, [FILTER_CYCLE[y % len(FILTER_CYCLE)] for y in range(shape[0])]) for shape in INGEST_SHAPES]
+    files.append(((360, 640, 3), [4] * 360))
+    for (h, w, c), filters in files:
+        pixels = rng.integers(0, 256, (h, w, c), dtype=np.uint8)
+        raw = png_file(ihdr(w, h, 2 if c == 3 else 6), zlib.compress(filter_rows(pixels, filters)))
+        print(f"{f'decode.{h}x{w}x{c}':28s} {_digest(decode_image(raw).data.tobytes())}")
 
 
 if __name__ == "__main__":

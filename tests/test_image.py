@@ -146,48 +146,35 @@ class TestPng:
 
     @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
     def test_all_decode_filters(self, ftype):
-        # encode by hand with one filter type, compare to reference pixels
-        import struct
-        import zlib
-
-        rng = np.random.default_rng(5 + ftype)
-        pixels = rng.integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
-        h, w, _ = pixels.shape
-        raw_rows = []
-        prev = np.zeros((w, 3), dtype=np.uint8)
-        for y in range(h):
-            cur = pixels[y]
-            if ftype == 0:
-                filt = cur.copy()
-            elif ftype == 1:
-                filt = cur.copy()
-                filt[1:] = cur[1:] - cur[:-1]
-            elif ftype == 2:
-                filt = cur - prev
-            elif ftype == 3:
-                filt = cur.copy()
-                filt[0] = cur[0] - prev[0] // 2
-                for x in range(1, w):
-                    filt[x] = cur[x] - ((cur[x - 1].astype(np.uint16) + prev[x]) // 2).astype(np.uint8)
-            else:
-                filt = cur.copy()
-                filt[0] = cur[0] - prev[0]
-                for x in range(1, w):
-                    a = cur[x - 1].astype(np.int16)
-                    b = prev[x].astype(np.int16)
-                    c = prev[x - 1].astype(np.int16)
-                    p = a + b - c
-                    pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
-                    pred = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-                    filt[x] = cur[x] - pred.astype(np.uint8)
-            raw_rows.append(bytes([ftype]) + filt.tobytes())
-            prev = cur
-        out = bytearray(I.PNG_SIGNATURE)
-        I._write_chunk(out, b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0))
-        I._write_chunk(out, b"IDAT", zlib.compress(b"".join(raw_rows)))
-        I._write_chunk(out, b"IEND", b"")
-        img = I.decode_image(bytes(out))
+        pixels = np.random.default_rng(5 + ftype).integers(0, 256, size=(4, 5, 3), dtype=np.uint8)
+        img = I.decode_image(png_file(ihdr(5, 4), zlib.compress(filter_rows(pixels, [ftype] * 4))))
         assert np.array_equal(np.round(img.data * 255).astype(np.uint8), pixels)
+
+    @pytest.mark.parametrize("byte", [5, 255])
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    def test_unknown_filter_byte_names_its_row(self, byte, row):
+        # every filter byte is checked before any row is unfiltered, and
+        # the Paeth rows around the bad one would run as a wavefront
+        pixels = np.random.default_rng(row).integers(0, 256, (7, 40, 3), dtype=np.uint8)
+        stream = bytearray(filter_rows(pixels, [4] * 7))
+        stream[row * (40 * 3 + 1)] = byte
+        with pytest.raises(DecodeError, match=f"unknown filter type {byte} on row {row}$"):
+            I.decode_image(png_file(ihdr(40, 7), zlib.compress(bytes(stream))))
+
+    @pytest.mark.parametrize("height,width", [(192, 192), (2000, 200), (200, 2000)])
+    def test_wavefront_storage_is_bounded_at_every_aspect_ratio(self, height, width, monkeypatch):
+        # all-Paeth rows of any bytes; the peak counts the float pixels too
+        rows = np.random.default_rng(11).integers(0, 256, (height, width * 3 + 1), dtype=np.uint8)
+        rows[:, 0] = 4
+        raw = png_file(ihdr(width, height), zlib.compress(rows.tobytes(), 1))
+        force_path(monkeypatch, "wavefront")
+        tracemalloc.start()
+        try:
+            I.decode_image(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * height * width * 3
 
 
 class TestResampling:
@@ -383,15 +370,31 @@ def filter_rows(pixels: np.ndarray, filters) -> bytes:
     return bytes(out)
 
 
+# the cost constants that send every span of Average and Paeth rows to the
+# wavefront, or to the per-channel loop
+PATHS = {"wavefront": (0, 0), "loop": (1 << 40, 0)}
+
+
+def force_path(monkeypatch, path: str):
+    step, byte = PATHS[path]
+    monkeypatch.setattr(I, "_STEP_COST", step)
+    monkeypatch.setattr(I, "_BYTE_COST", byte)
+
+
 @FUZZ
 @given(
-    width=st.sampled_from((1, 2, 37, 192)),
+    width=st.sampled_from((1, 2, 5, 37, 192)),
     channels=st.sampled_from((3, 4)),
-    filters=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+    filters=st.lists(st.integers(0, 4), min_size=1, max_size=40),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_decode_matches_spec_filters(width, channels, filters, seed):
+    # heights on both sides of the widths, decoded on both paths
     pixels = np.random.default_rng(seed).integers(0, 256, (len(filters), width, channels), dtype=np.uint8)
     header = ihdr(width, len(filters), 2 if channels == 3 else 6)
-    img = I.decode_image(png_file(header, zlib.compress(filter_rows(pixels, filters))))
-    assert np.array_equal(np.round(img.data * 255.0), pixels[:, :, :3])
+    raw = png_file(header, zlib.compress(filter_rows(pixels, filters)))
+    for path in PATHS:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_path(monkeypatch, path)
+            img = I.decode_image(raw)
+        assert np.array_equal(np.round(img.data * 255.0), pixels[:, :, :3]), path

@@ -212,6 +212,17 @@ class TestEvalFold:
         x = Tensor(rng.standard_normal((2, st.conv_in.w.shape[0], 9, 10)), dtype=np.float64)
         assert_close(st(x, training=False).data, spectral_ref(st, x).data)
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_eval_block_records_no_graph(self, fraction):
+        # its folded kernels are fresh leaves, so a graph through them
+        # would leave the block's parameters without gradients
+        block = make_block(fraction, seed=4)
+        x = Tensor(np.random.default_rng(24).standard_normal((1, 8, 8, 8)), requires_grad=True, dtype=np.float64)
+        out = block(x, training=False)
+        assert not out.requires_grad
+        T.mean(out).backward()
+        assert x.grad is None
+
     def test_eval_block_frees_its_intermediates_early(self):
         # a paper-scale width at the largest HR frame of the upscale benchmark
         block = N.FfcBlock(np.random.default_rng(23), 26, 0.5, 3)
