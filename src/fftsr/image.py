@@ -16,29 +16,31 @@ is serial along x. Two ways run them:
 
 - the rows from the first to the last Average or Paeth row, as one
   anti-diagonal wavefront (Lamport's hyperplane method): a pixel needs
-  only its left, upper and upper-left neighbours, which lie on the two
-  diagonals before its own, so each diagonal y + x is one numpy pass over
-  every row of the span in int16. Each row keeps its own filter through
-  the Paeth inputs it sees: Paeth with the upper inputs zeroed is Sub,
-  with the left ones zeroed is Up and with all zeroed is None; Average is
-  one extra ``where``, paid only when the span has an Average row.
+  only its left, upper and upper-left neighbours a, b and c, which lie on
+  the two diagonals before its own, so each diagonal y + x is one numpy
+  pass over every row of the span. The Sub, Up, Average and Paeth
+  predictors less c depend only on b - c and a - c, so one uint8 table
+  built at import (``_PREDICTIONS``, 1.04 MB) holds them all, and a pass
+  looks up every row's filter with a single ``take``. A None row's bytes
+  are already its pixels; it adds nothing.
 - otherwise, each Average or Paeth row as one plain-int loop per channel,
   which is many times faster than numpy calls on single pixels.
 
 A span of h rows and width w takes h + w - 1 diagonal steps. A step
-costs about what the loop spends on 64 bytes (``_STEP_COST``), plus a
+costs about what the loop spends on 48 bytes (``_STEP_COST``), plus a
 sixteenth of the loop's cost for each byte it decodes (``_BYTE_COST``),
 so a span runs as a wavefront only when its Average and Paeth rows would
 cost the loop more than that; the measurements sit beside the constants.
 The wavefront's worst cases are a short, wide span (4 rows of 1000
 pixels take 1003 steps for 12,000 serial bytes) and a span whose Average
-and Paeth rows are sparse; the rule leaves both to the loop. An all-Paeth
-RGB frame decodes about 2x faster at 96x96 and 5x at 720x1280.
+and Paeth rows are sparse; the rule leaves both to the loop. All-Paeth
+RGB rows unfilter about 2.6x faster than the loop at 96x96 and 9x at
+720x1280.
 
 The wavefront adds no frame-sized storage at any aspect ratio: the rows
-are decoded in place in the zero-padded uint8 output, and one strided
-view of it, made without a copy or an index array, holds its diagonals
-as rows.
+are decoded in place in the zero-padded uint8 output, one strided view
+of it, made without a copy or an index array, holds its diagonals as
+rows, and its buffers hold one diagonal.
 
 The PNG decoder rejects a header that declares more than ``MAX_PIXELS``
 pixels, and inflates no more than the header's pixel count allows, so a
@@ -69,6 +71,7 @@ __all__ = [
     "resample_bicubic",
     "resample_nchw",
     "make_lr_hr_pair",
+    "check_scale",
     "keys_weights",
 ]
 
@@ -78,19 +81,28 @@ MAX_PIXELS = 7680 * 4320  # 8K UHD; a PNG header declaring more is rejected befo
 
 @dataclass
 class Image:
-    """Height x width x 3 intensities in [0, 1]."""
+    """Height x width x 3 intensities in [0, 1].
+
+    ``data`` becomes float32, and values outside [0, 1] are clipped into a
+    new array; NaN and infinities raise :class:`ImageError`. A float32
+    array already in [0, 1] is kept as given, not copied, so writing to it
+    writes to the image.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
+        arr = np.asarray(self.data, dtype=np.float32)  # a copy only for another dtype
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise ShapeError(f"Image expects (H, W, 3), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ShapeError("Image dimensions must be >= 1")
-        if not np.isfinite(arr).all():
+        lo, hi = arr.min(), arr.max()  # NaN and infinities reach both
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ImageError("Image values must be finite")
-        self.data = np.clip(arr, 0.0, 1.0)
+        if lo < 0.0 or hi > 1.0:
+            arr = np.clip(arr, 0.0, 1.0)
+        self.data = arr
 
     @property
     def height(self) -> int:
@@ -180,24 +192,51 @@ def decode_image(raw: bytes) -> Image:
 # diagonal step costs about _STEP_COST loop bytes, plus _BYTE_COST of a loop
 # byte for each byte of the span it decodes. A span runs as a wavefront only
 # when its Average and Paeth rows would cost the loop more than that.
-# Measured on a 2-vCPU Xeon guest (numpy 2.4, CPython 3.11) with all-Paeth
-# RGB spans, best of 3 interleaved runs: the loop cost 155-165 ns a byte on
-# rows of 200 pixels or more, and a step 10.5 us with 8-32 lanes and 33 us
-# with 720, about 10 ns a byte more. The wavefront's time over the loop's
-# was 1.46 at 16x200 (45 bytes a step), 1.10 at 24x200 (65), 0.95 at 24x600
-# (69), 0.99 at 40x40 (61), 0.56 at 48x600 (134), 0.78 at 200x24 (65, where
-# the loop pays more per row) and 0.15 at 720x1280 (1383). The per-byte term
-# sends sparse spans to the loop: a 360x640 frame with every tenth row Paeth
-# has 70 serial bytes a step, and decoded 1.5 times slower as a wavefront.
-_STEP_COST = 64
+# Measured on a 2-vCPU Xeon guest (numpy 2.4, CPython 3.11) by timing
+# _unfilter on all-Paeth RGB spans, best of 3 interleaved runs: the loop
+# cost 133-148 ns a byte on rows of 200 pixels or more, and a step 7.1-7.4 us
+# with up to 48 lanes and 21.7 us with 720, about 10 ns a byte more. The
+# wavefront's time over the loop's was 1.12 at 16x200 (45 bytes a step),
+# 0.76 at 24x200 (65), 0.74 at 24x600 (69), 0.72 at 40x40 (61), 0.44 at
+# 48x600 (134), 0.60 at 200x24 (65, where the loop pays more per row) and
+# 0.11 at 720x1280 (1383). The per-byte term sends sparse spans to the loop:
+# a 360x640 frame with every tenth row Paeth has 70 serial bytes a step, and
+# decoded 1.39 times slower as a wavefront.
+_STEP_COST = 48
 _BYTE_COST = 1 / 16
 
 # the wavefront's steps compute windows of a multiple of this many lanes
 _WINDOW = 32
 
-# the (left, up, upper-left) inputs each filter type keeps in the wavefront's
-# Paeth step: None, Sub, Up, Average (a and b; c is unused) and Paeth
-_PAETH_INPUTS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 1]], dtype=np.int16)
+
+def _predictor_table() -> np.ndarray:
+    """(predictor - c) mod 256 of the Sub, Up, Average and Paeth filters at
+    ``[type - 1, b - c + 255, a - c + 255]``, for ``a`` left, ``b`` above
+    and ``c`` above left: each of the four depends only on b - c and a - c.
+
+    It is built in blocks of rows, so every temporary stays under glibc's
+    initial mmap threshold (128 KiB). Freeing a larger one raises that
+    threshold, and frame-sized arrays then come from the heap, whose top
+    is not returned to the system.
+    """
+    diffs = np.arange(-255, 256, dtype=np.int16)
+    table = np.empty((4, diffs.size, diffs.size), dtype=np.uint8)
+    q = diffs  # a - c
+    for rows in range(0, diffs.size, 64):
+        p = diffs[rows : rows + 64, None]  # b - c
+        block = table[:, rows : rows + 64]  # assignment wraps mod 256
+        block[0] = q  # Sub: a
+        block[1] = p  # Up: b
+        block[2] = (p + q) >> 1  # Average: (a + b) >> 1 = c + ((p + q) >> 1), floored
+        # Paeth: |p - a|, |p - b|, |p - c| for the spec's estimate p = a + b - c
+        pa, pb, pc = np.abs(p), np.abs(q), np.abs(p + q)
+        block[3] = np.where((pa <= pb) & (pa <= pc), q, np.where(pb <= pc, p, 0))
+    table.setflags(write=False)
+    return table
+
+
+# built at import, so a decode allocates none of its 1.04 MB
+_PREDICTIONS = _predictor_table()
 
 
 def _unfilter(ftypes: np.ndarray, filtered: np.ndarray) -> np.ndarray:
@@ -255,42 +294,52 @@ def _wavefront(ftypes: np.ndarray, grid: np.ndarray) -> None:
     diagonal before that, one lane lower. A view lane off the grid aliases
     some other cell; a step reads those but writes only grid cells.
 
-    A step computes a window of lanes rounded up to a multiple of
-    ``_WINDOW`` and keeps only the cells of the grid. Windows of every
-    length would fill numpy's cache of small freed blocks (7 per size
-    under 1 KiB): after one pass over the six files of the ingest
-    benchmark it kept about 0.7 MiB.
+    A step reads each cell's b - c and a - c, looks its filter's
+    prediction less c up in ``_PREDICTIONS`` with one ``take``, and adds c
+    and the prediction to the cell, wrapping mod 256. It computes a window
+    of lanes rounded up to a multiple of ``_WINDOW`` and keeps only the
+    cells of the grid. Its arrays are views of buffers made once, so no
+    step allocates one: steps that allocated windows of every length
+    filled numpy's cache of small freed blocks (7 per size under 1 KiB).
     """
     rows, cols, channels = grid.shape
     n, w = rows - 1, cols - 1
     diagonal = np.lib.stride_tricks.as_strided(grid, (n + w + 1, rows, channels), (channels, w * channels, 1))
-    # per row, at full channel width (a multiply that broadcasts costs
-    # several times more): the Paeth inputs it keeps, and whether it is an
-    # Average row
-    keep = np.zeros((3, rows, channels), dtype=np.int16)
-    keep[:, 1:] = _PAETH_INPUTS[ftypes].T[:, :, None]
-    keep_a, keep_b, keep_c = keep
-    average = np.zeros((rows, channels), dtype=bool)
-    average[1:] = (ftypes == 3)[:, None]
-    any_average = average.any()
+    # per row, at full channel width (an add that broadcasts costs several
+    # times more): the index of its filter's sub-table at p = q = 0, None
+    # rows taking Sub's
+    side = _PREDICTIONS.shape[1]
+    filters = ftypes.astype(np.intp)
+    centre = np.zeros((rows, channels), dtype=np.intp)
+    centre[1:] = (((np.maximum(filters, 1) - 1) * side + side // 2) * side + side // 2)[:, None]
+    # a None row adds nothing to the bytes it holds
+    keep = None
+    if not filters.all():
+        keep = np.zeros((rows, channels), dtype=np.uint8)
+        keep[1:] = (filters != 0)[:, None]
+    lanes = min(n, -(-w // _WINDOW) * _WINDOW)
+    index_buf = np.empty((lanes, channels), dtype=np.intp)
+    left_buf = np.empty((lanes, channels), dtype=np.intp)
+    pred_buf = np.empty((lanes, channels), dtype=np.uint8)
     for d in range(2, n + w + 1):
         lo, hi = max(1, d - w), min(rows, d)
         size = min(n, -(hi - lo) // _WINDOW * -_WINDOW)
         end = min(rows, lo + size)
         start = end - size
         last, before = diagonal[d - 1], diagonal[d - 2]
-        a = last[start:end] * keep_a[start:end]
-        b = last[start - 1 : end - 1] * keep_b[start:end]
-        c = before[start - 1 : end - 1] * keep_c[start:end]
-        # |p - a|, |p - b|, |p - c| for the spec's estimate p = a + b - c
-        b_minus_c, a_minus_c = b - c, a - c
-        pc = np.abs(a_minus_c + b_minus_c)
-        pa, pb = np.abs(b_minus_c), np.abs(a_minus_c)
-        pred = np.where(pa <= np.minimum(pb, pc), a, np.where(pb <= pc, b, c))
-        if any_average:
-            pred = np.where(average[start:end], (a + b) >> 1, pred)
+        c = before[start - 1 : end - 1]
+        index, q, pred = index_buf[:size], left_buf[:size], pred_buf[:size]
+        np.subtract(last[start - 1 : end - 1], c, out=index, dtype=np.intp)  # p = b - c
+        np.subtract(last[start:end], c, out=q, dtype=np.intp)  # q = a - c
+        index *= side
+        index += q
+        index += centre[start:end]
+        _PREDICTIONS.take(index, out=pred, mode="clip")  # "raise" would copy; none is out of range
+        pred += c  # wraps mod 256
+        if keep is not None:
+            pred *= keep[start:end]
         cells = diagonal[d, lo:hi]
-        np.add(cells, pred[lo - start : hi - start], out=cells, casting="unsafe")  # wraps mod 256
+        cells += pred[lo - start : hi - start]  # wraps mod 256
 
 
 def _unfilter_average(raw: bytes, up: bytes) -> bytearray:
@@ -323,7 +372,7 @@ def _unfilter_paeth(raw: bytes, up: bytes) -> bytearray:
 
 def encode_image(img: Image) -> bytes:
     """Encode to PNG bytes; lossless at 8 bits."""
-    pixels = np.round(np.clip(img.data, 0.0, 1.0) * 255.0).astype(np.uint8)
+    pixels = np.round(img.data * 255.0).astype(np.uint8)
     h, w, _ = pixels.shape
     rows = np.zeros((h, w * 3 + 1), dtype=np.uint8)
     rows[:, 1:] = pixels.reshape(h, w * 3)
@@ -383,9 +432,11 @@ def resample_bicubic(img: Image, out_h: int, out_w: int) -> Image:
 
 
 def resample_nchw(batch: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Batched (N, C, H, W) Keys cubic resampling to (out_h, out_w)."""
-    if out_h < 1 or out_w < 1:
-        raise ShapeError("output dimensions must be >= 1")
+    """Batched (N, C, H, W) Keys cubic resampling to (out_h, out_w), each
+    an integer of at least 1, else :class:`ShapeError`."""
+    for size in (out_h, out_w):
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise ShapeError(f"output dimensions must be integers >= 1, got {out_h!r} x {out_w!r}")
     mh = _axis_matrix(batch.shape[2], out_h)
     mw = _axis_matrix(batch.shape[3], out_w)
     x = batch.astype(np.float64)
@@ -394,10 +445,16 @@ def resample_nchw(batch: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return np.clip(x, 0.0, 1.0).astype(batch.dtype)
 
 
+def check_scale(scale) -> None:
+    """Raise :class:`ImageError` unless ``scale`` is an integer of at least
+    2; a bool is not one."""
+    if isinstance(scale, bool) or not isinstance(scale, (int, np.integer)) or scale < 2:
+        raise ImageError(f"scale must be an integer >= 2, got {scale!r}")
+
+
 def make_lr_hr_pair(img: Image, scale: int) -> tuple[Image, Image]:
     """Crop to a multiple of ``scale`` and downsample bicubically by it."""
-    if scale < 2:
-        raise ImageError(f"scale must be >= 2, got {scale}")
+    check_scale(scale)
     h = (img.height // scale) * scale
     w = (img.width // scale) * scale
     if h == 0 or w == 0:

@@ -29,7 +29,7 @@ from . import losses as L
 from . import tensor as T
 from .config import RunConfig, check_fields, parse_config, serialize_config
 from .errors import CheckpointError, FftsrError, ImageError, ShapeError, TooSmallError
-from .image import Image, resample_bicubic
+from .image import Image, check_scale, resample_bicubic
 from .nets import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, NoiseState
 from .optim import AdamW, CosineRestartSchedule, RestartPolicy
 from .tensor import Tensor
@@ -161,8 +161,7 @@ def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
     need; a smaller one raises :class:`TooSmallError`. Both checks run
     before any compute.
     """
-    if not isinstance(scale, (int, np.integer)) or scale < 2:
-        raise ImageError(f"scale must be an integer >= 2, got {scale!r}")
+    check_scale(scale)
     minimum = max(2, gen.cfg.kernel // 2 + 1)
     if scale * min(img.height, img.width) < minimum:
         raise TooSmallError(f"LR frame {img.height}x{img.width} at scale {scale} is under the minimum of {minimum} px")

@@ -22,7 +22,11 @@ adjoints on seeded float32 inputs, at the training batch shape and at 13
 channels for the four HR frame sizes of the upscale benchmark.
 The ``decode.*`` lines digest ``decode_image``'s pixels for seeded PNGs at
 the six shapes of the ingest benchmark, with its 20-row filter cycle (3
-of 4 rows Paeth), and for one 360x640 frame of Paeth rows only.
+of 4 rows Paeth), for one 360x640 frame of Paeth rows only, and for one
+96x160 RGBA frame whose rows cycle through all five filters
+(``decode.mixed``), so None and Average rows sit inside a wavefront span.
+The ``ingest.*`` lines digest the PNG bytes that ``encode_image`` writes
+for the LR side of ``make_lr_hr_pair(., 3)`` of each ingest-shape frame.
 
 pytest does not collect this file (it does not match ``test_*.py``).
 """
@@ -37,7 +41,7 @@ import numpy as np
 from fftsr import fft, train
 from fftsr.config import default_config
 from fftsr.corpus import make_texture_corpus
-from fftsr.image import Image, decode_image, make_lr_hr_pair
+from fftsr.image import Image, decode_image, encode_image, make_lr_hr_pair
 
 from test_image import filter_rows, ihdr, png_file
 from test_train import SMALL
@@ -107,10 +111,18 @@ def main(ckpt: Path):
     rng = np.random.default_rng(0)
     files = [(shape, [FILTER_CYCLE[y % len(FILTER_CYCLE)] for y in range(shape[0])]) for shape in INGEST_SHAPES]
     files.append(((360, 640, 3), [4] * 360))
+    files.append(((96, 160, 4), [y % 5 for y in range(96)]))
+    ingest = []
     for (h, w, c), filters in files:
         pixels = rng.integers(0, 256, (h, w, c), dtype=np.uint8)
         raw = png_file(ihdr(w, h, 2 if c == 3 else 6), zlib.compress(filter_rows(pixels, filters)))
-        print(f"{f'decode.{h}x{w}x{c}':28s} {_digest(decode_image(raw).data.tobytes())}")
+        img = decode_image(raw)
+        name = "decode.mixed" if len(set(filters)) == 5 else f"decode.{h}x{w}x{c}"
+        print(f"{name:28s} {_digest(img.data.tobytes())}")
+        if (h, w, c) in INGEST_SHAPES:
+            ingest.append((f"ingest.{h}x{w}x{c}", encode_image(make_lr_hr_pair(img, 3)[0])))
+    for name, png in ingest:
+        print(f"{name:28s} {_digest(png)}")
 
 
 if __name__ == "__main__":

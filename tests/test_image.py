@@ -174,7 +174,7 @@ class TestPng:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * height * width * 3
+        assert peak <= 6 * height * width * 3
 
 
 class TestResampling:
@@ -212,6 +212,18 @@ class TestResampling:
         img = random_image(rng, 8, 8)
         out = I.resample_bicubic(img, 24, 24)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
+
+    @pytest.mark.parametrize("size", [(3.5, 4), (4, 4.0), (True, 4), (4, "4"), (0, 4), (4, -1)])
+    def test_size_that_is_not_an_integer_of_at_least_one(self, size, monkeypatch):
+        monkeypatch.setattr(I, "_axis_matrix", None)  # rejected before any compute
+        with pytest.raises(ShapeError, match="output dimensions must be integers >= 1"):
+            I.resample_bicubic(I.Image(np.zeros((4, 4, 3), dtype=np.float32)), *size)
+        with pytest.raises(ShapeError, match="output dimensions must be integers >= 1"):
+            I.resample_nchw(np.zeros((1, 3, 4, 4), dtype=np.float32), *size)
+
+    def test_numpy_integer_size(self):
+        out = I.resample_bicubic(I.Image(np.zeros((4, 4, 3), dtype=np.float32)), np.int64(8), 6)
+        assert out.data.shape == (8, 6, 3)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(8)
@@ -275,14 +287,42 @@ class TestPairs:
         with pytest.raises(ImageError):
             I.make_lr_hr_pair(I.Image(np.zeros((4, 4, 3), dtype=np.float32)), 1)
 
+    @pytest.mark.parametrize("scale", [2.5, 3.0, "3", True, 0])
+    def test_scale_that_is_not_an_integer_of_at_least_two(self, scale, monkeypatch):
+        # rejected before any compute, even for a frame smaller than 3
+        monkeypatch.setattr(I, "resample_bicubic", None)
+        with pytest.raises(ImageError, match="scale must be an integer >= 2") as err:
+            I.make_lr_hr_pair(I.Image(np.zeros((2, 2, 3), dtype=np.float32)), scale)
+        assert repr(scale) in str(err.value)
+
+    def test_numpy_integer_scale(self):
+        lr, hr = I.make_lr_hr_pair(I.Image(np.zeros((7, 7, 3), dtype=np.float32)), np.int64(3))
+        assert (lr.data.shape, hr.data.shape) == ((2, 2, 3), (6, 6, 3))
+
 
 def test_image_validation():
     with pytest.raises(ShapeError):
         I.Image(np.zeros((4, 4)))
-    with pytest.raises(ImageError):
-        I.Image(np.full((2, 2, 3), np.nan))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ImageError, match="finite"):
+            I.Image(np.full((2, 2, 3), bad))
+    with pytest.raises(ImageError, match="finite"), np.errstate(over="ignore"):
+        I.Image(np.full((2, 2, 3), 1e300))  # past float32's range
     img = I.Image(np.full((2, 2, 3), 1.7, dtype=np.float32))
     assert img.data.max() == 1.0
+
+
+def test_image_keeps_in_range_float32_and_clips_a_copy():
+    pixels = np.random.default_rng(12).random((3, 4, 3), dtype=np.float32)
+    view = pixels[:, 1:]
+    assert I.Image(pixels).data is pixels
+    assert I.Image(view).data is view
+    wide = pixels * 2.0 - 0.5
+    before = wide.copy()
+    clipped = I.Image(wide).data
+    assert np.array_equal(clipped, np.clip(before, 0.0, 1.0)) and np.array_equal(wide, before)
+    converted = I.Image(pixels.astype(np.float64)).data
+    assert converted.dtype == np.float32 and np.array_equal(converted, pixels)
 
 
 # ---- property tests: mutated files fail only with typed errors ----
@@ -344,30 +384,39 @@ def test_p6_stream_raises_decode_error_at_offset_0():
 # ---- property test: the decoder against the spec's filter formulas ----
 
 
-def paeth_predictor(a: int, b: int, c: int) -> int:
+def paeth_predictor(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     p = a + b - c
     pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    return b if pb <= pc else c
+    return np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+
+
+def spec_predictors(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The predictors of filters 0..4 (RFC 2083 section 6), stacked, for
+    int arrays of left, upper and upper-left bytes."""
+    return np.stack([np.zeros_like(a), a, b, (a + b) // 2, paeth_predictor(a, b, c)])
 
 
 def filter_rows(pixels: np.ndarray, filters) -> bytes:
     """PNG scanlines of (H, W, C) uint8 pixels, row y filtered with
-    ``filters[y]`` by the RFC 2083 formulas in plain ints."""
+    ``filters[y]`` by the RFC 2083 formulas in int64."""
     height, width, bpp = pixels.shape
-    prev = [0] * (width * bpp)
-    out = bytearray()
-    for y in range(height):
-        cur = pixels[y].reshape(-1).tolist()
-        out.append(filters[y])
-        for x, (raw, b) in enumerate(zip(cur, prev)):
-            a = cur[x - bpp] if x >= bpp else 0
-            c = prev[x - bpp] if x >= bpp else 0
-            pred = (0, a, b, (a + b) // 2, paeth_predictor(a, b, c))[filters[y]]
-            out.append((raw - pred) % 256)
-        prev = cur
-    return bytes(out)
+    padded = np.zeros((height + 1, width + 1, bpp), dtype=np.int64)
+    padded[1:, 1:] = pixels
+    a, b, c = padded[1:, :-1], padded[:-1, 1:], padded[:-1, :-1]
+    pred = spec_predictors(a, b, c)[np.asarray(filters), np.arange(height)]
+    rows = np.empty((height, width * bpp + 1), dtype=np.uint8)
+    rows[:, 0] = filters
+    rows[:, 1:] = ((padded[1:, 1:] - pred) % 256).reshape(height, -1)
+    return rows.tobytes()
+
+
+def test_predictor_table_matches_spec_filters():
+    # every (type, a, b, c) the table serves, one left byte a at a time
+    b, c = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    for a in range(256):
+        want = spec_predictors(np.full_like(b, a), b, c)[1:]
+        got = (I._PREDICTIONS[:, b - c + 255, a - c + 255] + c) % 256
+        assert np.array_equal(got, want), f"a = {a}"
 
 
 # the cost constants that send every span of Average and Paeth rows to the
