@@ -21,6 +21,11 @@ class DomainError(FftsrError):
     learning-rate schedule step."""
 
 
+class GraphError(FftsrError):
+    """A backward pass reached a node whose graph an earlier backward pass
+    already walked and released."""
+
+
 class ConfigError(FftsrError):
     """A run-config file or key, or an object built from one, is invalid."""
 

@@ -205,9 +205,6 @@ def decode_image(raw: bytes) -> Image:
 _STEP_COST = 48
 _BYTE_COST = 1 / 16
 
-# the wavefront's steps compute windows of a multiple of this many lanes
-_WINDOW = 32
-
 
 def _predictor_table() -> np.ndarray:
     """(predictor - c) mod 256 of the Sub, Up, Average and Paeth filters at
@@ -292,15 +289,14 @@ def _wavefront(ftypes: np.ndarray, grid: np.ndarray) -> None:
     grid. A cell's left and upper neighbours are on the diagonal before,
     at its own lane and one lower, and its upper-left neighbour is on the
     diagonal before that, one lane lower. A view lane off the grid aliases
-    some other cell; a step reads those but writes only grid cells.
+    some other cell; a step touches only the lanes of grid cells.
 
     A step reads each cell's b - c and a - c, looks its filter's
     prediction less c up in ``_PREDICTIONS`` with one ``take``, and adds c
-    and the prediction to the cell, wrapping mod 256. It computes a window
-    of lanes rounded up to a multiple of ``_WINDOW`` and keeps only the
-    cells of the grid. Its arrays are views of buffers made once, so no
-    step allocates one: steps that allocated windows of every length
-    filled numpy's cache of small freed blocks (7 per size under 1 KiB).
+    and the prediction to the cell, wrapping mod 256. Its arrays are views
+    of buffers made once, so no step allocates one: steps that allocated
+    windows of every length filled numpy's cache of small freed blocks (7
+    per size under 1 KiB).
     """
     rows, cols, channels = grid.shape
     n, w = rows - 1, cols - 1
@@ -317,29 +313,26 @@ def _wavefront(ftypes: np.ndarray, grid: np.ndarray) -> None:
     if not filters.all():
         keep = np.zeros((rows, channels), dtype=np.uint8)
         keep[1:] = (filters != 0)[:, None]
-    lanes = min(n, -(-w // _WINDOW) * _WINDOW)
+    lanes = min(n, w)
     index_buf = np.empty((lanes, channels), dtype=np.intp)
     left_buf = np.empty((lanes, channels), dtype=np.intp)
     pred_buf = np.empty((lanes, channels), dtype=np.uint8)
     for d in range(2, n + w + 1):
         lo, hi = max(1, d - w), min(rows, d)
-        size = min(n, -(hi - lo) // _WINDOW * -_WINDOW)
-        end = min(rows, lo + size)
-        start = end - size
         last, before = diagonal[d - 1], diagonal[d - 2]
-        c = before[start - 1 : end - 1]
-        index, q, pred = index_buf[:size], left_buf[:size], pred_buf[:size]
-        np.subtract(last[start - 1 : end - 1], c, out=index, dtype=np.intp)  # p = b - c
-        np.subtract(last[start:end], c, out=q, dtype=np.intp)  # q = a - c
+        c = before[lo - 1 : hi - 1]
+        index, q, pred = index_buf[: hi - lo], left_buf[: hi - lo], pred_buf[: hi - lo]
+        np.subtract(last[lo - 1 : hi - 1], c, out=index, dtype=np.intp)  # p = b - c
+        np.subtract(last[lo:hi], c, out=q, dtype=np.intp)  # q = a - c
         index *= side
         index += q
-        index += centre[start:end]
+        index += centre[lo:hi]
         _PREDICTIONS.take(index, out=pred, mode="clip")  # "raise" would copy; none is out of range
         pred += c  # wraps mod 256
         if keep is not None:
-            pred *= keep[start:end]
+            pred *= keep[lo:hi]
         cells = diagonal[d, lo:hi]
-        cells += pred[lo - start : hi - start]  # wraps mod 256
+        cells += pred  # wraps mod 256
 
 
 def _unfilter_average(raw: bytes, up: bytes) -> bytearray:
@@ -442,7 +435,7 @@ def resample_nchw(batch: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x = batch.astype(np.float64)
     x = np.swapaxes(np.swapaxes(x, -1, -2) @ mh.T, -1, -2)
     x = x @ mw.T
-    return np.clip(x, 0.0, 1.0).astype(batch.dtype)
+    return np.clip(x, 0.0, 1.0, out=x).astype(batch.dtype)
 
 
 def check_scale(scale) -> None:

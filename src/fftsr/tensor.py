@@ -9,9 +9,20 @@ context stays valid for the backward pass.
 
 An op declares one gradient function per input (``grads`` in
 :meth:`Tensor._from_op`): it maps the output's gradient to that input's
-gradient. The bookkeeping lives in :meth:`Tensor.backward` alone: it skips
-inputs that need no gradient, sums each result down any broadcast axes and
-accumulates it into the input.
+gradient. An input that needs no gradient is not kept by the graph. The
+bookkeeping lives in :meth:`Tensor.backward` alone: it skips inputs that
+need no gradient, sums each result down any broadcast axes and accumulates
+it into the input.
+
+Each graph can be walked once. As the walk passes a node, it hands the
+node's gradient to its inputs and then releases the node: its ``grad``,
+its inputs and its gradient functions, with the forward arrays they hold.
+A training step therefore holds only what the rest of the walk still
+needs. Leaves (parameters and inputs) are never released, and their
+``grad`` accumulates across graphs until the caller zeroes it. A backward
+pass that reaches a released node, from the same root or from a new graph
+built on a released node, raises :class:`GraphError` before it computes
+anything; build the graph again with a new forward pass.
 
 Default compute dtype is float32; gradient-check tests build the same
 graphs in float64. With float64 operands, ``log`` and ``sqrt`` raise
@@ -29,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import AxisError, DomainError, ShapeError
+from .errors import AxisError, DomainError, GraphError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -98,8 +109,9 @@ class Tensor:
         the output's gradient to that parent's gradient. A function may
         return a gradient at the broadcast output shape; ``backward`` sums it
         down to the parent's shape. It runs only for parents that require a
-        gradient, in parent order; a parent that needed none when the op ran
-        may have ``None`` in its place.
+        gradient, in parent order. A parent that needs none when the op runs
+        is stored as ``None``, so the graph does not keep it alive, and its
+        function may be ``None``.
         """
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -107,7 +119,7 @@ class Tensor:
         tracked = _grad_enabled and any(p.requires_grad for p in parents)
         out.requires_grad = tracked
         if tracked:
-            out._parents = tuple(parents)
+            out._parents = tuple(p if p.requires_grad else None for p in parents)
             out._grads = tuple(grads)
             out._op = op
         else:
@@ -144,10 +156,16 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self):
-        """Populate ``grad`` on every reachable tracked leaf.
+        """Populate ``grad`` on every reachable tracked leaf, releasing the
+        graph as it goes.
 
-        The loss must be scalar (size 1). Repeated calls accumulate into
-        existing grads; callers zero them between steps.
+        The loss must be scalar (size 1). Leaf grads accumulate across
+        calls; callers zero them between steps. Every node the walk passes
+        is released once its gradient has reached its inputs: its ``grad``,
+        inputs and gradient functions are dropped, and its ``_op`` stays.
+        So a graph can be walked once: a second call on the same loss, or a
+        call on a new graph that reaches a released node, raises
+        :class:`GraphError` before any gradient is computed.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.data.shape}")
@@ -161,19 +179,28 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._op is not None and node._grads is None:
+                raise GraphError(
+                    f"backward() reached a {node._op!r} node that an earlier backward pass released; "
+                    "run the forward pass again"
+                )
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+                if p is not None and id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            g = node.grad
-            if node._grads is None or g is None:
+        # popping drops topo's reference, so a released node's arrays are
+        # freed as soon as no later node or caller holds them
+        while topo:
+            node = topo.pop()
+            if node._grads is None:  # a leaf
                 continue
+            g = node.grad
             for parent, grad_fn in zip(node._parents, node._grads):
-                if parent.requires_grad:
+                if parent is not None and parent.requires_grad:
                     parent._accumulate(_unbroadcast(grad_fn(g), parent.shape))
+            node.grad, node._parents, node._grads = None, (), None
 
     # operator sugar
 
@@ -331,17 +358,23 @@ def absolute(a: Tensor) -> Tensor:
 # ---- reductions ----
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _norm_axes(axes, ndim: int):
+    """``axes`` (None, one axis or a tuple or list of them) as distinct
+    non-negative axes; an axis that is not an integer or is out of range
+    raises :class:`AxisError`."""
     if axes is None:
         return None
-    if isinstance(axes, (int, np.integer)):
-        axes = (int(axes),)
     out = []
-    for ax in axes:
-        ax = int(ax)
+    for ax in axes if isinstance(axes, (tuple, list)) else (axes,):
+        if not _is_int(ax):
+            raise AxisError(f"axis {ax!r} is not an integer")
         if not -ndim <= ax < ndim:
             raise AxisError(f"axis {ax} out of range for rank {ndim}")
-        out.append(ax % ndim)
+        out.append(int(ax) % ndim)
     return tuple(dict.fromkeys(out))
 
 
@@ -387,11 +420,26 @@ def matmul(a: Tensor, b) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    return Tensor._from_op(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),), "reshape")
+    """``a`` with the same elements in ``shape``; a shape that is not one
+    of integers or has another size raises :class:`ShapeError`."""
+    try:
+        out_data = a.data.reshape(shape)
+    except (TypeError, ValueError):
+        raise ShapeError(f"reshape: cannot view shape {a.shape} as {shape}") from None
+    return Tensor._from_op(out_data, (a,), (lambda g: g.reshape(a.shape),), "reshape")
 
 
 def concat(parts: Iterable[Tensor], axis: int = 1) -> Tensor:
-    parts = [p for p in parts]
+    """Join ``parts`` along ``axis``. No parts, or parts whose shapes differ
+    off that axis, raise :class:`ShapeError`; an axis that is not an integer
+    or is out of range raises :class:`AxisError`."""
+    parts = list(parts)
+    if not parts:
+        raise ShapeError("concat: no tensors to join")
+    (axis,) = _norm_axes((axis,), parts[0].data.ndim)
+    shapes = [p.shape for p in parts]
+    if len({(len(s), s[:axis] + s[axis + 1 :]) for s in shapes}) > 1:
+        raise ShapeError(f"concat: shapes {shapes} differ off axis {axis}")
     out_data = np.concatenate([p.data for p in parts], axis=axis)
 
     def part_grad(stop: int, n: int):
@@ -407,9 +455,11 @@ def concat(parts: Iterable[Tensor], axis: int = 1) -> Tensor:
 def split_channels(a: Tensor, sizes: Sequence[int]) -> tuple:
     """Split along the channel axis into consecutive groups of ``sizes``,
     one ``"narrow"`` node per group."""
+    if a.data.ndim != 4:
+        raise ShapeError("split_channels expects NCHW input")
     starts = list(itertools.accumulate(sizes, initial=0))
-    if any(n < 0 for n in sizes) or starts[-1] != a.shape[1]:
-        raise ShapeError(f"split sizes {tuple(sizes)} do not cover {a.shape[1]} channels")
+    if not all(_is_int(n) and n >= 0 for n in sizes) or starts[-1] != a.shape[1]:
+        raise ShapeError(f"split sizes {tuple(sizes)} are not counts that cover {a.shape[1]} channels")
 
     def narrow(start, stop):
         def grad(g):
@@ -531,10 +581,11 @@ def conv2d(
 
     kernel is (Cout, Cin, kh, kw); output spatial size is
     floor((H + 2*padding - kh) / stride) + 1. Backward produces gradients
-    for the input, the kernel, and the bias. A stride below 1, a negative
+    for the input, the kernel, and the bias. A stride or padding that is
+    not an integer (a bool is not one), a stride below 1, a negative
     padding or a pad_mode other than "zero" or "reflect" raises
-    :class:`DomainError`; a kernel larger than the padded input raises
-    :class:`ShapeError`.
+    :class:`DomainError`; a kernel with a zero extent or larger than the
+    padded input raises :class:`ShapeError`.
 
     Every call that is not a plain 1x1, tracked or not, builds its im2col
     columns one band of output rows at a time in a cache-sized buffer and
@@ -543,6 +594,9 @@ def conv2d(
     it to 111 MiB. The full matrix is built only in backward, and only when
     the kernel needs a gradient, so the graph keeps no columns alive.
     """
+    for name, value in (("stride", stride), ("padding", padding)):
+        if not _is_int(value):
+            raise DomainError(f"conv2d: {name} must be an integer, got {value!r}")
     if stride < 1:
         raise DomainError(f"conv2d: stride must be >= 1, got {stride}")
     if padding < 0:
@@ -553,6 +607,8 @@ def conv2d(
         raise ShapeError("conv2d expects NCHW input and OIHW kernel")
     n, cin, h, w = x.shape
     cout, cink, kh, kw = kernel.shape
+    if 0 in kernel.shape:
+        raise ShapeError(f"conv2d: kernel shape {kernel.shape} has a zero extent")
     if cin != cink:
         raise ShapeError(f"conv2d: input has {cin} channels, kernel expects {cink}")
     if h + 2 * padding < kh or w + 2 * padding < kw:
@@ -586,7 +642,7 @@ def conv2d(
     # Both gradients below need g as a (cout, N*OH*OW) matrix. The input
     # gradient runs first and, when the kernel needs a gradient, hands it
     # to the kernel gradient, which drops it.
-    handoff = [None, None]  # (g, its matrix)
+    handoff = []  # g's matrix, made by the input gradient
     pshape, dtype = xtp.shape, xtp.dtype
 
     def gmat_of(g):
@@ -595,7 +651,7 @@ def conv2d(
     def input_grad(g):
         gmat = gmat_of(g)
         if kernel.requires_grad:
-            handoff[:] = g, gmat
+            handoff.append(gmat)
         gcols = (kmat @ gmat).reshape(kh, kw, cin, n, oh, ow)
         gpad = np.zeros(pshape, dtype)
         for i in range(kh):
@@ -612,10 +668,7 @@ def conv2d(
     if kernel.requires_grad:
 
         def kernel_grad(g):
-            given, gmat = handoff
-            handoff[:] = None, None
-            if given is not g:
-                gmat = gmat_of(g)
+            gmat = handoff.pop() if handoff else gmat_of(g)
             cols = np.empty((kh * kw * cin, n * oh * ow), dtype=xtp.dtype)
             _fill_cols(xtp, stride, 0, oh, cols.reshape(kh, kw, cin, n, oh, ow))
             gk = (gmat @ cols.T).T.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)

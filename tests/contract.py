@@ -15,6 +15,9 @@ that one commit continues the other's checkpoint identically. Three lines
 digest the bytes of frames upscaled by the default run's generator: two
 small ones and one of 108x192, the largest frame of the upscale benchmark,
 whose 324x576 convolutions each run in many row bands.
+The ``grad.*`` lines digest the gradient of every generator and
+discriminator parameter after each of the default run's first two steps,
+so gradients are checked bit for bit, not only the records they lead to.
 ``sample.up`` and ``sample.hr`` digest the two sides of 20 batches that
 ``train.sample_patches`` crops from the default run's pairs. The last
 lines digest the outputs of the forward transform, the inverse and their
@@ -63,12 +66,21 @@ def _steps(trainer, n):
     return [trainer.train_step() for _ in range(n)]
 
 
+def _grads(net) -> str:
+    return _digest([(name, None if p.grad is None else p.grad.tobytes()) for name, p in net.named_parameters()])
+
+
 def main(ckpt: Path):
     small = default_config().replace(**SMALL)
     small_pairs = _pairs(4, 24)
 
     default = train.Trainer(default_config(), 0, _pairs(16, 96))
-    runs = {"default": _steps(default, 20)}
+    runs, grads = {"default": []}, {}
+    for step in range(20):
+        runs["default"].append(default.train_step())
+        if step < 2:
+            grads[f"grad.step{step}.gen"] = _grads(default.gen)
+            grads[f"grad.step{step}.disc"] = _grads(default.disc)
     for seed in (0, 1, 3):
         runs[f"small.seed{seed}"] = _steps(train.Trainer(small, seed, small_pairs), 12)
     runs["small.policy_off"] = _steps(train.Trainer(small.replace(policy__enabled=False), 0, small_pairs), 12)
@@ -84,6 +96,8 @@ def main(ckpt: Path):
     runs["resume"] = _steps(resumed, 6)
     for name, records in runs.items():
         print(f"{name:18s} {_digest(records)}")
+    for name, digest in grads.items():
+        print(f"{name:18s} {digest}")
     print(f"{'resume == seed3':18s} {runs['resume'] == runs['small.seed3'][6:]}")
 
     frames = make_texture_corpus(2, 61, seed=1)

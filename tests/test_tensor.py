@@ -1,10 +1,11 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from fftsr import tensor as T
-from fftsr.errors import AxisError, DomainError, ShapeError
+from fftsr.errors import AxisError, DomainError, GraphError, ShapeError
 from fftsr.nets import BatchNorm2d
 from fftsr.tensor import Tensor
 
@@ -77,6 +78,13 @@ def test_axis_out_of_range():
         T.sum(Tensor(np.ones((2, 2))), axes=5)
 
 
+@pytest.mark.parametrize("axes", [0.5, [0.5], True, None], ids=["0.5", "[0.5]", "True", "concat-None"])
+def test_axis_not_an_integer(axes):
+    x = Tensor(np.ones((2, 2)))
+    with pytest.raises(AxisError, match="not an integer"):
+        T.concat([x, x], axis=axes) if axes is None else T.sum(x, axes=axes)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
@@ -98,6 +106,55 @@ def test_backward_accumulates_on_repeat():
     first = w.grad.copy()
     T.sum(w * x).backward()
     assert np.allclose(w.grad, 2.0 * first)
+
+
+def test_backward_releases_every_intermediate_node():
+    x = Tensor([0.5, -1.0, 2.0], requires_grad=True, dtype=np.float64)
+    w = Tensor([3.0, 2.0, -1.0], requires_grad=True, dtype=np.float64)
+    h = x * w
+    r = T.relu(h)
+    sq = r * r
+    loss = T.sum(sq + h)
+    loss.backward()
+    for node in (h, r, sq, loss):
+        assert node.grad is None and node._parents == () and node._grads is None
+        assert node._op is not None and node.requires_grad
+    # d/dx sum(relu(xw)^2 + xw) = (2 relu(xw) + 1) w, and the same with x, w swapped
+    factor = 2.0 * np.maximum(x.data * w.data, 0.0) + 1.0
+    assert np.array_equal(x.grad, factor * w.data)
+    assert np.array_equal(w.grad, factor * x.data)
+
+
+def test_graph_does_not_keep_a_constant_parent():
+    x = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+    const = Tensor(np.full(4, 2.0, dtype=np.float32))
+    alive = weakref.ref(const.data)
+    y = x + const
+    del const
+    assert alive() is None
+    T.sum(y).backward()
+    assert np.array_equal(x.grad, np.ones(4, dtype=np.float32))
+
+
+def test_second_backward_on_a_released_graph_raises():
+    w = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+    loss = T.sum(w * 3.0)
+    loss.backward()
+    with pytest.raises(GraphError, match="'sum' node"):
+        loss.backward()
+    assert np.array_equal(w.grad, [3.0, 3.0])
+
+
+def test_new_graph_through_a_released_node_raises_before_any_gradient():
+    w = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+    v = Tensor([4.0, 5.0], requires_grad=True, dtype=np.float64)
+    h = w * 3.0
+    T.sum(h).backward()
+    loss = T.sum(h * v)
+    with pytest.raises(GraphError, match="'mul' node"):
+        loss.backward()
+    assert np.array_equal(w.grad, [3.0, 3.0])
+    assert v.grad is None and loss.grad is None
 
 
 def test_grad_fn_not_called_for_parent_without_grad():
@@ -201,6 +258,25 @@ def test_structure_ops_grads(seed):
     check_gradients(fn, [x], rng=rng)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: T.reshape(x, (5, 7)),
+        lambda x: T.reshape(x, (2.0, 54)),
+        lambda x: T.concat([]),
+        lambda x: T.concat([x, Tensor(np.ones((2, 6, 3, 4)))], axis=1),
+        lambda x: T.concat([x, Tensor(np.ones((2, 6, 3)))], axis=0),
+        lambda x: T.split_channels(T.reshape(x, (2, 6, 9)), [3, 3]),
+        lambda x: T.split_channels(x, [2.5, 3.5]),
+    ],
+    ids=["reshape-size", "reshape-float", "concat-empty", "concat-off-axis", "concat-rank", "split-3d", "split-float"],
+)
+def test_structure_op_misuse_raises_shape_error(build):
+    x = Tensor(np.ones((2, 6, 3, 3)), requires_grad=True)
+    with pytest.raises(ShapeError):
+        build(x)
+
+
 def test_two_layer_chain_rule():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 3))
@@ -281,8 +357,15 @@ class TestConv2d:
             (3, dict(padding=1, pad_mode="wrap"), "pad_mode"),
             (3, dict(padding=0, pad_mode="wrap"), "pad_mode"),
             (1, dict(padding=0, pad_mode="wrap"), "pad_mode"),
+            (3, dict(stride=1.5, padding=1), "stride"),
+            (1, dict(stride=True), "stride"),
+            (3, dict(padding=1.5), "padding"),
+            (3, dict(padding=True), "padding"),
         ],
-        ids=["stride0", "stride-2-1x1", "padding-1", "padding-1-1x1", "wrap-pad1", "wrap-pad0", "wrap-pad0-1x1"],
+        ids=[
+            "stride0", "stride-2-1x1", "padding-1", "padding-1-1x1", "wrap-pad1", "wrap-pad0", "wrap-pad0-1x1",
+            "stride1.5", "stride-bool-1x1", "padding1.5", "padding-bool",
+        ],
     )
     def test_bad_arguments_raise_domain_error(self, ksize, kwargs, argument):
         x = Tensor(np.ones((1, 2, 6, 6), dtype=np.float32))
@@ -298,6 +381,13 @@ class TestConv2d:
             k.requires_grad = requires_grad
             with pytest.raises(ShapeError, match="does not fit"):
                 T.conv2d(x, k, padding=padding)
+
+    @pytest.mark.parametrize("kshape", [(1, 1, 0, 0), (3, 2, 0, 3), (3, 2, 3, 0), (0, 2, 3, 3), (3, 0, 3, 3)])
+    def test_zero_extent_kernel_raises_shape_error(self, kshape):
+        x = Tensor(np.ones((1, kshape[1], 6, 6), dtype=np.float32))
+        k = Tensor(np.ones(kshape, dtype=np.float32))
+        with pytest.raises(ShapeError, match="zero extent"):
+            T.conv2d(x, k, padding=1)
 
 
 class TestUntrackedConv2d:

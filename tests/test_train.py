@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -534,3 +535,19 @@ def test_discriminator_reinit_restarts_adam(cfg, pairs):
     fresh.step(lr=1e-3)
     for p, twin in zip(opt.params, twins):
         assert np.array_equal(p.data, twin.data)
+
+
+def test_default_step_peak_memory_is_bounded():
+    imgs = make_texture_corpus(4, 96, seed=0)
+    trainer = train.Trainer(default_config(), 0, [tuple(i.data for i in make_lr_hr_pair(img, 3)) for img in imgs])
+    trainer.train_step()  # fills the loss filter and resample caches
+    tracemalloc.start()
+    try:
+        trainer.train_step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the generator's forward graph is about 144 MiB. Backward releases each
+    # node once its gradient has reached its inputs; keeping the graph and
+    # every intermediate gradient until the walk ended peaked at 280.9 MiB
+    assert peak < 185 * 2**20
