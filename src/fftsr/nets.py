@@ -14,8 +14,13 @@ In eval mode each BatchNorm is a fixed per-channel affine map, and it is
 folded into the convolutions that feed it: their kernels are scaled per
 output channel and one conv bias carries the shifts, so the eval forward
 makes no BatchNorm pass. The folded kernels are built from the
-parameters on every call; nothing is cached and no parameter or buffer
-is written.
+parameters on every call; nothing is cached.
+
+The eval forward records no graph, so it works in place: every sum and
+activation writes into an array that a convolution of the same forward
+has just made and that nothing else holds. It never writes its input,
+a parameter or a BatchNorm buffer. The values are bit-identical to the
+op-by-op composition: each element sees the same IEEE operations.
 
 The generator predicts a tanh-bounded residual in [-1, 1] on top of a
 bicubic upscale; callers compose ``clamp(bicubic + residual, 0, 1)``.
@@ -116,6 +121,13 @@ def inject_noise(x: Tensor, ns: NoiseState | None, training: bool) -> Tensor:
         return x
     eps = ns.rng.standard_normal(x.shape).astype(x.data.dtype)
     return x + Tensor(eps * x.data.dtype.type(amp))
+
+
+def _relu_(x: Tensor) -> Tensor:
+    """ReLU of an eval-forward tensor, written over its own array: ``x`` is
+    untracked and its array was made by the forward's last op."""
+    np.maximum(x.data, 0, out=x.data)
+    return x
 
 
 # ---- layers ----
@@ -239,7 +251,8 @@ class SpectralTransform(Module):
     conv_out(...) * scale + shift per channel, for the enclosing block's
     norm. The eval forward records no graph: a graph through the folded
     kernels, which are fresh arrays, would leave their parameters
-    without gradients."""
+    without gradients. Its ReLU writes over ``conv_freq``'s output; it
+    writes nothing else, and never ``x``. Its output is a fresh array."""
 
     def __init__(self, rng: np.random.Generator, channels: int):
         self.conv_in = Conv2d(rng, channels, channels, kernel=1)
@@ -253,7 +266,7 @@ class SpectralTransform(Module):
             if training:
                 spec = T.relu(self.bn_freq(self.conv_freq(spec)))
             else:
-                spec = T.relu(self.conv_freq(spec, *self.bn_freq.affine()))
+                spec = _relu_(self.conv_freq(spec, *self.bn_freq.affine()))
             return self.conv_out(irfft2d(spec, x.shape[3]), scale, shift)
 
 
@@ -265,7 +278,9 @@ class FfcBlock(Module):
     them: ``conv_from_l``'s rows are scaled by both norms' scales and its
     bias carries both shifts, ``conv_gl`` is scaled by ``bn_l``'s and the
     spectral ``conv_out`` by ``bn_g``'s. As in the spectral transform, the
-    eval forward records no graph."""
+    eval forward records no graph. It writes only into the output it
+    returns, which ``conv_from_l`` (or, with no local channels, the
+    spectral transform) has just made; it never writes ``x``."""
 
     def __init__(self, rng: np.random.Generator, channels: int, global_fraction: float, kernel: int):
         self.g = int(round(global_fraction * channels))
@@ -301,24 +316,24 @@ class FfcBlock(Module):
     def _folded(self, x: Tensor) -> Tensor:
         """The eval forward, with both norms folded into the convs.
 
-        The spectral branch runs first, while no other full-size output is
-        alive to share its peak with its transforms' buffers; the spectral
-        output and ``conv_from_l``'s (held by its channel views) are
-        released as soon as they are summed, before the ``concat``."""
+        ``conv_from_l``'s output is already laid out ``[local | global]``,
+        so it is the block's output: the spectral output is added into its
+        global channels and ``conv_gl``'s into its local ones, and the ReLU
+        runs over it, all in place. The spectral branch runs first, while
+        no other full-size output is alive to share its peak with its
+        transforms' buffers."""
         if not self.g:
-            return T.relu(self.conv_from_l(x, *self.bn_l.affine()))
+            return _relu_(self.conv_from_l(x, *self.bn_l.affine()))
         if not self.l:
-            return T.relu(self.spectral(x, False, *self.bn_g.affine()))
+            return _relu_(self.spectral(x, False, *self.bn_g.affine()))
         (s_l, t_l), (s_g, t_g) = self.bn_l.affine(), self.bn_g.affine()
         x_l, x_g = T.split_channels(x, [self.l, self.g])
-        spec = self.spectral(x_g, False, s_g)
-        scale, shift = np.concatenate([s_l, s_g]), np.concatenate([t_l, t_g])
-        to_l, to_g = T.split_channels(self.conv_from_l(x_l, scale, shift), [self.l, self.g])
-        glob = T.relu(to_g + spec)
-        del to_g, spec
-        local = T.relu(to_l + self.conv_gl(x_g, s_l))
-        del to_l
-        return T.concat([local, glob], axis=1)
+        spec = self.spectral(x_g, False, s_g).data
+        out = self.conv_from_l(x_l, np.concatenate([s_l, s_g]), np.concatenate([t_l, t_g]))
+        out.data[:, self.l :] += spec
+        del spec
+        out.data[:, : self.l] += self.conv_gl(x_g, s_l).data
+        return _relu_(out)
 
 
 class Generator(Module):
@@ -326,6 +341,11 @@ class Generator(Module):
 
     Input and output are both 3-channel at HR resolution; the output is a
     tanh-bounded residual in [-1, 1].
+
+    The eval forward's head ReLU and tail tanh write over the head's and
+    the tail's conv outputs, and each block writes only its own output, so
+    it never writes ``up``, a parameter or a BatchNorm buffer; it returns
+    a fresh array that the caller may write.
     """
 
     def __init__(self, cfg: GeneratorConfig, rng: np.random.Generator):
@@ -339,13 +359,18 @@ class Generator(Module):
         """The eval forward records no graph: its folded kernels are fresh
         arrays, so no gradient could reach the parameters through them."""
         with contextlib.nullcontext() if training else T.no_grad():
-            h = T.relu(self.head(up))
+            h = self.head(up)
+            h = T.relu(h) if training else _relu_(h)
             last = len(self.blocks) - 1
             for i, block in enumerate(self.blocks):
                 h = block(h, training)
                 if i < last:
                     h = inject_noise(h, noise, training)
-            return T.tanh(self.tail(h))
+            out = self.tail(h)
+            if training:
+                return T.tanh(out)
+            np.tanh(out.data, out=out.data)
+            return out
 
 
 class Discriminator(Module):

@@ -22,7 +22,9 @@ needs. Leaves (parameters and inputs) are never released, and their
 ``grad`` accumulates across graphs until the caller zeroes it. A backward
 pass that reaches a released node, from the same root or from a new graph
 built on a released node, raises :class:`GraphError` before it computes
-anything; build the graph again with a new forward pass.
+anything; build the graph again with a new forward pass. So does a
+backward pass on a loss that is not tracked, through which no gradient
+could reach a parameter.
 
 Default compute dtype is float32; gradient-check tests build the same
 graphs in float64. With float64 operands, ``log`` and ``sqrt`` raise
@@ -145,6 +147,10 @@ class Tensor:
         return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
     def item(self) -> float:
+        """The value of a one-element tensor; any other size raises
+        :class:`ShapeError`."""
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a one-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
     def _accumulate(self, g: np.ndarray):
@@ -159,16 +165,25 @@ class Tensor:
         """Populate ``grad`` on every reachable tracked leaf, releasing the
         graph as it goes.
 
-        The loss must be scalar (size 1). Leaf grads accumulate across
-        calls; callers zero them between steps. Every node the walk passes
-        is released once its gradient has reached its inputs: its ``grad``,
-        inputs and gradient functions are dropped, and its ``_op`` stays.
-        So a graph can be walked once: a second call on the same loss, or a
-        call on a new graph that reaches a released node, raises
-        :class:`GraphError` before any gradient is computed.
+        The loss must be scalar (size 1) and tracked: a loss built under
+        :func:`no_grad`, or only from tensors that need no gradient, raises
+        :class:`GraphError`, since no gradient could reach a parameter
+        through it. A leaf that requires a gradient gets gradient 1. Leaf
+        grads accumulate across calls; callers zero them between steps.
+        Every node the walk passes is released once its gradient has
+        reached its inputs: its ``grad``, inputs and gradient functions are
+        dropped, and its ``_op`` stays. So a graph can be walked once: a
+        second call on the same loss, or a call on a new graph that reaches
+        a released node, raises :class:`GraphError` before any gradient is
+        computed.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.data.shape}")
+        if not self.requires_grad:
+            raise GraphError(
+                "backward() on a loss that is not tracked: it was built under no_grad() "
+                "or only from tensors that need no gradient"
+            )
         topo: list[Tensor] = []
         seen = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]

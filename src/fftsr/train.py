@@ -166,7 +166,9 @@ def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
     if scale * min(img.height, img.width) < minimum:
         raise TooSmallError(f"LR frame {img.height}x{img.width} at scale {scale} is under the minimum of {minimum} px")
     up = resample_bicubic(img, img.height * scale, img.width * scale)
-    x = Tensor(up.data.transpose(2, 0, 1)[None].astype(np.float32))
+    # one C-order copy: the head conv reads it as is, where an HWC-ordered
+    # one would be copied again
+    x = Tensor(np.ascontiguousarray(up.data.transpose(2, 0, 1)[None]))
     sr = gen(x, training=False).data  # a fresh array that no graph holds
     sr += x.data
     return Image(sr[0].transpose(1, 2, 0))  # Image clamps to [0, 1]

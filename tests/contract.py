@@ -14,7 +14,11 @@ steps after loading CKPT. Point two commits at the same CKPT to check
 that one commit continues the other's checkpoint identically. Three lines
 digest the bytes of frames upscaled by the default run's generator: two
 small ones and one of 108x192, the largest frame of the upscale benchmark,
-whose 324x576 convolutions each run in many row bands.
+whose 324x576 convolutions each run in many row bands. Two more digest
+that 108x192 frame upscaled by default-config generators with
+``gen.global_fraction`` 0 (``upscale.local``) and 1 (``upscale.global``),
+each after 3 training steps, so the eval forward's all-local and
+all-global blocks are pinned too.
 The ``grad.*`` lines digest the gradient of every generator and
 discriminator parameter after each of the default run's first two steps,
 so gradients are checked bit for bit, not only the records they lead to.
@@ -74,7 +78,8 @@ def main(ckpt: Path):
     small = default_config().replace(**SMALL)
     small_pairs = _pairs(4, 24)
 
-    default = train.Trainer(default_config(), 0, _pairs(16, 96))
+    default_pairs = _pairs(16, 96)
+    default = train.Trainer(default_config(), 0, default_pairs)
     runs, grads = {"default": []}, {}
     for step in range(20):
         runs["default"].append(default.train_step())
@@ -107,6 +112,11 @@ def main(ckpt: Path):
     big = make_texture_corpus(1, 192, seed=2)[0]
     out = train.upscale_image(default.gen, Image(big.data[:108]), 3)
     print(f"{'upscale.108x192':18s} {_digest(np.ascontiguousarray(out.data).tobytes())}")
+    for name, fraction in (("local", 0.0), ("global", 1.0)):
+        trainer = train.Trainer(default_config().replace(gen__global_fraction=fraction), 0, default_pairs)
+        _steps(trainer, 3)
+        out = train.upscale_image(trainer.gen, Image(big.data[:108]), 3)
+        print(f"{f'upscale.{name}.108x192':28s} {_digest(np.ascontiguousarray(out.data).tobytes())}")
 
     rng = np.random.default_rng(0)
     batches = [train.sample_patches(default.pairs, 48, 3, rng, 8) for _ in range(20)]

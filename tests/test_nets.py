@@ -5,7 +5,7 @@ import pytest
 
 import fftsr.tensor as T
 from fftsr import nets as N
-from fftsr.errors import ShapeError
+from fftsr.errors import GraphError, ShapeError
 from fftsr.fft import irfft2d, rfft2d
 from fftsr.tensor import Tensor
 
@@ -180,6 +180,42 @@ def generator_ref(gen, x):
     return T.tanh(gen.tail(h))
 
 
+def spectral_folded_ref(st, x, *affine):
+    """The eval spectral transform as separate tensor ops, each of which
+    writes a new array."""
+    spec = T.relu(st.conv_freq(rfft2d(st.conv_in(x)), *st.bn_freq.affine()))
+    return st.conv_out(irfft2d(spec, x.shape[3]), *affine)
+
+
+def block_folded_ref(block, x):
+    """The eval block as separate tensor ops: the same folded convs, summed
+    and activated in new arrays, then joined by a concat."""
+    if not block.g:
+        return T.relu(block.conv_from_l(x, *block.bn_l.affine()))
+    if not block.l:
+        return T.relu(spectral_folded_ref(block.spectral, x, *block.bn_g.affine()))
+    (s_l, t_l), (s_g, t_g) = block.bn_l.affine(), block.bn_g.affine()
+    x_l, x_g = T.split_channels(x, [block.l, block.g])
+    both = block.conv_from_l(x_l, np.concatenate([s_l, s_g]), np.concatenate([t_l, t_g]))
+    to_l, to_g = T.split_channels(both, [block.l, block.g])
+    local = T.relu(to_l + block.conv_gl(x_g, s_l))
+    glob = T.relu(to_g + spectral_folded_ref(block.spectral, x_g, s_g))
+    return T.concat([local, glob], axis=1)
+
+
+def generator_folded_ref(gen, x):
+    h = T.relu(gen.head(x))
+    for block in gen.blocks:
+        h = block_folded_ref(block, h)
+    return T.tanh(gen.tail(h))
+
+
+def state_bytes(module):
+    arrays = {name: t.data for name, t in module.named_parameters()}
+    arrays.update({name: getattr(owner, attr) for name, owner, attr in module.named_buffers()})
+    return {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()}
+
+
 def assert_close(got, ref):
     assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
@@ -220,33 +256,44 @@ class TestEvalFold:
         x = Tensor(np.random.default_rng(24).standard_normal((1, 8, 8, 8)), requires_grad=True, dtype=np.float64)
         out = block(x, training=False)
         assert not out.requires_grad
-        T.mean(out).backward()
+        with pytest.raises(GraphError, match="not tracked"):
+            T.mean(out).backward()
         assert x.grad is None
 
     def test_eval_block_frees_its_intermediates_early(self):
         # a paper-scale width at the largest HR frame of the upscale benchmark
-        block = N.FfcBlock(np.random.default_rng(23), 26, 0.5, 3)
         x = Tensor(np.random.default_rng(25).standard_normal((1, 26, 324, 576), dtype=np.float32))
-        tracemalloc.start()
-        try:
+        # the output is 18.5 MiB. At fraction 0.5 the block sums into and
+        # activates conv_from_l's output in place and peaks at 38.0 MiB;
+        # a new array for each sum and ReLU and a concat took it to 47.3.
+        # Pure global peaks in the spectral transform, at 55.7 MiB, while
+        # conv_in's output, the complex spectrum and its (re | im) split
+        # are alive together
+        for fraction, bound_mib in ((0.0, 42), (0.5, 42), (1.0, 60)):
+            block = N.FfcBlock(np.random.default_rng(23), 26, fraction, 3)
+            tracemalloc.start()
+            try:
+                with T.no_grad():
+                    out = block(x, training=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * 2**20, fraction
             with T.no_grad():
-                out = block(x, training=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the output is 18.5 MiB; in the order below, with conv_from_l's
-        # output and the spectral output alive through the concat, the
-        # forward peaks at 55.6 MiB
-        assert peak < 52 * 2**20
-        # the same folded convs, summed in the order of the training forward
-        (s_l, t_l), (s_g, t_g) = block.bn_l.affine(), block.bn_g.affine()
+                assert np.array_equal(out.data, block_folded_ref(block, x).data), fraction
+
+    @pytest.mark.parametrize("fraction, blocks", [(0.0, 2), (0.5, 2), (1.0, 2), (0.5, 0)])
+    def test_eval_generator_writes_only_its_own_arrays(self, fraction, blocks):
+        rng = np.random.default_rng(26)
+        gen = N.Generator(N.GeneratorConfig(blocks=blocks, width=8, global_fraction=fraction), rng)
+        gen(Tensor(rng.random((2, 3, 12, 14), dtype=np.float32)), training=True)  # moves the running stats
+        x = Tensor(rng.random((1, 3, 12, 14), dtype=np.float32))
+        x_before, state_before = x.data.copy(), state_bytes(gen)
+        out = gen(x, training=False)
+        assert np.array_equal(x.data, x_before) and state_bytes(gen) == state_before
+        assert not np.shares_memory(out.data, x.data)
         with T.no_grad():
-            x_l, x_g = T.split_channels(x, [block.l, block.g])
-            both = block.conv_from_l(x_l, np.concatenate([s_l, s_g]), np.concatenate([t_l, t_g]))
-            to_l, to_g = T.split_channels(both, [block.l, block.g])
-            local = T.relu(to_l + block.conv_gl(x_g, s_l))
-            glob = T.relu(to_g + block.spectral(x_g, False, s_g))
-        assert np.array_equal(out.data, T.concat([local, glob], axis=1).data)
+            assert np.array_equal(out.data, generator_folded_ref(gen, x).data)
 
 
 class TestNoise:

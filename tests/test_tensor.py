@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import weakref
 
@@ -89,6 +90,32 @@ def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
         x.backward()
+
+
+@pytest.mark.parametrize("untracked", ["no_grad", "constants"])
+def test_backward_on_an_untracked_loss_raises(untracked):
+    w = Tensor([1.0, 2.0], requires_grad=untracked == "no_grad", dtype=np.float64)
+    with T.no_grad() if untracked == "no_grad" else contextlib.nullcontext():
+        loss = T.sum(w * 2.0)
+    with pytest.raises(GraphError, match="not tracked"):
+        loss.backward()
+    assert w.grad is None and loss.grad is None
+
+
+def test_backward_on_a_scalar_leaf_gives_it_gradient_one():
+    x = Tensor(3.0, requires_grad=True, dtype=np.float64)
+    x.backward()
+    assert x.grad == 1.0
+
+
+@pytest.mark.parametrize("shape", [(0,), (2,), (1, 3)])
+def test_item_needs_one_element(shape):
+    with pytest.raises(ShapeError, match="one-element"):
+        Tensor(np.ones(shape)).item()
+
+
+def test_item_of_one_element_of_any_rank():
+    assert Tensor(np.full((1, 1, 1), 2.5)).item() == 2.5
 
 
 def test_backward_linear_grad_is_input():

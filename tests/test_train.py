@@ -14,6 +14,8 @@ from fftsr.image import Image, make_lr_hr_pair, resample_bicubic
 from fftsr.optim import AdamW
 from fftsr.tensor import Tensor
 
+from test_nets import state_bytes
+
 # a small network whose adaptive state all moves within a few steps: the
 # noise baseline is set after 2 steps, the policy window fills after 2,
 # a stuck discriminator triggers a boost, and the diffusion timestep
@@ -458,20 +460,22 @@ class TestUpscaleScale:
 
 class TestUpscaleLeavesTheModelAlone:
     """The eval forward folds BatchNorm into freshly built kernels; it
-    writes no parameter or buffer, so training goes on as if it never ran."""
-
-    @staticmethod
-    def state_bytes(gen):
-        arrays = {name: t.data for name, t in gen.named_parameters()}
-        arrays.update({name: getattr(owner, attr) for name, owner, attr in gen.named_buffers()})
-        return {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()}
+    writes no parameter, buffer or input frame, so training goes on as if
+    it never ran."""
 
     def test_parameters_and_buffers_are_byte_identical(self, cfg, pairs):
         trainer = train.Trainer(cfg, 0, pairs)
         trainer.train_step()
-        before = self.state_bytes(trainer.gen)
+        before = state_bytes(trainer.gen)
         train.upscale_image(trainer.gen, Image(pairs[0][0]), 3)
-        assert self.state_bytes(trainer.gen) == before
+        assert state_bytes(trainer.gen) == before
+
+    def test_callers_frame_is_byte_identical(self, cfg, pairs):
+        img = Image(pairs[0][0].astype(np.float32))  # in range, so Image keeps this array
+        before = img.data.copy()
+        out = train.upscale_image(train.build_generator(cfg), img, 3)
+        assert np.array_equal(img.data, before)
+        assert not np.shares_memory(out.data, img.data)
 
     def test_train_step_after_an_upscale_is_unchanged(self, cfg, pairs):
         plain, probed = train.Trainer(cfg, 0, pairs), train.Trainer(cfg, 0, pairs)
@@ -551,3 +555,20 @@ def test_default_step_peak_memory_is_bounded():
     # node once its gradient has reached its inputs; keeping the graph and
     # every intermediate gradient until the walk ended peaked at 280.9 MiB
     assert peak < 185 * 2**20
+
+
+def test_default_upscale_peak_memory_is_bounded():
+    gen = train.build_generator(default_config())
+    img = Image(make_texture_corpus(1, 192, seed=2)[0].data[:108])
+    train.upscale_image(gen, img, 3)  # fills the resample caches
+    tracemalloc.start()
+    try:
+        train.upscale_image(gen, img, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the largest frame of the upscale benchmark. Each eval FFC block sums
+    # and activates in its conv output; a new array for each sum, ReLU and
+    # concat, and an HWC-ordered input copied again by the head conv, peaked
+    # at 69.9 MiB
+    assert peak < 64 * 2**20
