@@ -6,6 +6,11 @@ in :meth:`RunConfig.validate` instead of mid-step. Serialization is
 canonical (schema order, repr-formatted floats), which makes parse ->
 serialize -> parse a fixed point and lets checkpoints embed the exact
 configuration text.
+
+A class built from the configuration derives from :class:`Settings` and
+declares each setting field as ``setting("<key>")``: the field takes its
+key, default and check from the schema, and :meth:`RunConfig.build`
+fills it from that key.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "CONFIG_SCHEMA", "check_value", "check_fields", "parse_config", "serialize_config", "default_config"]
+__all__ = ["RunConfig", "CONFIG_SCHEMA", "Settings", "setting", "check_value", "parse_config", "serialize_config", "default_config"]
 
 
 # key -> (default, type, allowed interval or None, help); every number has an
@@ -84,16 +89,11 @@ class RunConfig:
             vals[key] = _coerce(key, value)
         return RunConfig(vals)
 
-    def build(self, cls, section: str, **extra):
-        """``cls`` from the ``<section>.*`` keys named like its init fields,
-        plus ``extra`` for fields the section does not carry."""
-        names = {f.name for f in dataclasses.fields(cls) if f.init}
-        kwargs = {}
-        for key, value in self.values.items():
-            head, _, name = key.partition(".")
-            if head == section and name in names:
-                kwargs[name] = value
-        return cls(**kwargs, **extra)
+    def build(self, cls, **extra):
+        """``cls`` with every setting field read from its key; ``extra``
+        gives other fields, or another value for a setting field, by name."""
+        kwargs = {f.name: self.values[f.metadata["key"]] for f in dataclasses.fields(cls) if "key" in f.metadata}
+        return cls(**(kwargs | extra))
 
     def validate(self):
         for key in CONFIG_SCHEMA:
@@ -118,13 +118,22 @@ def check_value(key: str, value, name: str | None = None) -> None:
         raise ConfigError(f"{name or key} = {value!r} is outside {interval}")
 
 
-def check_fields(obj, section: str, **keys: str) -> None:
-    """:func:`check_value` for each field of the dataclass ``obj`` that has
-    a config key: ``keys[field]`` if given, else ``<section>.<field>``."""
-    for f in dataclasses.fields(obj):
-        key = keys.get(f.name, f"{section}.{f.name}")
-        if key in CONFIG_SCHEMA:
-            check_value(key, getattr(obj, f.name), f"{type(obj).__name__}.{f.name}")
+def setting(key: str, required: bool = False):
+    """A dataclass field read from config key ``key``, with the key's
+    default unless ``required``."""
+    if required:
+        return field(metadata={"key": key})
+    return field(default=CONFIG_SCHEMA[key][0], metadata={"key": key})
+
+
+class Settings:
+    """Base of a dataclass with setting fields: :func:`check_value` checks
+    each one against its key when the object is built."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if "key" in f.metadata:
+                check_value(f.metadata["key"], getattr(self, f.name), f"{type(self).__name__}.{f.name}")
 
 
 def _is_int(value) -> bool:

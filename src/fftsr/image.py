@@ -69,7 +69,6 @@ __all__ = [
     "decode_image",
     "encode_image",
     "resample_bicubic",
-    "resample_nchw",
     "make_lr_hr_pair",
     "check_scale",
     "keys_weights",
@@ -419,23 +418,17 @@ def _axis_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def resample_bicubic(img: Image, out_h: int, out_w: int) -> Image:
-    """Keys (a = -0.5) cubic resampling to (out_h, out_w)."""
-    out = resample_nchw(img.data.transpose(2, 0, 1)[None], out_h, out_w)
-    return Image(out[0].transpose(1, 2, 0))
-
-
-def resample_nchw(batch: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Batched (N, C, H, W) Keys cubic resampling to (out_h, out_w), each
-    an integer of at least 1, else :class:`ShapeError`."""
+    """Keys (a = -0.5) cubic resampling to (out_h, out_w), each an integer
+    of at least 1, else :class:`ShapeError`."""
     for size in (out_h, out_w):
         if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
             raise ShapeError(f"output dimensions must be integers >= 1, got {out_h!r} x {out_w!r}")
-    mh = _axis_matrix(batch.shape[2], out_h)
-    mw = _axis_matrix(batch.shape[3], out_w)
-    x = batch.astype(np.float64)
+    mh = _axis_matrix(img.height, out_h)
+    mw = _axis_matrix(img.width, out_w)
+    x = img.data.transpose(2, 0, 1)[None].astype(np.float64)  # NCHW
     x = np.swapaxes(np.swapaxes(x, -1, -2) @ mh.T, -1, -2)
     x = x @ mw.T
-    return np.clip(x, 0.0, 1.0, out=x).astype(batch.dtype)
+    return Image(np.clip(x, 0.0, 1.0, out=x).astype(img.data.dtype)[0].transpose(1, 2, 0))
 
 
 def check_scale(scale) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import check_fields
+from .config import Settings, setting
 from .errors import DomainError, ShapeError
 from .nets import Conv2d, Module
 from .tensor import Tensor
@@ -47,23 +47,19 @@ SSIM_C2 = (0.03 * 1.0) ** 2
 
 
 @dataclass(frozen=True)
-class LossWeights:
+class LossWeights(Settings):
     """Scaling factors of the combined generator objective.
 
     Order of terms: adversarial, perceptual, gradient-error, SSIM,
-    Charbonnier. Defaults weight every term equally. A field that its
-    ``loss.*`` config key would not take raises ``ConfigError``.
+    Charbonnier. Defaults weight every term equally.
     """
 
-    adversarial: float = 1.0
-    perceptual: float = 1.0
-    mge: float = 1.0
-    ssim: float = 1.0
-    charbonnier: float = 1.0
-    charbonnier_eps: float = 1e-6
-
-    def __post_init__(self):
-        check_fields(self, "loss")
+    adversarial: float = setting("loss.adversarial")
+    perceptual: float = setting("loss.perceptual")
+    mge: float = setting("loss.mge")
+    ssim: float = setting("loss.ssim")
+    charbonnier: float = setting("loss.charbonnier")
+    charbonnier_eps: float = setting("loss.charbonnier_eps")
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -103,9 +99,12 @@ def ssim(x: Tensor, y: Tensor) -> Tensor:
 
 
 def ssim_metric(x: np.ndarray, y: np.ndarray) -> float:
-    """SSIM of two (..., H, W) arrays, evaluated off-graph in float64."""
+    """SSIM of two (H, W), (H, W, C) or NCHW arrays, evaluated off-graph in
+    float64; another rank raises :class:`ShapeError`."""
     xs = np.asarray(x, dtype=np.float64)
     ys = np.asarray(y, dtype=np.float64)
+    if xs.ndim not in (2, 3, 4):
+        raise ShapeError(f"ssim_metric takes (H, W), (H, W, C) or NCHW arrays, got shape {xs.shape}")
     if xs.ndim == 2:
         xs, ys = xs[None, None], ys[None, None]
     elif xs.ndim == 3:  # HWC image
@@ -164,10 +163,10 @@ def adversarial_disc_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
 
 
 class PerceptualExtractor(Module):
-    """Frozen random-feature network for perceptual distances.
+    """Frozen random-feature network for perceptual distances, a stand-in
+    for VGG: no loader for pretrained weights exists.
 
     Three stride-2 conv stages (widths 8, 16, 32) with fixed seed-derived
-    weights; no pretrained downloads, swappable by anyone who has real
     weights. Stage outputs are compared with an L1 distance normalized by
     the reference feature spread, which makes the loss invariant to a
     rescaling of the extractor weights.

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import check_fields
+from .config import Settings, setting
 from .fft import irfft2d, rfft2d
 from .tensor import Tensor
 
@@ -57,33 +57,24 @@ __all__ = [
 
 # ---- configuration ----
 
-# a field that its config key would not take raises ConfigError
+
+@dataclass(frozen=True)
+class GeneratorConfig(Settings):
+    blocks: int = setting("gen.blocks")
+    width: int = setting("gen.width")
+    global_fraction: float = setting("gen.global_fraction")
+    kernel: int = setting("gen.kernel")
+    zero_tail: bool = setting("gen.zero_tail")
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
-    blocks: int = 6
-    width: int = 26
-    global_fraction: float = 0.5
-    kernel: int = 3
-    noise_sigma: float = 0.05
-    zero_tail: bool = False
-
-    def __post_init__(self):
-        check_fields(self, "gen")
-
-
-@dataclass(frozen=True)
-class DiscriminatorConfig:
-    width: int = 16
-    layers: int = 3
-
-    def __post_init__(self):
-        check_fields(self, "disc")
+class DiscriminatorConfig(Settings):
+    width: int = setting("disc.width")
+    layers: int = setting("disc.layers")
 
 
 @dataclass
-class NoiseState:
+class NoiseState(Settings):
     """Between-block Gaussian noise of amplitude sigma0 * multiplier.
 
     :meth:`anneal` folds each step's generator loss into ``ema``, and keeps
@@ -91,15 +82,12 @@ class NoiseState:
     multiplier is then clip(ema / initial, 0, 1), and 1.0 with no baseline.
     """
 
-    sigma0: float
+    sigma0: float = setting("gen.noise_sigma", required=True)
     rng: np.random.Generator
-    warmup_steps: int = 100
-    ema_decay: float = 0.99
+    warmup_steps: int = setting("noise.warmup_steps")
+    ema_decay: float = setting("train.ema_decay")
     ema: float = 0.0
     initial: float | None = None
-
-    def __post_init__(self):
-        check_fields(self, "noise", sigma0="gen.noise_sigma", ema_decay="train.ema_decay")
 
     @property
     def multiplier(self) -> float:

@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import check_fields
+from .config import Settings, setting
 from .errors import DomainError, OptimizerError
 from .tensor import Tensor
 
@@ -92,18 +92,13 @@ class AdamW:
 
 
 @dataclass(frozen=True)
-class CosineRestartSchedule:
-    """Deterministic warm-restart schedule; ``lr_at`` is a pure function.
-    A field that its config key would not take raises ``ConfigError``;
-    ``base_lr`` has the key ``opt.lr_g``, whose interval ``opt.lr_d`` shares."""
+class CosineRestartSchedule(Settings):
+    """Deterministic warm-restart schedule; ``lr_at`` is a pure function."""
 
-    base_lr: float
-    cycle_steps: int = 2000
-    peak_decay: float = 0.95
-    floor_fraction: float = 0.5
-
-    def __post_init__(self):
-        check_fields(self, "sched", base_lr="opt.lr_g")
+    base_lr: float = setting("opt.lr_g", required=True)
+    cycle_steps: int = setting("sched.cycle_steps")
+    peak_decay: float = setting("sched.peak_decay")
+    floor_fraction: float = setting("sched.floor_fraction")
 
     def lr_at(self, step: int) -> float:
         if step < 0:
@@ -121,33 +116,29 @@ class PolicyAction:
 
 
 @dataclass
-class RestartPolicy:
+class RestartPolicy(Settings):
     """Finite state machine over the discriminator accuracy window.
 
     ``mode`` (one of ``MODES``) alone sets the multipliers;
     a boost ends when the mean accuracy is back inside ``EXIT_BAND``. A
-    disabled policy observes nothing and stays normal. A setting that its
-    ``policy.*`` config key would not take raises ``ConfigError``.
+    disabled policy observes nothing and stays normal.
     """
 
     MODES: ClassVar[tuple[str, str]] = ("normal", "disc-boost")
     EXIT_BAND: ClassVar[tuple[float, float]] = (0.55, 0.8)
 
-    enabled: bool = True
-    window: int = 200
-    acc_low: float = 0.5
-    acc_high: float = 0.95
-    lr_boost: float = 5.0
-    adv_scale: float = 0.1
-    cooldown: int = 1000
-    restart_every: int = 0  # > 0: also trigger periodically at this step interval
+    enabled: bool = setting("policy.enabled")
+    window: int = setting("policy.window")
+    acc_low: float = setting("policy.acc_low")
+    acc_high: float = setting("policy.acc_high")
+    lr_boost: float = setting("policy.lr_boost")
+    adv_scale: float = setting("policy.adv_scale")
+    cooldown: int = setting("policy.cooldown")
+    restart_every: int = setting("policy.restart_every")
 
     mode: str = "normal"
     last_trigger_step: int = -(10**9)
     _acc: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        check_fields(self, "policy")
 
     @property
     def disc_lr_multiplier(self) -> float:

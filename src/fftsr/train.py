@@ -27,8 +27,8 @@ import numpy as np
 
 from . import losses as L
 from . import tensor as T
-from .config import RunConfig, check_fields, parse_config, serialize_config
-from .errors import CheckpointError, FftsrError, ImageError, ShapeError, TooSmallError
+from .config import RunConfig, Settings, parse_config, serialize_config, setting
+from .errors import CheckpointError, ConfigError, FftsrError, ImageError, ShapeError, TooSmallError
 from .image import Image, check_scale, resample_bicubic
 from .nets import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, NoiseState
 from .optim import AdamW, CosineRestartSchedule, RestartPolicy
@@ -62,7 +62,7 @@ class TrainAbort(FftsrError):
 
 
 @dataclass
-class DiffusionState:
+class DiffusionState(Settings):
     """Forward-chain Gaussian diffusion with an adaptive maximum timestep.
 
     alpha_bar follows a linear beta schedule; t = 0 adds no noise. The
@@ -71,20 +71,20 @@ class DiffusionState:
     climbs, feeding it harder inputs; when it struggles, it backs off.
     """
 
-    t_max: int = 500
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    target: float = 0.6
-    stride: int = 1
-    ema_decay: float = 0.99
-    adapt_every: int = 4
+    t_max: int = setting("diffusion.t_max")
+    beta_start: float = setting("diffusion.beta_start")
+    beta_end: float = setting("diffusion.beta_end")
+    target: float = setting("diffusion.target")
+    stride: int = setting("diffusion.stride")
+    ema_decay: float = setting("train.ema_decay")
+    adapt_every: int = setting("diffusion.adapt_every")
 
     t: int = 0
     r_d: float = 0.0
     alpha_bar: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_fields(self, "diffusion", ema_decay="train.ema_decay")
+        super().__post_init__()
         steps = max(self.t_max, 1)
         betas = np.linspace(self.beta_start, self.beta_end, steps, dtype=np.float64)
         bars = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
@@ -148,8 +148,16 @@ def sample_patches(
 # ---- inference helpers ----
 
 
+def _check_seed(seed) -> None:
+    """Raise :class:`ConfigError` unless ``seed`` is an integer >= 0, the
+    only seeds a checkpoint stores; a bool is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def build_generator(cfg: RunConfig, seed: int = 0) -> Generator:
-    return Generator(cfg.build(GeneratorConfig, "gen"), np.random.default_rng(np.random.SeedSequence(seed)))
+    _check_seed(seed)
+    return Generator(cfg.build(GeneratorConfig), np.random.default_rng(np.random.SeedSequence(seed)))
 
 
 def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
@@ -183,6 +191,7 @@ class Trainer:
     """Owns both networks, their optimisers and the adaptive controllers."""
 
     def __init__(self, cfg: RunConfig, seed: int, pairs: list[tuple[np.ndarray, np.ndarray]]):
+        _check_seed(seed)
         cfg.validate()
         self.cfg = cfg
         self.seed = seed
@@ -193,22 +202,19 @@ class Trainer:
 
         root = np.random.SeedSequence(seed)
         init_gen, init_disc, *streams = root.spawn(2 + len(_STREAMS))
-        self.gen = Generator(cfg.build(GeneratorConfig, "gen"), np.random.default_rng(init_gen))
-        self.disc = Discriminator(cfg.build(DiscriminatorConfig, "disc"), np.random.default_rng(init_disc))
+        self.gen = Generator(cfg.build(GeneratorConfig), np.random.default_rng(init_gen))
+        self.disc = Discriminator(cfg.build(DiscriminatorConfig), np.random.default_rng(init_disc))
         self.rng = {name: np.random.default_rng(seq) for name, seq in zip(_STREAMS, streams)}
 
-        self.weights = cfg.build(L.LossWeights, "loss")
+        self.weights = cfg.build(L.LossWeights)
         self.extractor = L.PerceptualExtractor()
         self.opt_g = self._adamw(self.gen, "gen.")
         self.opt_d = self._adamw(self.disc, "disc.")
-        self.sched_g = cfg.build(CosineRestartSchedule, "sched", base_lr=cfg.get("opt.lr_g"))
-        self.sched_d = cfg.build(CosineRestartSchedule, "sched", base_lr=cfg.get("opt.lr_d"))
-        self.policy = cfg.build(RestartPolicy, "policy")
-        ema_decay = cfg.get("train.ema_decay")
-        self.diffusion = cfg.build(DiffusionState, "diffusion", ema_decay=ema_decay)
-        self.noise = cfg.build(
-            NoiseState, "noise", sigma0=cfg.get("gen.noise_sigma"), ema_decay=ema_decay, rng=self.rng["noise"]
-        )
+        self.sched_g = cfg.build(CosineRestartSchedule)
+        self.sched_d = cfg.build(CosineRestartSchedule, base_lr=cfg.get("opt.lr_d"))
+        self.policy = cfg.build(RestartPolicy)
+        self.diffusion = cfg.build(DiffusionState)
+        self.noise = cfg.build(NoiseState, rng=self.rng["noise"])
         self.step = 0
 
     def _adamw(self, net, prefix: str) -> AdamW:

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -9,7 +11,7 @@ from fftsr.errors import ConfigError
 from fftsr.losses import LossWeights
 from fftsr.nets import DiscriminatorConfig, GeneratorConfig, NoiseState
 from fftsr.optim import CosineRestartSchedule, RestartPolicy
-from fftsr.train import DiffusionState
+from fftsr.train import DiffusionState, Trainer
 
 CHANGED = dict(
     data__scale=2,
@@ -135,49 +137,105 @@ def test_every_number_has_an_interval():
             assert interval[0] in "[(" and interval[-1] in ")]", key
 
 
+# the seven classes built from the configuration
+CONFIGURED = (
+    GeneratorConfig, DiscriminatorConfig, NoiseState, LossWeights, CosineRestartSchedule, RestartPolicy, DiffusionState
+)
+
+# every key, moved off its default to a value that still validates
+MOVED = dict(
+    data__scale=2, data__patch=24, data__batch=3,
+    gen__blocks=2, gen__width=9, gen__global_fraction=0.25, gen__kernel=5, gen__noise_sigma=0.07, gen__zero_tail=True,
+    disc__width=5, disc__layers=2,
+    loss__adversarial=0.5, loss__perceptual=0.25, loss__mge=1.5, loss__ssim=2.0, loss__charbonnier=3.0,
+    loss__charbonnier_eps=1e-5,
+    opt__lr_g=3e-3, opt__lr_d=4e-3, opt__beta1=0.8, opt__beta2=0.99, opt__eps=1e-7, opt__weight_decay=2e-4,
+    sched__cycle_steps=30, sched__peak_decay=0.9, sched__floor_fraction=0.25,
+    policy__enabled=False, policy__window=7, policy__acc_low=0.4, policy__acc_high=0.9, policy__lr_boost=2.0,
+    policy__adv_scale=0.2, policy__cooldown=11, policy__restart_every=13,
+    diffusion__t_max=50, diffusion__beta_start=2e-4, diffusion__beta_end=0.03, diffusion__target=0.5,
+    diffusion__stride=2, diffusion__adapt_every=3,
+    noise__warmup_steps=17,
+    train__ema_decay=0.9,
+)
+
+# key -> the trainer attributes that carry its value
+CARRIERS = {
+    "data.scale": ["scale"],
+    "data.patch": ["patch"],
+    "data.batch": ["batch"],
+    **{f"gen.{name}": [f"gen.cfg.{name}"] for name in ("blocks", "width", "global_fraction", "kernel", "zero_tail")},
+    "gen.noise_sigma": ["noise.sigma0"],
+    **{f"disc.{name}": [f"disc.cfg.{name}"] for name in ("width", "layers")},
+    **{f"loss.{f.name}": [f"weights.{f.name}"] for f in dataclasses.fields(LossWeights)},
+    "opt.lr_g": ["sched_g.base_lr"],
+    "opt.lr_d": ["sched_d.base_lr"],
+    **{f"opt.{name}": [f"opt_g.{name}", f"opt_d.{name}"] for name in ("beta1", "beta2", "eps", "weight_decay")},
+    **{f"sched.{n}": [f"sched_g.{n}", f"sched_d.{n}"] for n in ("cycle_steps", "peak_decay", "floor_fraction")},
+    **{key: [key] for key in CONFIG_SCHEMA if key.startswith(("policy.", "diffusion."))},
+    "noise.warmup_steps": ["noise.warmup_steps"],
+    "train.ema_decay": ["diffusion.ema_decay", "noise.ema_decay"],
+}
+
+
 class TestBuild:
-    # every key of these sections, moved off its default
-    NUDGED = default_config().replace(
-        **{
-            key.replace(".", "__"): (not row[0]) if row[1] is bool else row[0] + 1 if row[1] is int else row[0] / 2
-            for key, row in CONFIG_SCHEMA.items()
-        }
-    )
+    def test_every_key_reaches_the_trainer(self):
+        cfg = default_config().replace(**MOVED).validate()
+        assert sorted(CARRIERS) == sorted(CONFIG_SCHEMA)
+        assert all(cfg.get(key) != row[0] for key, row in CONFIG_SCHEMA.items())
+        hr = np.random.default_rng(0).random((24, 24, 3), dtype=np.float32)
+        trainer = Trainer(cfg, 0, [(hr[::2, ::2], hr)])
+        for key, paths in CARRIERS.items():
+            for path in paths:
+                assert functools.reduce(getattr, path.split("."), trainer) == cfg.get(key), (key, path)
 
     @pytest.mark.parametrize(
         "cls, section",
         [(GeneratorConfig, "gen"), (DiscriminatorConfig, "disc"), (LossWeights, "loss"), (RestartPolicy, "policy")],
     )
     def test_every_matching_key_reaches_the_object(self, cls, section):
-        built = self.NUDGED.build(cls, section)
-        names = {f.name for f in dataclasses.fields(cls)}
-        carried = [key for key in CONFIG_SCHEMA if key.startswith(section + ".") and key.split(".")[1] in names]
+        cfg = default_config().replace(**MOVED).validate()
+        built = cfg.build(cls)
+        carried = [f for f in dataclasses.fields(cls) if "key" in f.metadata]
         assert carried
-        for key in carried:
-            assert getattr(built, key.split(".")[1]) == self.NUDGED.get(key)
+        for f in carried:
+            assert f.metadata["key"].startswith(section + "."), f.name
+            assert getattr(built, f.name) == cfg.get(f.metadata["key"]) != CONFIG_SCHEMA[f.metadata["key"]][0]
+
+    def test_every_setting_key_is_in_the_schema_and_only_ema_decay_has_two_owners(self):
+        owners = collections.Counter(
+            f.metadata["key"] for cls in CONFIGURED for f in dataclasses.fields(cls) if "key" in f.metadata
+        )
+        assert set(owners) <= set(CONFIG_SCHEMA)
+        assert [key for key, n in owners.items() if n > 1] == ["train.ema_decay"]
+
+    def test_required_settings_stay_required(self):
+        for build in (lambda: NoiseState(), lambda: NoiseState(0.1), lambda: CosineRestartSchedule()):
+            with pytest.raises(TypeError, match="missing"):
+                build()
 
     @pytest.mark.parametrize(
-        "cls, section, extra",
+        "cls, extra",
         [
-            (GeneratorConfig, "gen", {}),
-            (DiscriminatorConfig, "disc", {}),
-            (LossWeights, "loss", {}),
-            (RestartPolicy, "policy", {}),
-            (DiffusionState, "diffusion", {}),
-            (CosineRestartSchedule, "sched", {"base_lr": 1.0}),
-            (NoiseState, "noise", {"sigma0": 0.05, "rng": None}),
+            (GeneratorConfig, {}),
+            (DiscriminatorConfig, {}),
+            (LossWeights, {}),
+            (RestartPolicy, {}),
+            (DiffusionState, {}),
+            (CosineRestartSchedule, {"base_lr": 1.0}),
+            (NoiseState, {"sigma0": 0.05, "rng": None}),
         ],
         ids=["gen", "disc", "loss", "policy", "diffusion", "sched", "noise"],
     )
-    def test_every_field_with_a_key_is_checked_against_it(self, cls, section, extra):
-        checked = [f.name for f in dataclasses.fields(cls) if f"{section}.{f.name}" in CONFIG_SCHEMA]
+    def test_every_field_with_a_key_is_checked_against_it(self, cls, extra):
+        checked = [f for f in dataclasses.fields(cls) if "key" in f.metadata]
         assert checked
-        for name in checked:
-            typ = CONFIG_SCHEMA[f"{section}.{name}"][1]
+        for f in checked:
+            typ = CONFIG_SCHEMA[f.metadata["key"]][1]
             if typ is not bool:
                 bad = 2.5 if typ is int else math.nan
-                with pytest.raises(ConfigError, match=f"{cls.__name__}.{name} = "):
-                    cls(**{name: bad}, **extra)
+                with pytest.raises(ConfigError, match=f"{cls.__name__}.{f.name} = "):
+                    cls(**(extra | {f.name: bad}))
 
     @pytest.mark.parametrize(
         "build",
@@ -206,12 +264,13 @@ class TestBuild:
             build()
 
     def test_every_field_of_the_config_objects_has_a_key(self):
-        for cls, section in ((GeneratorConfig, "gen"), (DiscriminatorConfig, "disc"), (LossWeights, "loss")):
+        for cls in (GeneratorConfig, DiscriminatorConfig, LossWeights):
             for f in dataclasses.fields(cls):
-                assert f"{section}.{f.name}" in CONFIG_SCHEMA
+                assert f.metadata["key"] in CONFIG_SCHEMA
 
     def test_extra_fields_come_from_the_caller(self):
-        sched = self.NUDGED.build(CosineRestartSchedule, "sched", base_lr=0.25)
+        cfg = default_config().replace(**MOVED)
+        sched = cfg.build(CosineRestartSchedule, base_lr=0.25)
         assert sched.base_lr == 0.25
-        assert sched.cycle_steps == self.NUDGED.get("sched.cycle_steps")
-        assert sched.floor_fraction == self.NUDGED.get("sched.floor_fraction")
+        assert sched.cycle_steps == cfg.get("sched.cycle_steps")
+        assert sched.floor_fraction == cfg.get("sched.floor_fraction")

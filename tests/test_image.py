@@ -218,19 +218,10 @@ class TestResampling:
         monkeypatch.setattr(I, "_axis_matrix", None)  # rejected before any compute
         with pytest.raises(ShapeError, match="output dimensions must be integers >= 1"):
             I.resample_bicubic(I.Image(np.zeros((4, 4, 3), dtype=np.float32)), *size)
-        with pytest.raises(ShapeError, match="output dimensions must be integers >= 1"):
-            I.resample_nchw(np.zeros((1, 3, 4, 4), dtype=np.float32), *size)
 
     def test_numpy_integer_size(self):
         out = I.resample_bicubic(I.Image(np.zeros((4, 4, 3), dtype=np.float32)), np.int64(8), 6)
         assert out.data.shape == (8, 6, 3)
-
-    def test_batched_matches_single(self):
-        rng = np.random.default_rng(8)
-        img = random_image(rng, 12, 12)
-        single = I.resample_bicubic(img, 36, 36).data
-        batched = I.resample_nchw(img.data.transpose(2, 0, 1)[None].astype(np.float32), 36, 36)
-        assert np.array_equal(batched[0].transpose(1, 2, 0), single)
 
     def test_upscale_against_naive_pointwise(self):
         rng = np.random.default_rng(9)

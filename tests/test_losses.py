@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,11 @@ class TestSsim:
             Tensor(y.transpose(2, 0, 1)[None], dtype=np.float64),
         ).item()
         assert got == ref
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 1, 3, 8, 8)], ids=["1d", "5d"])
+    def test_metric_rejects_another_rank(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            L.ssim_metric(np.zeros(shape), np.zeros(shape))
 
 
 class TestCharbonnier:

@@ -22,7 +22,10 @@ def test_every_exported_name_resolves(name):
 
 
 def test_removed_names_are_not_exported():
-    gone = {"fft1d", "amax", "exp", "luma", "resample_bilinear", "SuperResolver", "ModelConfig", "narrow_channels"}
+    gone = {
+        "fft1d", "amax", "exp", "luma", "resample_bilinear", "resample_nchw", "SuperResolver", "ModelConfig",
+        "narrow_channels",
+    }
     for name in MODULES:
         assert not gone & set(getattr(importlib.import_module(name), "__all__", ())), name
 

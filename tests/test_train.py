@@ -9,7 +9,7 @@ import pytest
 from fftsr import train
 from fftsr.config import default_config, serialize_config
 from fftsr.corpus import make_texture_corpus
-from fftsr.errors import CheckpointError, FftsrError, ImageError, ShapeError, TooSmallError
+from fftsr.errors import CheckpointError, ConfigError, FftsrError, ImageError, ShapeError, TooSmallError
 from fftsr.image import Image, make_lr_hr_pair, resample_bicubic
 from fftsr.optim import AdamW
 from fftsr.tensor import Tensor
@@ -428,6 +428,23 @@ class TestTrainingInput:
             want = resample_bicubic(Image(lr), scale * h, scale * w).data[window]
             assert up.transpose(1, 2, 0).tobytes() == want.astype(np.float32).tobytes()
             assert hr.transpose(1, 2, 0).tobytes() == whole[window].astype(np.float32).tobytes()
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", [True, -1, 1.5], ids=["bool", "negative", "float"])
+    def test_a_seed_a_checkpoint_cannot_store_fails_before_any_compute(self, cfg, pairs, seed, monkeypatch):
+        monkeypatch.setattr(train, "Generator", None)  # rejected before a network is built
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            train.Trainer(cfg, seed, pairs)
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            train.build_generator(cfg, seed)
+
+    def test_numpy_integer_seed_round_trips_through_a_checkpoint(self, cfg, pairs, tmp_path):
+        trainer = train.Trainer(cfg, np.int64(5), pairs)
+        trainer.train_step()
+        train.save_trainer(trainer, tmp_path / "ckpt")
+        resumed = train.Trainer.from_checkpoint(train.read_checkpoint(tmp_path / "ckpt"), pairs)
+        assert resumed.seed == 5 and resumed.train_step() == trainer.train_step()
 
 
 class TestUpscaleMinimumSize:
