@@ -1,35 +1,46 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The engine is numpy-backed: a :class:`Tensor` wraps an ndarray plus an
-optional gradient accumulator and a record of the operation that produced
-it. Calling :meth:`Tensor.backward` on a scalar walks the graph in reverse
-topological order and accumulates ``d(loss)/d(leaf)`` into every tracked
-leaf. Wrapped values are never mutated in place, so a node's saved forward
-context stays valid for the backward pass.
+The engine is numpy-backed. A :class:`Tensor` wraps an ndarray; the
+output of an op on tensors that need a gradient also points at a graph
+node (:class:`_Node`) that records the op: its ``_op`` tag, the nodes of
+its inputs, one gradient function per input and a ``grad`` accumulator.
+A leaf (a parameter or an input, made by the constructor) is its own
+node, and its ``grad`` is where :meth:`Tensor.backward` accumulates
+``d(loss)/d(leaf)``, walking the nodes in reverse topological order.
+
+The graph holds nodes, not tensors. A forward array lives only while a
+caller holds its tensor or a gradient function reads it, and each
+gradient function captures only what it reads: often a shape, a mask or
+the other operand's array (``sqrt``, ``sigmoid`` and ``tanh`` read their
+own output), and for ``add``, ``sub``, ``concat`` and the transforms
+nothing at all. An
+input that needs no gradient is not kept, and neither is its gradient
+function. Wrapped values are never mutated in place, so what a function
+captured stays valid for the backward pass.
 
 An op declares one gradient function per input (``grads`` in
 :meth:`Tensor._from_op`): it maps the output's gradient to that input's
-gradient. An input that needs no gradient is not kept by the graph. The
-bookkeeping lives in :meth:`Tensor.backward` alone: it skips inputs that
-need no gradient, sums each result down any broadcast axes and accumulates
-it into the input.
+gradient. The bookkeeping lives in :meth:`Tensor.backward` alone: it
+skips inputs that need no gradient, sums each result down any broadcast
+axes and accumulates it into the input's node.
 
 Each graph can be walked once. As the walk passes a node, it hands the
 node's gradient to its inputs and then releases the node: its ``grad``,
 its inputs and its gradient functions, with the forward arrays they hold.
 A training step therefore holds only what the rest of the walk still
-needs. Leaves (parameters and inputs) are never released, and their
-``grad`` accumulates across graphs until the caller zeroes it. A backward
-pass that reaches a released node, from the same root or from a new graph
-built on a released node, raises :class:`GraphError` before it computes
+needs. Leaves are never released, and their ``grad`` accumulates across
+graphs until the caller zeroes it. A backward pass that reaches a
+released node, from the same root or from a new graph built on a tensor
+whose node was released, raises :class:`GraphError` before it computes
 anything; build the graph again with a new forward pass. So does a
 backward pass on a loss that is not tracked, through which no gradient
 could reach a parameter.
 
 Default compute dtype is float32; gradient-check tests build the same
-graphs in float64. With float64 operands, ``log`` and ``sqrt`` raise
-:class:`DomainError` on negative input (strict mode); with float32 they
-propagate NaN the way numpy does.
+graphs in float64. With float64 operands, ``log``, ``sqrt`` and ``pow``
+with an exponent that is not an integer raise :class:`DomainError` on
+negative input (strict mode); with float32 they propagate NaN the way
+numpy does.
 """
 
 from __future__ import annotations
@@ -85,10 +96,46 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """N-dimensional float array, optionally tracked by the autodiff graph."""
+class _Node:
+    """The graph's record of one tracked op: its tag ``_op``, the nodes of
+    its inputs, one gradient function per input and the ``grad``
+    accumulator, with the output's ``shape`` and ``dtype`` that
+    ``backward`` sums and casts the incoming gradients to. It holds no
+    forward array: the output's array belongs to its :class:`Tensor`, and
+    a forward array outlives the caller's reference only inside a
+    gradient function that reads it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grads", "_op")
+    __slots__ = ("grad", "shape", "dtype", "_op", "_inputs", "_grads")
+    requires_grad = True  # a node is made only for a tracked op
+
+    def __init__(self, op: str, inputs: tuple, grads: tuple, shape: tuple, dtype):
+        self.grad = None
+        self.shape = shape
+        self.dtype = dtype
+        self._op = op
+        self._inputs = inputs
+        self._grads = grads
+
+    def _accumulate(self, g: np.ndarray):
+        if g.dtype != self.dtype:
+            g = g.astype(self.dtype)
+        if self.grad is None:
+            self.grad = np.ascontiguousarray(g)
+        else:
+            self.grad = self.grad + g
+
+
+class Tensor:
+    """N-dimensional float array, optionally tracked by the autodiff graph.
+
+    A leaf (made by the constructor) is its own graph node: ``grad``
+    accumulates on it. The output of a tracked op points at a separate
+    :class:`_Node` through ``_node`` and its own ``grad`` stays ``None``.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
+    # a leaf as a graph node: no op, no inputs, no gradient functions
+    _op, _inputs, _grads = None, (), None
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -99,9 +146,7 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._grads = None
-        self._op = None
+        self._node = None
 
     @staticmethod
     def _from_op(data, parents: Sequence["Tensor"], grads: Sequence[Callable], op: str) -> "Tensor":
@@ -111,23 +156,27 @@ class Tensor:
         the output's gradient to that parent's gradient. A function may
         return a gradient at the broadcast output shape; ``backward`` sums it
         down to the parent's shape. It runs only for parents that require a
-        gradient, in parent order. A parent that needs none when the op runs
-        is stored as ``None``, so the graph does not keep it alive, and its
-        function may be ``None``.
+        gradient, in parent order.
+
+        When a parent requires a gradient (and :func:`no_grad` is off), the
+        output gets a :class:`_Node` holding ``op``, each parent's node and
+        the gradient functions; the output's own array is not in it. A
+        parent that needs no gradient is stored as ``None`` with its
+        function, so the graph keeps neither that parent nor what its
+        function captured, and the function may be ``None``. So a forward
+        array lives only as long as a caller holds its tensor or a kept
+        gradient function reads it.
         """
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        tracked = _grad_enabled and any(p.requires_grad for p in parents)
-        out.requires_grad = tracked
-        if tracked:
-            out._parents = tuple(p if p.requires_grad else None for p in parents)
-            out._grads = tuple(grads)
-            out._op = op
-        else:
-            out._parents = ()
-            out._grads = None
-            out._op = None
+        out._node = None
+        out.requires_grad = _records(*parents)
+        if out.requires_grad:
+            keep = [p.requires_grad for p in parents]
+            inputs = tuple(_node_of(p) if k else None for p, k in zip(parents, keep))
+            kept = tuple(f if k else None for f, k in zip(grads, keep))
+            out._node = _Node(op, inputs, kept, data.shape, data.dtype)
         return out
 
     @property
@@ -153,13 +202,7 @@ class Tensor:
             raise ShapeError(f"item() needs a one-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def _accumulate(self, g: np.ndarray):
-        if g.dtype != self.data.dtype:
-            g = g.astype(self.data.dtype)
-        if self.grad is None:
-            self.grad = np.ascontiguousarray(g)
-        else:
-            self.grad = self.grad + g
+    _accumulate = _Node._accumulate
 
     def backward(self):
         """Populate ``grad`` on every reachable tracked leaf, releasing the
@@ -184,9 +227,10 @@ class Tensor:
                 "backward() on a loss that is not tracked: it was built under no_grad() "
                 "or only from tensors that need no gradient"
             )
-        topo: list[Tensor] = []
+        root = _node_of(self)
+        topo: list = []
         seen = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -201,21 +245,21 @@ class Tensor:
                 )
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node._inputs:
                 if p is not None and id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
-        # popping drops topo's reference, so a released node's arrays are
-        # freed as soon as no later node or caller holds them
+        root._accumulate(np.ones_like(self.data))
+        # popping drops topo's reference, so a released node's gradient
+        # functions, and the arrays only they hold, are freed at once
         while topo:
             node = topo.pop()
             if node._grads is None:  # a leaf
                 continue
             g = node.grad
-            for parent, grad_fn in zip(node._parents, node._grads):
-                if parent is not None and parent.requires_grad:
-                    parent._accumulate(_unbroadcast(grad_fn(g), parent.shape))
-            node.grad, node._parents, node._grads = None, (), None
+            for inp, grad_fn in zip(node._inputs, node._grads):
+                if inp is not None and inp.requires_grad:
+                    inp._accumulate(_unbroadcast(grad_fn(g), inp.shape))
+            node.grad, node._inputs, node._grads = None, (), None
 
     # operator sugar
 
@@ -253,6 +297,17 @@ class Tensor:
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}{flag})"
+
+
+def _records(*inputs: Tensor) -> bool:
+    """Whether an op on ``inputs`` is recorded in the graph: one of them
+    requires a gradient and :func:`no_grad` is off."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
+def _node_of(t: Tensor):
+    """``t``'s graph node: its :class:`_Node`, or ``t`` itself for a leaf."""
+    return t if t._node is None else t._node
 
 
 def _coerce(value, like: Tensor) -> Tensor:
@@ -300,24 +355,33 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    """Each gradient keeps the other operand's array."""
     a, b = _operands(a, b, "mul")
-    return Tensor._from_op(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data), "mul")
+    ad, bd = a.data, b.data
+    return Tensor._from_op(ad * bd, (a, b), (lambda g: g * bd, lambda g: g * ad), "mul")
 
 
 def div(a, b) -> Tensor:
+    """``a``'s gradient keeps ``b``'s array; ``b``'s keeps both."""
     a, b = _operands(a, b, "div")
-    grads = (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
-    return Tensor._from_op(a.data / b.data, (a, b), grads, "div")
+    ad, bd = a.data, b.data
+    grads = (lambda g: g / bd, lambda g: -g * ad / (bd * bd))
+    return Tensor._from_op(ad / bd, (a, b), grads, "div")
 
 
 # ---- elementwise unary ----
 
 
 def pow(a: Tensor, exponent: float) -> Tensor:
-    """Elementwise power with a scalar exponent."""
+    """Elementwise power with a scalar exponent; the gradient keeps the
+    input array. In float64 strict mode a negative base with an exponent
+    that is not an integer raises :class:`DomainError`."""
     exponent = float(exponent)
-    grads = (lambda g: g * exponent * a.data ** (exponent - 1.0),)
-    return Tensor._from_op(a.data**exponent, (a,), grads, "pow")
+    if not exponent.is_integer():
+        _strict_domain(a, "pow")
+    ad = a.data
+    grads = (lambda g: g * exponent * ad ** (exponent - 1.0),)
+    return Tensor._from_op(ad**exponent, (a,), grads, "pow")
 
 
 def _strict_domain(a: Tensor, op: str):
@@ -337,7 +401,8 @@ def log(a: Tensor) -> Tensor:
     _strict_domain(a, "log")
     with np.errstate(invalid="ignore", divide="ignore"):
         out_data = np.log(a.data)
-    return Tensor._from_op(out_data, (a,), (lambda g: g / a.data,), "log")
+    ad = a.data
+    return Tensor._from_op(out_data, (a,), (lambda g: g / ad,), "log")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -356,18 +421,26 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    return Tensor._from_op(np.maximum(a.data, 0), (a,), (lambda g: g * (a.data > 0),), "relu")
+    """The gradient keeps the input's boolean mask ``a > 0``, not its array."""
+    mask = a.data > 0 if _records(a) else None
+    return Tensor._from_op(np.maximum(a.data, 0), (a,), (lambda g: g * mask,), "relu")
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient passes only where the input was inside."""
-    grads = (lambda g: g * ((a.data >= lo) & (a.data <= hi)),)
-    return Tensor._from_op(np.clip(a.data, lo, hi), (a,), grads, "clamp")
+    """Clip to [lo, hi]; gradient passes only where the input was inside,
+    and keeps the input array. ``lo > hi`` raises :class:`DomainError`."""
+    if lo > hi:
+        raise DomainError(f"clamp: lower bound {lo} is above upper bound {hi}")
+    ad = a.data
+    grads = (lambda g: g * ((ad >= lo) & (ad <= hi)),)
+    return Tensor._from_op(np.clip(ad, lo, hi), (a,), grads, "clamp")
 
 
 def absolute(a: Tensor) -> Tensor:
-    """|a|, with subgradient sign(a) (0 at the origin)."""
-    return Tensor._from_op(np.abs(a.data), (a,), (lambda g: g * np.sign(a.data),), "abs")
+    """|a|, with subgradient sign(a) (0 at the origin); the gradient keeps
+    the input array."""
+    ad = a.data
+    return Tensor._from_op(np.abs(ad), (a,), (lambda g: g * np.sign(ad),), "abs")
 
 
 # ---- reductions ----
@@ -405,20 +478,24 @@ def _spread(g: np.ndarray, shape: tuple, axes, keepdims: bool) -> np.ndarray:
 
 
 def sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+    """The gradient keeps only the input's shape."""
     axes = _norm_axes(axes, a.data.ndim)
     if axes == ():
         return _identity(a)
     out_data = np.asarray(a.data.sum(axis=axes, keepdims=keepdims))
-    return Tensor._from_op(out_data, (a,), (lambda g: _spread(g, a.shape, axes, keepdims).copy(),), "sum")
+    shape = a.shape
+    return Tensor._from_op(out_data, (a,), (lambda g: _spread(g, shape, axes, keepdims).copy(),), "sum")
 
 
 def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+    """The gradient keeps only the input's shape."""
     axes = _norm_axes(axes, a.data.ndim)
     if axes == ():
         return _identity(a)
     out_data = np.asarray(a.data.mean(axis=axes, keepdims=keepdims))
-    count = a.data.size if axes is None else math.prod(a.shape[ax] for ax in axes)
-    return Tensor._from_op(out_data, (a,), (lambda g: _spread(g, a.shape, axes, keepdims) / count,), "mean")
+    shape = a.shape
+    count = a.data.size if axes is None else math.prod(shape[ax] for ax in axes)
+    return Tensor._from_op(out_data, (a,), (lambda g: _spread(g, shape, axes, keepdims) / count,), "mean")
 
 
 # ---- structure ----
@@ -431,23 +508,27 @@ def matmul(a: Tensor, b) -> Tensor:
         raise ShapeError("matmul supports 2-D operands only")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape[1]} vs {b.shape[0]}")
-    return Tensor._from_op(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g), "matmul")
+    ad, bd = a.data, b.data
+    return Tensor._from_op(ad @ bd, (a, b), (lambda g: g @ bd.T, lambda g: ad.T @ g), "matmul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     """``a`` with the same elements in ``shape``; a shape that is not one
-    of integers or has another size raises :class:`ShapeError`."""
+    of integers or has another size raises :class:`ShapeError`. The
+    gradient keeps only the input's shape."""
     try:
         out_data = a.data.reshape(shape)
     except (TypeError, ValueError):
         raise ShapeError(f"reshape: cannot view shape {a.shape} as {shape}") from None
-    return Tensor._from_op(out_data, (a,), (lambda g: g.reshape(a.shape),), "reshape")
+    in_shape = a.shape
+    return Tensor._from_op(out_data, (a,), (lambda g: g.reshape(in_shape),), "reshape")
 
 
 def concat(parts: Iterable[Tensor], axis: int = 1) -> Tensor:
     """Join ``parts`` along ``axis``. No parts, or parts whose shapes differ
     off that axis, raise :class:`ShapeError`; an axis that is not an integer
-    or is out of range raises :class:`AxisError`."""
+    or is out of range raises :class:`AxisError`. Each part's gradient
+    keeps only its slice's bounds."""
     parts = list(parts)
     if not parts:
         raise ShapeError("concat: no tensors to join")
@@ -469,16 +550,19 @@ def concat(parts: Iterable[Tensor], axis: int = 1) -> Tensor:
 
 def split_channels(a: Tensor, sizes: Sequence[int]) -> tuple:
     """Split along the channel axis into consecutive groups of ``sizes``,
-    one ``"narrow"`` node per group."""
+    one ``"narrow"`` node per group. Each group is a view of ``a``'s
+    array; its gradient keeps only ``a``'s shape."""
     if a.data.ndim != 4:
         raise ShapeError("split_channels expects NCHW input")
     starts = list(itertools.accumulate(sizes, initial=0))
     if not all(_is_int(n) and n >= 0 for n in sizes) or starts[-1] != a.shape[1]:
         raise ShapeError(f"split sizes {tuple(sizes)} are not counts that cover {a.shape[1]} channels")
 
+    shape = a.shape
+
     def narrow(start, stop):
         def grad(g):
-            full = np.zeros(a.shape, dtype=g.dtype)
+            full = np.zeros(shape, dtype=g.dtype)
             full[:, start:stop] = g
             return full
 
@@ -608,6 +692,11 @@ def conv2d(
     at 324x576 the call peaks at 29 MiB, where one full column matrix took
     it to 111 MiB. The full matrix is built only in backward, and only when
     the kernel needs a gradient, so the graph keeps no columns alive.
+
+    The input gradient keeps the kernel as a matrix. The kernel gradient,
+    recorded only when the kernel needs a gradient, keeps the padded
+    channel-first copy of the input (a 1x1 conv keeps the input itself);
+    neither keeps ``x``'s own array.
     """
     for name, value in (("stride", stride), ("padding", padding)):
         if not _is_int(value):
@@ -635,12 +724,16 @@ def conv2d(
         out_data = _conv1x1_forward(x.data, kmat)
         if bias is not None:
             out_data += bias.data.reshape(1, cout, 1, 1)
+        # the input gradient keeps the kernel matrix and the kernel gradient
+        # the input, copied when it is a strided slice (a split_channels
+        # group), so the graph does not pin the whole array it was cut from
+        xd = np.ascontiguousarray(x.data) if _records(kernel) else None
 
         def kernel_grad_1x1(g):
-            xt = x.data.reshape(n, cin, h * w).transpose(0, 2, 1)
-            return (g.reshape(n, cout, h * w) @ xt).sum(axis=0).reshape(kernel.shape)
+            xt = xd.reshape(n, cin, h * w).transpose(0, 2, 1)
+            return (g.reshape(n, cout, h * w) @ xt).sum(axis=0).reshape(cout, cin, 1, 1)
 
-        grads = (lambda g: (kmat.T @ g.reshape(n, cout, h * w)).reshape(x.shape), kernel_grad_1x1, _channel_sum)
+        grads = (lambda g: (kmat.T @ g.reshape(n, cout, h * w)).reshape(n, cin, h, w), kernel_grad_1x1, _channel_sum)
         return Tensor._from_op(out_data, parents, grads[: len(parents)], "conv1x1")
 
     xtp = _pad_cnhw(np.ascontiguousarray(x.data.transpose(1, 0, 2, 3)), padding, pad_mode)
@@ -659,13 +752,14 @@ def conv2d(
     # to the kernel gradient, which drops it.
     handoff = []  # g's matrix, made by the input gradient
     pshape, dtype = xtp.shape, xtp.dtype
+    wants_kernel_grad = _records(kernel)
 
     def gmat_of(g):
         return np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, n * oh * ow)
 
     def input_grad(g):
         gmat = gmat_of(g)
-        if kernel.requires_grad:
+        if wants_kernel_grad:
             handoff.append(gmat)
         gcols = (kmat @ gmat).reshape(kh, kw, cin, n, oh, ow)
         gpad = np.zeros(pshape, dtype)
@@ -677,10 +771,11 @@ def conv2d(
         gt = _unpad_grad(gpad, padding, (cin, n, h, w), pad_mode)
         return np.ascontiguousarray(gt.transpose(1, 0, 2, 3))
 
-    # only the kernel gradient reads the padded input, so a graph keeps it
-    # alive only when that gradient will run
+    # the input gradient keeps the kernel matrix; only the kernel gradient
+    # reads the padded input, so a graph keeps it alive only when that
+    # gradient will run
     kernel_grad = None
-    if kernel.requires_grad:
+    if wants_kernel_grad:
 
         def kernel_grad(g):
             gmat = handoff.pop() if handoff else gmat_of(g)
@@ -714,13 +809,19 @@ def sep_filter2d(x: Tensor, taps_h: np.ndarray, taps_w: np.ndarray) -> Tensor:
     reflect borders (the edge sample is not repeated).
 
     Equivalent to conv2d with kernel ``outer(taps_h, taps_w)`` applied
-    per channel, but runs as two cached banded matrix products.
+    per channel, but runs as two cached banded matrix products. Each tap
+    vector must be 1-D and of odd length, centred on its middle tap, or
+    :class:`ShapeError` is raised. The gradient keeps only the two cached
+    matrices.
     """
     if x.data.ndim != 4:
         raise ShapeError("sep_filter2d expects NCHW input")
     h, w = x.shape[2], x.shape[3]
     taps_h = np.asarray(taps_h, dtype=np.float64)
     taps_w = np.asarray(taps_w, dtype=np.float64)
+    for name, taps in (("taps_h", taps_h), ("taps_w", taps_w)):
+        if taps.ndim != 1 or taps.size % 2 == 0:
+            raise ShapeError(f"sep_filter2d: {name} must be 1-D with an odd number of taps, got shape {taps.shape}")
     if taps_h.size // 2 > h - 1 or taps_w.size // 2 > w - 1:
         raise ShapeError(f"filter taps too wide for spatial dims {(h, w)}")
     mh = _filter_matrix(h, tuple(taps_h.tolist()), x.data.dtype)
@@ -747,7 +848,9 @@ def batch_norm2d(
 
     Returns the output and the updated running stats (new arrays; the
     caller rebinds its buffers). Eval mode has no op here: the networks
-    fold the running-stats affine map into their convolutions.
+    fold the running-stats affine map into their convolutions. The
+    gradients keep the normalized input ``xhat`` and the per-channel
+    scale, not ``x``.
     """
     if x.data.ndim != 4:
         raise ShapeError("batch_norm2d expects NCHW input")

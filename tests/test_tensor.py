@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from fftsr import fft
 from fftsr import tensor as T
 from fftsr.errors import AxisError, DomainError, GraphError, ShapeError
 from fftsr.nets import BatchNorm2d
@@ -56,6 +57,26 @@ def test_strict_domain_float64():
 def test_float32_propagates_nan():
     out = T.sqrt(Tensor([-1.0], dtype=np.float32))
     assert np.isnan(out.data).all()
+
+
+def test_pow_of_a_negative_base_to_a_fraction_is_strict_in_float64():
+    with pytest.raises(DomainError, match="pow"):
+        T.pow(Tensor([4.0, -1.0], dtype=np.float64), 0.5)
+    # an integer exponent is defined for every base
+    assert np.array_equal(T.pow(Tensor([-2.0], dtype=np.float64), 3.0).data, [-8.0])
+
+
+def test_float32_pow_of_a_negative_base_to_a_fraction_is_nan():
+    with pytest.warns(RuntimeWarning):
+        out = T.pow(Tensor([-1.0], dtype=np.float32), 0.5)
+    assert np.isnan(out.data).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clamp_with_lo_above_hi_raises(dtype):
+    with pytest.raises(DomainError, match="clamp"):
+        T.clamp(Tensor([0.5, 3.0], dtype=dtype), 2.0, 1.0)
+    assert np.array_equal(T.clamp(Tensor([0.5, 3.0], dtype=dtype), 1.0, 1.0).data, [1.0, 1.0])
 
 
 def test_mean_value_and_grad():
@@ -143,9 +164,10 @@ def test_backward_releases_every_intermediate_node():
     sq = r * r
     loss = T.sum(sq + h)
     loss.backward()
-    for node in (h, r, sq, loss):
-        assert node.grad is None and node._parents == () and node._grads is None
-        assert node._op is not None and node.requires_grad
+    for t in (h, r, sq, loss):
+        node = t._node
+        assert node.grad is None and node._inputs == () and node._grads is None
+        assert node._op is not None and t.requires_grad and t.grad is None
     # d/dx sum(relu(xw)^2 + xw) = (2 relu(xw) + 1) w, and the same with x, w swapped
     factor = 2.0 * np.maximum(x.data * w.data, 0.0) + 1.0
     assert np.array_equal(x.grad, factor * w.data)
@@ -161,6 +183,63 @@ def test_graph_does_not_keep_a_constant_parent():
     assert alive() is None
     T.sum(y).backward()
     assert np.array_equal(x.grad, np.ones(4, dtype=np.float32))
+
+
+# each op on a tracked intermediate ``t``; the parameters are ``k`` (a 3x3
+# kernel), ``k1`` (a 1x1 kernel on a channel group), ``gamma`` and ``beta``
+GRAPH_LIFETIME_CASES = {
+    "add": lambda t, p: t + 0.5,
+    "sub": lambda t, p: 0.5 - t,
+    "reshape": lambda t, p: T.reshape(t, (2, -1)),
+    "split_channels": lambda t, p: T.split_channels(t, [1, 3])[1],
+    "concat": lambda t, p: T.concat([t, t], axis=1),
+    "sum": lambda t, p: T.sum(t, axes=(2, 3)),
+    "mean": lambda t, p: T.mean(t, axes=(0, 3), keepdims=True),
+    "rfft2d": lambda t, p: fft.rfft2d(t),
+    "irfft2d": lambda t, p: fft.irfft2d(t, 7),
+    "sep_filter2d": lambda t, p: T.sep_filter2d(t, [0.25, 0.5, 0.25], [-1.0, 0.0, 1.0]),
+    "conv2d": lambda t, p: T.conv2d(t, p["k"], padding=1, pad_mode="reflect"),
+    "conv1x1_on_a_channel_group": lambda t, p: T.conv2d(T.split_channels(t, [1, 3])[1], p["k1"]),
+    "batch_norm2d": lambda t, p: T.batch_norm2d(t, p["gamma"], p["beta"], np.zeros(4), np.ones(4))[0],
+    "mul_by_a_constant": lambda t, p: t * 3.0,
+    "relu": lambda t, p: T.relu(t),
+}
+
+
+def _lifetime_run(case: str, keep: bool):
+    """Build ``case`` on the intermediate ``1.5 * w`` and a weighted sum
+    over it; drop every caller reference to the intermediate and the op's
+    output unless ``keep``. Returns whether the intermediate's array was
+    freed before backward, and the gradients of ``w`` and the parameters."""
+    rng = np.random.default_rng(31)
+    w = Tensor(rng.standard_normal((2, 4, 6, 4)), requires_grad=True, dtype=np.float64)
+    params = {
+        "k": Tensor(rng.standard_normal((3, 4, 3, 3)), requires_grad=True, dtype=np.float64),
+        "k1": Tensor(rng.standard_normal((2, 3, 1, 1)), requires_grad=True, dtype=np.float64),
+        "gamma": Tensor(rng.uniform(0.5, 1.5, 4), requires_grad=True, dtype=np.float64),
+        "beta": Tensor(rng.standard_normal(4), requires_grad=True, dtype=np.float64),
+    }
+    mid = w * 1.5
+    alive = weakref.ref(mid.data)
+    out = GRAPH_LIFETIME_CASES[case](mid, params)
+    loss = T.sum(out * Tensor(rng.standard_normal(out.shape), dtype=np.float64))
+    held = (mid, out) if keep else ()
+    del mid, out
+    freed = alive() is None
+    loss.backward()
+    del held
+    return freed, [w.grad] + [p.grad for p in params.values()]
+
+
+@pytest.mark.parametrize("case", list(GRAPH_LIFETIME_CASES))
+def test_graph_does_not_keep_an_intermediate_input(case):
+    freed, grads = _lifetime_run(case, keep=False)
+    assert freed, f"the {case} graph keeps its input's array"
+    # the same gradients as a run whose caller holds every tensor
+    _, want = _lifetime_run(case, keep=True)
+    assert grads[0] is not None
+    for got, ref in zip(grads, want):
+        assert (got is None and ref is None) or np.array_equal(got, ref)
 
 
 def test_second_backward_on_a_released_graph_raises():
@@ -628,6 +707,19 @@ class TestSepFilter2d:
         taps_h, taps_w = rng.standard_normal(taps), rng.standard_normal(taps)
         got = T.sep_filter2d(Tensor(x, dtype=np.float64), taps_h, taps_w).data
         assert np.abs(got - self.direct(x, taps_h, taps_w)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "taps", [[], [0.5, 0.5], [[1.0, 2.0, 1.0]], [[1.0], [2.0], [1.0]]], ids=["empty", "even", "row", "column"]
+    )
+    @pytest.mark.parametrize("axis", ["h", "w"])
+    def test_taps_that_are_not_1d_and_odd_raise_before_any_compute(self, taps, axis, monkeypatch):
+        def never(*args):
+            raise AssertionError("a filter matrix was built for taps that are not 1-D and odd")
+
+        monkeypatch.setattr(T, "_filter_matrix", never)
+        good = [1.0, 2.0, 1.0]
+        with pytest.raises(ShapeError, match=f"taps_{axis} must be 1-D with an odd number of taps"):
+            T.sep_filter2d(Tensor(np.ones((1, 1, 8, 8))), *((taps, good) if axis == "h" else (good, taps)))
 
     def test_taps_wider_than_the_reflection_raise(self):
         with pytest.raises(ShapeError):
