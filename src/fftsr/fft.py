@@ -25,6 +25,15 @@ bit-identical and that array is never allocated, paged in and filled,
 which is a large share of a transform at frame sizes. ``out=`` needs
 numpy 2.0.
 
+Each channel plane is transformed on its own, so a call splits its
+planes into contiguous runs, one per CPU the process may use: the calling
+thread and the worker threads of ``tensor._run_parts`` each write their
+slice of the buffers the caller allocated, spectrum (or complex buffer)
+first and output second, as before the split. The results are
+bit-identical to a one-thread run. A call whose output is under 256 KiB
+stays on the calling thread. The split assumes single-threaded BLAS, as
+``conv2d`` does, which lists the cost of running both with BLAS threads.
+
 The forward passes use ``norm="forward"`` and the result is scaled while
 it is split into ``(re | im)``. With the default norm, numpy 2.x passes
 the forward factor as the Python int 1, which selects a float32 loop
@@ -33,10 +42,12 @@ several times slower than the one a float factor selects.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, _run_parts, _spans
 
 __all__ = ["rfft2d", "irfft2d", "rfft2d_array", "irfft2d_array", "half_width"]
 
@@ -55,11 +66,17 @@ def _multiplicity(w: int, dtype) -> np.ndarray:
 def _forward(x: np.ndarray, factor) -> np.ndarray:
     """``rfft2(x) / (H * W) * factor`` as (N, 2C, H, W//2+1) stacked (re | im)."""
     n, c, h, w = x.shape
-    s = np.fft.rfft(x, axis=-1, norm="forward")
-    np.fft.fft(s, axis=-2, norm="forward", out=s)
+    s = np.empty((n, c, h, half_width(w)), np.result_type(x.dtype, np.complex64))
     out = np.empty((n, 2 * c, h, half_width(w)), x.dtype)
-    np.multiply(s.real, factor, out=out[:, :c])
-    np.multiply(s.imag, factor, out=out[:, c:])
+
+    def transform(lo, hi):
+        part = s[:, lo:hi]
+        np.fft.rfft(x[:, lo:hi], axis=-1, norm="forward", out=part)
+        np.fft.fft(part, axis=-2, norm="forward", out=part)
+        np.multiply(part.real, factor, out=out[:, lo:hi])
+        np.multiply(part.imag, factor, out=out[:, c + lo : c + hi])
+
+    _run_parts([functools.partial(transform, lo, hi) for lo, hi in _spans(c, out.nbytes)])
     return out
 
 
@@ -69,10 +86,17 @@ def _inverse(g: np.ndarray, w: int, factor) -> np.ndarray:
     n, c2, h, wh = g.shape
     c = c2 // 2
     z = np.empty((n, c, h, wh), np.result_type(g.dtype, np.complex64))
-    np.multiply(g[:, :c], factor, out=z.real)
-    np.multiply(g[:, c:], factor, out=z.imag)
-    np.fft.ifft(z, axis=-2, out=z)
-    return np.fft.irfft(z, n=w, axis=-1)
+    out = np.empty((n, c, h, w), g.dtype)
+
+    def transform(lo, hi):
+        part = z[:, lo:hi]
+        np.multiply(g[:, lo:hi], factor, out=part.real)
+        np.multiply(g[:, c + lo : c + hi], factor, out=part.imag)
+        np.fft.ifft(part, axis=-2, out=part)
+        np.fft.irfft(part, n=w, axis=-1, out=out[:, lo:hi])
+
+    _run_parts([functools.partial(transform, lo, hi) for lo, hi in _spans(c, out.nbytes)])
+    return out
 
 
 def _check(a: np.ndarray, name: str, w: int | None = None) -> None:

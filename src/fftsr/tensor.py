@@ -49,6 +49,8 @@ import contextlib
 import functools
 import itertools
 import math
+import os
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -131,6 +133,9 @@ class Tensor:
     A leaf (made by the constructor) is its own graph node: ``grad``
     accumulates on it. The output of a tracked op points at a separate
     :class:`_Node` through ``_node`` and its own ``grad`` stays ``None``.
+    Without ``dtype``, a float32 or float64 numpy array or scalar keeps its
+    dtype and anything else, a Python scalar or list included, becomes
+    float32.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
@@ -140,7 +145,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
         if dtype is None:
-            dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float32
+            typed = isinstance(data, (np.ndarray, np.generic)) and arr.dtype in (np.float32, np.float64)
+            dtype = arr.dtype if typed else np.float32
         if arr.dtype != dtype:
             arr = arr.astype(dtype)
         self.data = arr
@@ -375,13 +381,20 @@ def div(a, b) -> Tensor:
 def pow(a: Tensor, exponent: float) -> Tensor:
     """Elementwise power with a scalar exponent; the gradient keeps the
     input array. In float64 strict mode a negative base with an exponent
-    that is not an integer raises :class:`DomainError`."""
+    that is not an integer raises :class:`DomainError`; in float32 it gives
+    NaN without a warning, as ``sqrt`` and ``log`` do."""
     exponent = float(exponent)
     if not exponent.is_integer():
         _strict_domain(a, "pow")
     ad = a.data
-    grads = (lambda g: g * exponent * ad ** (exponent - 1.0),)
-    return Tensor._from_op(ad**exponent, (a,), grads, "pow")
+    with np.errstate(invalid="ignore"):
+        out_data = ad**exponent
+
+    def pow_grad(g):
+        with np.errstate(invalid="ignore"):
+            return g * exponent * ad ** (exponent - 1.0)
+
+    return Tensor._from_op(out_data, (a,), (pow_grad,), "pow")
 
 
 def _strict_domain(a: Tensor, op: str):
@@ -595,6 +608,88 @@ def _unpad_grad(g: np.ndarray, pad: int, shape, mode: str) -> np.ndarray:
     return g
 
 
+# ---- kernels split across the CPUs ----
+
+# Threads that run the parts of one kernel call: the calling thread and
+# one worker for each other CPU the process may use. numpy releases the
+# GIL inside BLAS, pocketfft and array copies, so the parts run at once.
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_tasks = None  # the workers' queue of (part, done), made with the first worker
+_workers: list = []
+_workers_lock = threading.Lock()
+
+
+def _work(tasks):
+    while True:
+        part, done = tasks.get()
+        try:
+            part()
+        except BaseException as err:  # handed to the caller, which raises it
+            result = err
+        else:
+            result = None
+        part = None  # the part's arrays are the caller's alone once it returns
+        done.put(result)
+        result = done = None
+
+
+def _forget_workers():
+    # a forked child has none of its parent's threads
+    global _tasks, _workers_lock
+    _tasks, _workers_lock = None, threading.Lock()
+    _workers.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _spans(n: int, nbytes: int) -> list[tuple[int, int]]:
+    """``[0, n)`` as ``min(n, _THREADS)`` contiguous runs whose lengths
+    differ by at most one, in order. It stays one run when the parts
+    would fill an output of under ``_BAND_BYTES // 4`` bytes: there,
+    waking a worker costs more than the split saves."""
+    k = min(n, _THREADS) if nbytes >= _BAND_BYTES // 4 else 1
+    bounds = [n * i // k for i in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _run_parts(parts: Sequence[Callable[[], None]]):
+    """Run every part of one kernel call, the first on the calling thread
+    and the others on worker threads, started on first use; return once
+    all have finished, then raise the first exception a part raised.
+
+    A part only writes into arrays the calling thread allocated: it
+    allocates nothing large and calls no public function, so the graph,
+    span tracing and allocation tracing see a single thread. Parts that
+    write disjoint slices of one output give the bits a serial run gives.
+    """
+    global _tasks
+    if len(parts) == 1:
+        parts[0]()
+        return
+    import queue  # here, so a process that never splits a kernel skips the import
+
+    with _workers_lock:
+        if _tasks is None:
+            _tasks = queue.SimpleQueue()
+        while len(_workers) < len(parts) - 1:
+            worker = threading.Thread(target=_work, args=(_tasks,), name="fftsr-worker", daemon=True)
+            worker.start()
+            _workers.append(worker)
+        tasks = _tasks
+    done = queue.SimpleQueue()
+    for part in parts[1:]:
+        tasks.put((part, done))
+    try:
+        parts[0]()
+    finally:
+        errors = [done.get() for _ in parts[1:]]
+    for err in errors:
+        if err is not None:
+            raise err
+
+
 # ---- convolution ----
 
 
@@ -638,29 +733,44 @@ def _fill_cols(xtp: np.ndarray, stride: int, r0: int, r1: int, dst: np.ndarray):
 def _conv_bands(xtp: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
     """conv2d forward: (C, N, Hp, Wp) input -> (N, Cout, OH, OW).
 
-    Each band of output rows of one image fills a slice of one reused
-    column buffer and gets one GEMM, written straight into its rows of the
-    output. No column is kept: the kernel gradient builds its own.
+    Each band of output rows of one image fills a slice of a reused column
+    buffer and gets one GEMM, written straight into its rows of the output.
+    The (image, band) list is cut into contiguous runs of equal count, one
+    per thread, each with its own buffer; a band's GEMM is the same
+    whichever thread runs it. No column is kept: the kernel gradient builds
+    its own.
     """
     c, n = xtp.shape[:2]
     depth, cout = kmat.shape
     out = np.empty((n, cout, oh, ow), dtype=np.result_type(kmat, xtp))
     flat = out.reshape(n, cout, oh * ow)
     rows = max(1, min(oh, _BAND_BYTES // (depth * ow * xtp.itemsize)))
-    buf = np.empty(depth * rows * ow, dtype=xtp.dtype)
-    for b in range(n):
-        for r0 in range(0, oh, rows):
-            r1 = min(r0 + rows, oh)
+    bands = [(b, r0, min(r0 + rows, oh)) for b in range(n) for r0 in range(0, oh, rows)]
+
+    def fill_and_multiply(run, buf):
+        for b, r0, r1 in run:
             band = buf[: depth * (r1 - r0) * ow].reshape(kh, kw, c, 1, r1 - r0, ow)
             _fill_cols(xtp[:, b : b + 1], stride, r0, r1, band)
             np.matmul(kmat.T, band.reshape(depth, (r1 - r0) * ow), out=flat[b, :, r0 * ow : r1 * ow])
+
+    spans = _spans(len(bands), out.nbytes)
+    bufs = [np.empty(depth * rows * ow, dtype=xtp.dtype) for _ in spans]
+    _run_parts([functools.partial(fill_and_multiply, bands[lo:hi], buf) for (lo, hi), buf in zip(spans, bufs)])
     return out
 
 
 def _conv1x1_forward(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
+    """1x1 conv forward: one GEMM per image, its pixel columns split into a
+    contiguous run per thread."""
     n, cin, h, w = x.shape
-    out = kmat @ x.reshape(n, cin, h * w)
-    return out.reshape(n, kmat.shape[0], h, w)
+    out = np.empty((n, kmat.shape[0], h, w), dtype=np.result_type(kmat, x))
+    xm, om = x.reshape(n, cin, h * w), out.reshape(n, kmat.shape[0], h * w)
+
+    def multiply(lo, hi):
+        np.matmul(kmat, xm[:, :, lo:hi], out=om[:, :, lo:hi])
+
+    _run_parts([functools.partial(multiply, lo, hi) for lo, hi in _spans(h * w, out.nbytes)])
+    return out
 
 
 def _channel_sum(g: np.ndarray) -> np.ndarray:
@@ -692,6 +802,19 @@ def conv2d(
     at 324x576 the call peaks at 29 MiB, where one full column matrix took
     it to 111 MiB. The full matrix is built only in backward, and only when
     the kernel needs a gradient, so the graph keeps no columns alive.
+
+    The forward, tracked or not, runs on every CPU the process may use:
+    the calling thread and one worker thread per other CPU each take a
+    contiguous run, of equal count, of the (image, band) list and fill
+    their own column buffer; a plain 1x1 splits its pixel columns. Each
+    GEMM is the one a single thread would run, so the output is
+    bit-identical to a one-thread run. A call whose output is under
+    256 KiB stays on the calling thread, and the backward is not split.
+    fftsr expects single-threaded BLAS (``OPENBLAS_NUM_THREADS=1``). On a
+    2-CPU Xeon guest with OpenBLAS at its default two threads, the parts'
+    GEMMs compete for its threads: the upscale benchmark's four frames
+    took 528 ms split and 495 ms unsplit, against 317 ms split and 450 ms
+    unsplit with BLAS pinned.
 
     The input gradient keeps the kernel as a matrix. The kernel gradient,
     recorded only when the kernel needs a gradient, keeps the padded

@@ -168,6 +168,14 @@ def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
     px on each side, which the reflect padding and the spectral transform
     need; a smaller one raises :class:`TooSmallError`. Both checks run
     before any compute.
+
+    The convolutions and spectral transforms split their work across the
+    CPUs the process may use, and the output is bit-identical to a
+    one-thread run. On a 2-CPU Xeon guest with BLAS pinned to one thread,
+    a 360x640 -> 1080x1920 frame took 3.3 s, against 5.2 s unsplit. fftsr
+    expects single-threaded BLAS (``OPENBLAS_NUM_THREADS=1``): with
+    OpenBLAS at its default two threads, the same frame took 5.4 s split
+    and 5.2 s unsplit.
     """
     check_scale(scale)
     minimum = max(2, gen.cfg.kernel // 2 + 1)

@@ -8,6 +8,7 @@ from fftsr.errors import DomainError, ShapeError
 from fftsr.tensor import Tensor
 
 from gradcheck import check_gradients
+from test_tensor import by_thread_count
 
 
 def naive_dft1d(x, inverse=False):
@@ -190,6 +191,25 @@ class TestBitIdentity:
         assert np.array_equal(F.irfft2d_adjoint(x), split(forward * weight, dtype))
         assert np.array_equal(F.irfft2d_array(g, w), np.fft.irfft2(join(g, dtype(1)), s=(h, w)))
         assert np.array_equal(F.rfft2d_adjoint(g, w), np.fft.irfft2(join(g, h * w / weight), s=(h, w)))
+
+
+@pytest.mark.parametrize("channels", [1, 13, 26])
+def test_split_over_channel_planes_keeps_every_bit(monkeypatch, channels):
+    # the planes of one call are cut into a contiguous run per thread; a
+    # single plane cannot be cut
+    rng = np.random.default_rng(channels)
+    x = rng.standard_normal((1, channels, 64, 90), dtype=np.float32)
+    g = rng.standard_normal((1, 2 * channels, 64, F.half_width(90)), dtype=np.float32)
+    runs = by_thread_count(
+        monkeypatch,
+        lambda: [F.rfft2d_array(x), F.rfft2d_adjoint(g, 90), F.irfft2d_array(g, 90), F.irfft2d_adjoint(x)],
+        module=F,
+    )
+    ref = runs[1][0]
+    for threads, (outs, parts) in runs.items():
+        assert parts == [1 if channels == 1 else threads] * 4
+        for out, want in zip(outs, ref):
+            assert np.array_equal(out, want)
 
 
 def test_inverse_peaks_at_twice_its_output():

@@ -1,10 +1,18 @@
 import contextlib
+import functools
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fftsr
 from fftsr import fft
 from fftsr import tensor as T
 from fftsr.errors import AxisError, DomainError, GraphError, ShapeError
@@ -67,9 +75,28 @@ def test_pow_of_a_negative_base_to_a_fraction_is_strict_in_float64():
 
 
 def test_float32_pow_of_a_negative_base_to_a_fraction_is_nan():
-    with pytest.warns(RuntimeWarning):
-        out = T.pow(Tensor([-1.0], dtype=np.float32), 0.5)
-    assert np.isnan(out.data).all()
+    # silent, as sqrt and log are on the same input
+    x = Tensor([-1.0], requires_grad=True, dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.pow(x, 0.5)
+        T.sum(out).backward()
+    assert np.isnan(out.data).all() and np.isnan(x.grad).all()
+
+
+@pytest.mark.parametrize("value", [1.5, [1.0, 2.0], 2], ids=["float", "list", "int"])
+def test_python_numbers_default_to_float32(value):
+    assert Tensor(value).dtype == np.float32
+    # a bare first operand, wrapped by the binary ops, too
+    assert T.add(value, 1.0).dtype == np.float32
+    assert T.mul(value, Tensor(np.float32(2.0))).dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_numpy_floats_keep_their_dtype(dtype):
+    assert Tensor(np.ones(2, dtype)).dtype == dtype
+    assert Tensor(dtype(0.5)).dtype == dtype
+    assert T.sub(np.ones(2, dtype), 1.0).dtype == dtype
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -540,17 +567,21 @@ class TestUntrackedConv2d:
         with T.no_grad():
             untracked = conv()
         assert untracked.dtype == dtype and untracked.flags.c_contiguous
+        # threads fill the bands in no fixed order, so the lists are compared sorted
+        bands.sort()
         per_image = len(bands) // xshape[0]
         assert len(bands) == per_image * xshape[0] and per_image >= 3
-        rows = [r1 - r0 for _, r0, r1 in bands[:per_image]]
+        image_bands = bands[:: xshape[0]]
+        assert bands == sorted(image_bands * xshape[0])
+        rows = [r1 - r0 for _, r0, r1 in image_bands]
         assert all(n == 1 for n, _, _ in bands)
-        assert [r0 for _, r0, _ in bands[:per_image]] == list(np.cumsum([0] + rows[:-1]))
+        assert [r0 for _, r0, _ in image_bands] == list(np.cumsum([0] + rows[:-1]))
         assert sum(rows) == oh and 0 < rows[-1] < rows[0]
 
         untracked_bands = list(bands)
         bands.clear()
         tracked = conv()
-        assert bands == untracked_bands
+        assert sorted(bands) == untracked_bands
         assert tracked.shape == (xshape[0], cout, oh, ow)
 
         # the one-shot GEMM over one full column matrix
@@ -634,6 +665,127 @@ class TestUntrackedConv2d:
         assert out.shape == (1, 26, 324, 576)
         # the output alone is 18.5 MiB; a full column matrix would add 83.6 MiB
         assert peak < 40 * 2**20
+
+
+def by_thread_count(monkeypatch, run, module=T):
+    """``run()`` with the kernels split over 1, 2 and 3 threads (3 cuts
+    uneven parts): each result, and the part count of each split call."""
+    parts = []
+    run_parts = module._run_parts
+
+    def spy(ps):
+        parts.append(len(ps))
+        run_parts(ps)
+
+    monkeypatch.setattr(module, "_run_parts", spy)
+    out = {}
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(T, "_THREADS", threads)
+        parts.clear()
+        out[threads] = (run(), list(parts))
+    return out
+
+
+class TestSplitAcrossThreads:
+    """Kernels split across threads give the bits of a one-thread run, and
+    only a kernel that splits starts a worker thread."""
+
+    def test_conv2d_bands(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.standard_normal((3, 4, 61, 47)), dtype=np.float64)
+        k = Tensor(rng.standard_normal((6, 4, 5, 5)), requires_grad=True, dtype=np.float64)
+        row_bytes = 5 * 5 * 4 * 24 * 8  # one output row of float64 columns
+        monkeypatch.setattr(T, "_BAND_BYTES", 3 * row_bytes + row_bytes // 2)  # 11 bands an image
+        runs = by_thread_count(monkeypatch, lambda: T.conv2d(x, k, stride=2, padding=2).data)
+        ref = runs[1][0]
+        assert ref.shape == (3, 6, 31, 24) and ref.dtype == np.float64
+        for threads, (out, parts) in runs.items():
+            assert parts == [threads]
+            assert np.array_equal(out, ref)
+
+    def test_concurrent_callers_share_the_workers(self, monkeypatch):
+        # more calling threads than CPUs, switching often, each splitting
+        # its convs across the same workers
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((2, 8, 121, 95), dtype=np.float32))
+        k = Tensor(rng.standard_normal((8, 8, 3, 3), dtype=np.float32))
+        monkeypatch.setattr(T, "_BAND_BYTES", 1 << 16)  # 10 bands an image
+        monkeypatch.setattr(T, "_THREADS", 1)
+        ref = T.conv2d(x, k, padding=1).data
+        monkeypatch.setattr(T, "_THREADS", 3)
+        bad = []
+
+        def call():
+            for _ in range(10):
+                if not np.array_equal(T.conv2d(x, k, padding=1).data, ref):
+                    bad.append(threading.get_ident())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call) for _ in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert bad == []
+
+    def test_conv1x1_pixel_columns(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((2, 13, 40, 50), dtype=np.float32))
+        k = Tensor(rng.standard_normal((26, 13, 1, 1), dtype=np.float32))
+        b = Tensor(rng.standard_normal(26, dtype=np.float32))
+        runs = by_thread_count(monkeypatch, lambda: T.conv2d(x, k, b).data)
+        ref = runs[1][0]
+        assert np.array_equal(ref, (k.data[:, :, 0, 0] @ x.data.reshape(2, 13, -1)).reshape(2, 26, 40, 50) + b.data[:, None, None])
+        for threads, (out, parts) in runs.items():
+            assert parts == [threads]
+            assert np.array_equal(out, ref)
+
+    def test_small_calls_stay_on_the_calling_thread(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.standard_normal((8, 4, 12, 12), dtype=np.float32))
+        k = Tensor(rng.standard_normal((4, 4, 3, 3), dtype=np.float32))
+        runs = by_thread_count(monkeypatch, lambda: T.conv2d(x, k, padding=1).data)
+        assert all(parts == [1] for _, parts in runs.values())
+
+    def test_an_exception_in_a_worker_part_reaches_the_caller(self, monkeypatch):
+        class PartFailed(Exception):
+            pass
+
+        def fail():
+            raise PartFailed("third part")
+
+        monkeypatch.setattr(T, "_THREADS", 3)
+        ran = []
+        with pytest.raises(PartFailed, match="third part"):
+            T._run_parts([lambda: ran.append(0), lambda: ran.append(1), fail])
+        assert sorted(ran) == [0, 1]
+        # the workers outlive the failure
+        out = np.zeros(6)
+        T._run_parts([functools.partial(out.__setitem__, slice(i, i + 2), i) for i in (0, 2, 4)])
+        assert np.array_equal(out, [0, 0, 2, 2, 4, 4])
+
+    def test_import_and_ingest_start_no_thread(self):
+        script = (
+            "import threading\n"
+            "before = threading.active_count()\n"
+            "import numpy as np\n"
+            "import fftsr\n"
+            "from fftsr.image import Image, decode_image, encode_image, make_lr_hr_pair\n"
+            "rgb = np.random.default_rng(0).random((61, 109, 3), dtype=np.float32)\n"
+            "lr, hr = make_lr_hr_pair(decode_image(encode_image(Image(rgb))), 3)\n"
+            "decode_image(encode_image(lr))\n"
+            "print(before, threading.active_count())\n"
+        )
+        src = str(Path(fftsr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "1"]
 
 
 class TestBatchNorm:
