@@ -1,9 +1,11 @@
 """Training objectives and evaluation metrics.
 
-Generator side: a five-term weighted sum of adversarial, perceptual,
-mean-gradient-error, SSIM, and Charbonnier losses. Discriminator side:
-the negated two-term log loss (both networks minimize). SSIM and PSNR
-double as the evaluation metrics.
+Generator side: :func:`generator_loss`, the one place that sets the
+five terms (adversarial, perceptual, mean-gradient-error, SSIM,
+Charbonnier), their order and their signs; SSIM enters negated, so the
+objective can fall below 0. Discriminator side: the negated two-term log
+loss (both networks minimize). SSIM and PSNR double as the evaluation
+metrics.
 
 All loss functions operate on NCHW tensors and are differentiable
 through the autodiff engine; evaluation helpers accept plain arrays.
@@ -12,7 +14,9 @@ through the autodiff engine; evaluation helpers accept plain arrays.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -33,7 +37,7 @@ __all__ = [
     "adversarial_disc_loss",
     "PerceptualExtractor",
     "perceptual_loss",
-    "total_generator_loss",
+    "generator_loss",
     "psnr",
 ]
 
@@ -50,8 +54,8 @@ SSIM_C2 = (0.03 * 1.0) ** 2
 class LossWeights(Settings):
     """Scaling factors of the combined generator objective.
 
-    Order of terms: adversarial, perceptual, gradient-error, SSIM,
-    Charbonnier. Defaults weight every term equally.
+    :func:`generator_loss` applies them, in its order of terms and with
+    SSIM's sign. Defaults weight every term equally.
     """
 
     adversarial: float = setting("loss.adversarial")
@@ -211,22 +215,30 @@ def perceptual_loss(x: Tensor, y: Tensor, extractor: PerceptualExtractor) -> Ten
     return total / float(len(fx))
 
 
-def total_generator_loss(
-    adversarial: Tensor,
-    perceptual: Tensor,
-    mge: Tensor,
-    ssim_value: Tensor,
-    charbonnier_value: Tensor,
+def generator_loss(
+    sr: Tensor,
+    hr: Tensor,
+    d_fake: Tensor,
+    extractor: PerceptualExtractor,
     w: LossWeights,
-) -> Tensor:
-    """Weighted sum of the five generator terms; SSIM enters negated."""
-    return (
-        w.adversarial * adversarial
-        + w.perceptual * perceptual
-        + w.mge * mge
-        + w.ssim * (-ssim_value)
-        + w.charbonnier * charbonnier_value
-    )
+    adv_scale: float = 1.0,
+) -> tuple[Tensor, dict[str, Tensor]]:
+    """The generator objective: (total, terms).
+
+    ``terms`` holds the five terms under their record names, in summation
+    order; ``total`` is their weighted sum, one left fold with SSIM
+    negated and the adversarial weight scaled by ``adv_scale``. ``d_fake``
+    is the discriminator's score of the fake batch.
+    """
+    terms = {
+        "g_adv": adversarial_gen_loss(d_fake),
+        "g_perc": perceptual_loss(sr, hr, extractor),
+        "g_mge": mge_loss(sr, hr),
+        "g_ssim": ssim(sr, hr),
+        "g_charb": charbonnier(sr, hr, w.charbonnier_eps),
+    }
+    weights = (w.adversarial * adv_scale, w.perceptual, w.mge, -w.ssim, w.charbonnier)
+    return reduce(operator.add, (k * term for k, term in zip(weights, terms.values()))), terms
 
 
 def psnr(x: np.ndarray, y: np.ndarray) -> float:

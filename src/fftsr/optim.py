@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import Settings, setting
+from .config import Settings, check_value, setting
 from .errors import DomainError, OptimizerError
 from .tensor import Tensor
 
@@ -42,7 +42,8 @@ class AdamW:
     Update: m and v are the usual Adam moments; after bias correction the
     step is ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)``,
     so the decay term never passes through the adaptive scaling. With
-    weight_decay = 0 this is exactly Adam.
+    weight_decay = 0 this is exactly Adam. A setting outside its ``opt.*``
+    key's interval raises ``ConfigError``.
     """
 
     def __init__(
@@ -53,6 +54,8 @@ class AdamW:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
+        for name, value in (("beta1", beta1), ("beta2", beta2), ("eps", eps), ("weight_decay", weight_decay)):
+            check_value(f"opt.{name}", value, f"AdamW.{name}")
         self.names = [n for n, _ in named_params]
         self.params = [p for _, p in named_params]
         self.beta1 = beta1

@@ -479,10 +479,6 @@ def _norm_axes(axes, ndim: int):
     return tuple(dict.fromkeys(out))
 
 
-def _identity(a: Tensor) -> Tensor:
-    return Tensor._from_op(a.data, (a,), (lambda g: g,), "identity")
-
-
 def _spread(g: np.ndarray, shape: tuple, axes, keepdims: bool) -> np.ndarray:
     """Broadcast a reduction's output gradient back over the reduced axes."""
     if not keepdims and axes is not None:
@@ -493,8 +489,6 @@ def _spread(g: np.ndarray, shape: tuple, axes, keepdims: bool) -> np.ndarray:
 def sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     """The gradient keeps only the input's shape."""
     axes = _norm_axes(axes, a.data.ndim)
-    if axes == ():
-        return _identity(a)
     out_data = np.asarray(a.data.sum(axis=axes, keepdims=keepdims))
     shape = a.shape
     return Tensor._from_op(out_data, (a,), (lambda g: _spread(g, shape, axes, keepdims).copy(),), "sum")
@@ -503,8 +497,6 @@ def sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     """The gradient keeps only the input's shape."""
     axes = _norm_axes(axes, a.data.ndim)
-    if axes == ():
-        return _identity(a)
     out_data = np.asarray(a.data.mean(axis=axes, keepdims=keepdims))
     shape = a.shape
     count = a.data.size if axes is None else math.prod(shape[ax] for ax in axes)

@@ -1,21 +1,22 @@
 """Adversarial training loop with diffusive discriminator inputs,
 noise-level annealing, and bit-exact checkpoints.
 
-One step: (1) crop one window of each pair's whole-frame upscale and HR,
-(2) update the discriminator on diffused real vs diffused detached fake
-residuals, (3) update the generator on the five-term objective with the
-adversarial term flowing through the (freshly updated) discriminator,
-(4) pass the step to the three adaptive controllers, each owning its
-settings and deciding for itself what changes: the restart policy (which
-may reinit the discriminator), the diffusion timestep and the noise
-annealing. All randomness lives in named per-purpose streams, so a
+One step, in the order ``Trainer.train_step`` runs it: (1) crop one
+window of each pair's whole-frame upscale and HR, (2) run the generator
+forward once, (3) update the discriminator on diffused real vs diffused
+detached fake residuals, (4) update the generator on
+:func:`losses.generator_loss`, its adversarial term flowing through the
+freshly updated discriminator, (5) pass the step to the three adaptive
+controllers, each owning its settings and deciding for itself what
+changes: the restart policy (which may reinit the discriminator), the
+diffusion timestep and the noise annealing, (6) return the step's record.
+All randomness lives in named per-purpose streams, so a
 (seed, config, data) triple fixes the entire metric stream, and a
 checkpoint restores bit-identical continuation.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 import struct
@@ -249,47 +250,6 @@ class Trainer:
             raise FftsrError(f"no training image is at least {self.patch}px on both sides")
         return usable
 
-    # one step, split into the two half-updates for testability
-
-    def _disc_update(self, real_res: Tensor, fake_res_detached: Tensor):
-        d_real = self.disc(self.diffusion.diffuse(real_res, self.rng["diffusion"]))
-        d_fake = self.disc(self.diffusion.diffuse(fake_res_detached, self.rng["diffusion"]))
-        d_loss = L.adversarial_disc_loss(d_real, d_fake)
-        self._check_finite({"d_loss": d_loss.item()})
-        self.opt_d.zero_grad()
-        d_loss.backward()
-        lr_d = self.sched_d.lr_at(self.step) * self.policy.disc_lr_multiplier
-        self.opt_d.step(lr=lr_d)
-        return d_loss.item(), d_real.data, d_fake.data, lr_d
-
-    def _gen_update(self, up_t: Tensor, fake_res: Tensor, hr_t: Tensor):
-        sr = T.clamp(up_t + fake_res, 0.0, 1.0)
-        d_fake = self.disc(self.diffusion.diffuse(fake_res, self.rng["diffusion"]))
-        adv = L.adversarial_gen_loss(d_fake)
-        perc = L.perceptual_loss(sr, hr_t, self.extractor)
-        mge = L.mge_loss(sr, hr_t)
-        ssim_v = L.ssim(sr, hr_t)
-        charb = L.charbonnier(sr, hr_t, self.weights.charbonnier_eps)
-        effective = dataclasses.replace(
-            self.weights, adversarial=self.weights.adversarial * self.policy.adv_multiplier
-        )
-        total = L.total_generator_loss(adv, perc, mge, ssim_v, charb, effective)
-        terms = {
-            "g_adv": adv.item(),
-            "g_perc": perc.item(),
-            "g_mge": mge.item(),
-            "g_ssim": ssim_v.item(),
-            "g_charb": charb.item(),
-            "g_loss": total.item(),
-        }
-        self._check_finite(terms)
-        self.opt_g.zero_grad()
-        total.backward()
-        lr_g = self.sched_g.lr_at(self.step)
-        self.opt_g.step(lr=lr_g)
-        terms["lr_g"] = lr_g
-        return terms
-
     def _check_finite(self, terms: dict):
         bad = {k: v for k, v in terms.items() if not math.isfinite(v)}
         if bad:
@@ -303,22 +263,43 @@ class Trainer:
         up_t = Tensor(up_b)
         hr_t = Tensor(hr_b)
         real_res = Tensor(hr_b - up_b)
-
         fake_res = self.gen(up_t, noise=self.noise, training=True)
-        d_loss, d_real_vals, d_fake_vals, lr_d = self._disc_update(real_res, fake_res.detach())
-        terms = self._gen_update(up_t, fake_res, hr_t)
 
-        correct = np.concatenate([d_real_vals > 0.5, d_fake_vals < 0.5])
-        d_acc = float(np.mean(correct))
+        # discriminator: diffused real, then diffused detached fake residuals
+        diffuse, rng = self.diffusion.diffuse, self.rng["diffusion"]
+        d_real = self.disc(diffuse(real_res, rng))
+        d_fake = self.disc(diffuse(fake_res.detach(), rng))
+        d_loss = L.adversarial_disc_loss(d_real, d_fake)
+        self._check_finite({"d_loss": d_loss.item()})
+        self.opt_d.zero_grad()
+        d_loss.backward()
+        lr_d = self.sched_d.lr_at(self.step) * self.policy.disc_lr_multiplier
+        self.opt_d.step(lr=lr_d)
+
+        # generator: the adversarial term flows through the updated discriminator
+        sr = T.clamp(up_t + fake_res, 0.0, 1.0)
+        g_loss, terms = L.generator_loss(
+            sr, hr_t, self.disc(diffuse(fake_res, rng)), self.extractor, self.weights, self.policy.adv_multiplier
+        )
+        terms = {name: term.item() for name, term in terms.items()}
+        terms["g_loss"] = g_loss.item()
+        self._check_finite(terms)
+        self.opt_g.zero_grad()
+        g_loss.backward()
+        lr_g = self.sched_g.lr_at(self.step)
+        self.opt_g.step(lr=lr_g)
+
+        d_acc = float(np.mean(np.concatenate([d_real.data > 0.5, d_fake.data < 0.5])))
         if self.policy.observe(d_acc, self.step).reinit_discriminator:
             self._reinit_discriminator()
-        self.diffusion.adapt(d_real_vals, self.step)
+        self.diffusion.adapt(d_real.data, self.step)
         self.noise.anneal(terms["g_loss"], self.step)
 
         record = {
             "step": self.step,
             **terms,
-            "d_loss": d_loss,
+            "lr_g": lr_g,
+            "d_loss": d_loss.item(),
             "d_acc": d_acc,
             "lr_d": lr_d,
             "T": self.diffusion.t,
@@ -329,9 +310,7 @@ class Trainer:
         return record
 
     def _reinit_discriminator(self):
-        fresh = Discriminator(self.disc.cfg, self.rng["reinit"])
-        for (_, old), (_, new) in zip(self.disc.named_parameters(), fresh.named_parameters()):
-            old.data = new.data
+        self.disc = Discriminator(self.disc.cfg, self.rng["reinit"])
         self.opt_d = self._adamw(self.disc, "disc.")
 
     # ---- checkpoint integration ----

@@ -198,19 +198,24 @@ class TestPerceptual:
             assert not p.requires_grad
 
 
+def half_score():
+    return Tensor(np.full(1, 0.5), dtype=np.float64)
+
+
 class TestTotalLoss:
     def test_all_zero_weights(self):
         zero = L.LossWeights(0, 0, 0, 0, 0)
-        terms = [Tensor(np.array(v), dtype=np.float64) for v in (0.7, 0.3, 0.1, 0.9, 0.2)]
-        assert L.total_generator_loss(*terms, zero).item() == 0.0
+        x, y = rand_pair(10)
+        xt, yt = Tensor(x, dtype=np.float64), Tensor(y, dtype=np.float64)
+        extractor = to_float64(L.PerceptualExtractor())
+        d_fake = Tensor(np.array([0.7, 0.3]), dtype=np.float64)
+        assert L.generator_loss(xt, yt, d_fake, extractor, zero)[0].item() == 0.0
 
     def test_pure_ssim_at_identity(self):
         w = L.LossWeights(0, 0, 0, 1, 0)
         x, _ = rand_pair(11)
         xt = Tensor(x, dtype=np.float64)
-        s = L.ssim(xt, xt)
-        zero = Tensor(np.array(0.0), dtype=np.float64)
-        out = L.total_generator_loss(zero, zero, zero, s, zero, w)
+        out, _ = L.generator_loss(xt, xt, half_score(), to_float64(L.PerceptualExtractor()), w)
         assert out.item() == -1.0
 
     def test_identity_composition_with_unit_weights(self):
@@ -219,17 +224,19 @@ class TestTotalLoss:
         xt = Tensor(x, dtype=np.float64)
         yt = Tensor(x.copy(), dtype=np.float64)
         extractor = to_float64(L.PerceptualExtractor())
-        d_fake = Tensor(np.full(1, 0.5), dtype=np.float64)
-        total = L.total_generator_loss(
-            L.adversarial_gen_loss(d_fake),
-            L.perceptual_loss(xt, yt, extractor),
-            L.mge_loss(xt, yt),
-            L.ssim(xt, yt),
-            L.charbonnier(xt, yt, 1e-6),
-            w,
-        )
+        total, _ = L.generator_loss(xt, yt, half_score(), extractor, w)
         # at x = y only the adversarial term and the two floors survive
         assert total.item() == pytest.approx(math.log(2) - 1.0 + 1e-3, abs=1e-9)
+
+    def test_terms_are_named_in_summation_order(self):
+        x, y = rand_pair(15)
+        xt, yt = Tensor(x, dtype=np.float64), Tensor(y, dtype=np.float64)
+        extractor = to_float64(L.PerceptualExtractor())
+        total, terms = L.generator_loss(xt, yt, half_score(), extractor, L.LossWeights())
+        assert list(terms) == ["g_adv", "g_perc", "g_mge", "g_ssim", "g_charb"]
+        assert terms["g_ssim"].item() == L.ssim(xt, yt).item()
+        a, p, m, s, c = (t.item() for t in terms.values())
+        assert total.item() == pytest.approx(a + p + m - s + c, abs=1e-12)
 
     def test_default_weights_are_unit(self):
         w = L.LossWeights()
@@ -271,14 +278,7 @@ def test_all_five_losses_grads(seed):
     def fn(ts):
         xt, yt = ts
         d_fake = T.sigmoid(T.mean(xt * yt, axes=(1, 2, 3)))
-        return L.total_generator_loss(
-            L.adversarial_gen_loss(d_fake),
-            L.perceptual_loss(xt, yt, extractor),
-            L.mge_loss(xt, yt),
-            L.ssim(xt, yt),
-            L.charbonnier(xt, yt, 1e-6),
-            L.LossWeights(),
-        )
+        return L.generator_loss(xt, yt, d_fake, extractor, L.LossWeights())[0]
 
     check_gradients(fn, [x, y], rng=rng, max_coords_per_tensor=8)
 

@@ -82,6 +82,16 @@ class TestAdamW:
             opt.step(1e-3)
             assert opt.t == expected
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("beta1", 1.0), ("beta2", 1.0), ("beta1", float("nan")), ("eps", 0.0), ("weight_decay", -1.0)],
+    )
+    def test_setting_outside_its_config_interval(self, field, value):
+        # unchecked, a beta of 1 or NaN or an eps of 0 lets a step write NaN
+        # into every parameter, and a negative decay grows them
+        with pytest.raises(ConfigError, match=f"AdamW.{field} = "):
+            AdamW([make_param([1.0])], **{field: value})
+
 
 class TestSchedule:
     def test_initial_peak_anchor(self):

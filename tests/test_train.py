@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 import tracemalloc
@@ -6,6 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
+from fftsr import losses as L
 from fftsr import train
 from fftsr.config import default_config, serialize_config
 from fftsr.corpus import make_texture_corpus
@@ -556,6 +558,31 @@ def test_discriminator_reinit_restarts_adam(cfg, pairs):
     fresh.step(lr=1e-3)
     for p, twin in zip(opt.params, twins):
         assert np.array_equal(p.data, twin.data)
+
+
+def test_record_carries_the_generator_objective(cfg, pairs, monkeypatch):
+    objective = L.generator_loss
+    calls = []
+
+    def spy(*args):
+        calls.append((args, objective(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(L, "generator_loss", spy)
+    trainer = train.Trainer(cfg, 0, pairs)
+    trainer.policy.mode = "disc-boost"  # so the adversarial weight is scaled
+    record = trainer.train_step()
+    [((sr, hr, d_fake, extractor, w, adv_scale), (total, terms))] = calls
+    assert adv_scale == trainer.policy.adv_scale != 1.0
+    assert [key for key in record if key.startswith("g_")] == [*terms, "g_loss"]
+    assert all(record[name] == term.item() for name, term in terms.items())
+    assert record["g_loss"] == total.item()
+
+    # adv_scale scales the adversarial weight and no other
+    fresh = [Tensor(t.data) for t in (sr, hr, d_fake)]
+    scaled = dataclasses.replace(w, adversarial=w.adversarial * adv_scale)
+    assert objective(*fresh, extractor, scaled)[0].item() == total.item()
+    assert objective(*fresh, extractor, w)[0].item() != total.item()
 
 
 def test_default_step_peak_memory_is_bounded():
