@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ShapeError
 from .image import Image
 
 __all__ = ["make_texture_corpus"]
@@ -59,7 +60,13 @@ _FIELDS = (_grating, _checker, _blobs, _ramp)
 
 
 def make_texture_corpus(count: int = 64, size: int = 96, seed: int = 0) -> list[Image]:
-    """Deterministic list of ``count`` procedural RGB textures."""
+    """Deterministic list of ``count`` procedural RGB textures, each
+    ``size`` px square. ``count`` and ``seed`` must be integers >= 0 and
+    ``size`` an integer >= 1 (a bool is none of them), else
+    :class:`ShapeError`."""
+    for name, value, low in (("count", count, 0), ("size", size, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ShapeError(f"make_texture_corpus: {name} must be an integer >= {low}, got {value!r}")
     images = []
     root = np.random.SeedSequence(seed)
     for child in root.spawn(count):

@@ -37,10 +37,9 @@ backward pass on a loss that is not tracked, through which no gradient
 could reach a parameter.
 
 Default compute dtype is float32; gradient-check tests build the same
-graphs in float64. With float64 operands, ``log``, ``sqrt`` and ``pow``
-with an exponent that is not an integer raise :class:`DomainError` on
-negative input (strict mode); with float32 they propagate NaN the way
-numpy does.
+graphs in float64. With float64 operands, ``log`` and ``sqrt`` raise
+:class:`DomainError` on negative input (strict mode); with float32 they
+propagate NaN the way numpy does.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "pow",
     "sqrt",
     "log",
     "sigmoid",
@@ -169,9 +167,8 @@ class Tensor:
         the gradient functions; the output's own array is not in it. A
         parent that needs no gradient is stored as ``None`` with its
         function, so the graph keeps neither that parent nor what its
-        function captured, and the function may be ``None``. So a forward
-        array lives only as long as a caller holds its tensor or a kept
-        gradient function reads it.
+        function captured. So a forward array lives only as long as a
+        caller holds its tensor or a kept gradient function reads it.
         """
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -288,17 +285,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __pow__(self, exponent):
-        return pow(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
@@ -376,25 +364,6 @@ def div(a, b) -> Tensor:
 
 
 # ---- elementwise unary ----
-
-
-def pow(a: Tensor, exponent: float) -> Tensor:
-    """Elementwise power with a scalar exponent; the gradient keeps the
-    input array. In float64 strict mode a negative base with an exponent
-    that is not an integer raises :class:`DomainError`; in float32 it gives
-    NaN without a warning, as ``sqrt`` and ``log`` do."""
-    exponent = float(exponent)
-    if not exponent.is_integer():
-        _strict_domain(a, "pow")
-    ad = a.data
-    with np.errstate(invalid="ignore"):
-        out_data = ad**exponent
-
-    def pow_grad(g):
-        with np.errstate(invalid="ignore"):
-            return g * exponent * ad ** (exponent - 1.0)
-
-    return Tensor._from_op(out_data, (a,), (pow_grad,), "pow")
 
 
 def _strict_domain(a: Tensor, op: str):
@@ -506,9 +475,7 @@ def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 # ---- structure ----
 
 
-def matmul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError("matmul supports 2-D operands only")
     if a.shape[1] != b.shape[0]:
@@ -887,17 +854,14 @@ def conv2d(
         return np.ascontiguousarray(gt.transpose(1, 0, 2, 3))
 
     # the input gradient keeps the kernel matrix; only the kernel gradient
-    # reads the padded input, so a graph keeps it alive only when that
-    # gradient will run
-    kernel_grad = None
-    if wants_kernel_grad:
-
-        def kernel_grad(g):
-            gmat = handoff.pop() if handoff else gmat_of(g)
-            cols = np.empty((kh * kw * cin, n * oh * ow), dtype=xtp.dtype)
-            _fill_cols(xtp, stride, 0, oh, cols.reshape(kh, kw, cin, n, oh, ow))
-            gk = (gmat @ cols.T).T.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
-            return np.ascontiguousarray(gk)
+    # reads the padded input, and when the kernel needs no gradient,
+    # _from_op drops that function and the padded input with it
+    def kernel_grad(g):
+        gmat = handoff.pop() if handoff else gmat_of(g)
+        cols = np.empty((kh * kw * cin, n * oh * ow), dtype=xtp.dtype)
+        _fill_cols(xtp, stride, 0, oh, cols.reshape(kh, kw, cin, n, oh, ow))
+        gk = (gmat @ cols.T).T.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
+        return np.ascontiguousarray(gk)
 
     return Tensor._from_op(out_data, parents, (input_grad, kernel_grad, _channel_sum)[: len(parents)], "conv2d")
 

@@ -157,8 +157,10 @@ def _check_seed(seed) -> None:
 
 
 def build_generator(cfg: RunConfig, seed: int = 0) -> Generator:
+    """A fresh generator; ``cfg`` is validated first, so a bad value raises
+    :class:`ConfigError` before any compute."""
     _check_seed(seed)
-    return Generator(cfg.build(GeneratorConfig), np.random.default_rng(np.random.SeedSequence(seed)))
+    return Generator(cfg.validate().build(GeneratorConfig), np.random.default_rng(np.random.SeedSequence(seed)))
 
 
 def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
@@ -234,10 +236,13 @@ class Trainer:
     def _usable_pairs(self, pairs):
         """(up, hr) of the pairs whose HR holds a whole patch, ``up`` the LR
         image upscaled by exactly ``scale`` and HR trimmed to match. Each LR
-        must be its HR downscaled by ``scale``, all pixels in [0, 1]."""
+        must be its HR downscaled by ``scale``, each HR (H, W, 3), all pixels
+        in [0, 1]."""
         usable = []
         for i, (lr, hr) in enumerate(pairs):
             lr, hr = np.asarray(lr, dtype=np.float32), np.asarray(hr, dtype=np.float32)
+            if hr.ndim != 3 or hr.shape[2] != 3:
+                raise ShapeError(f"pair {i}: HR image has shape {hr.shape}, expected (H, W, 3)")
             want = (hr.shape[0] // self.scale, hr.shape[1] // self.scale)
             if lr.shape[:2] != want:
                 raise ShapeError(f"pair {i}: LR image is {lr.shape[:2]}, expected {want} for HR {hr.shape[:2]}")

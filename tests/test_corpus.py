@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from fftsr.corpus import make_texture_corpus
+from fftsr.errors import ShapeError
 
 
 def test_same_seed_same_images():
@@ -30,3 +32,25 @@ def test_shape_range_and_dtype():
         assert img.data.shape == (20, 20, 3) and img.data.dtype == np.float32
         assert img.data.min() >= 0.0 and img.data.max() <= 1.0
         assert img.data.std() > 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"size": 0}, "size"),
+        ({"size": True}, "size"),
+        ({"size": 8.0}, "size"),
+        ({"count": -1}, "count"),
+        ({"count": True}, "count"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+    ],
+    ids=["size_0", "size_bool", "size_float", "count_negative", "count_bool", "seed_negative", "seed_float"],
+)
+def test_bad_arguments_fail_before_any_compute(kwargs, name):
+    with pytest.raises(ShapeError, match=f"{name} must be an integer"):
+        make_texture_corpus(**{"count": 2, "size": 8, "seed": 0, **kwargs})
+
+
+def test_zero_textures_is_an_empty_corpus():
+    assert make_texture_corpus(0, 8, seed=0) == []

@@ -385,6 +385,16 @@ class TestPairShapes:
         with pytest.raises(ShapeError, match="pair 0"):
             train.Trainer(cfg, 0, [(np.concatenate([lr, lr]), hr), pairs[1]])
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda hr: hr[:, :, 0], lambda hr: np.concatenate([hr, hr[:, :, :1]], axis=2), lambda hr: hr[:, 0, 0]],
+        ids=["2d", "4_channels", "1d"],
+    )
+    def test_hr_that_is_not_rgb_is_rejected_at_construction(self, cfg, pairs, spoil):
+        lr, hr = pairs[1]
+        with pytest.raises(ShapeError, match=r"pair 1: HR image has shape .*expected \(H, W, 3\)"):
+            train.Trainer(cfg, 0, [pairs[0], (lr, spoil(hr))])
+
 
 def _nan_pixel(a):
     a = a.copy()
@@ -447,6 +457,12 @@ class TestSeed:
         train.save_trainer(trainer, tmp_path / "ckpt")
         resumed = train.Trainer.from_checkpoint(train.read_checkpoint(tmp_path / "ckpt"), pairs)
         assert resumed.seed == 5 and resumed.train_step() == trainer.train_step()
+
+
+@pytest.mark.parametrize("kernel", [2, 4])
+def test_build_generator_rejects_an_even_kernel(kernel):
+    with pytest.raises(ConfigError, match="gen.kernel"):
+        train.build_generator(default_config().replace(gen__kernel=kernel))
 
 
 class TestUpscaleMinimumSize:
