@@ -16,10 +16,9 @@ fills it from that key.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 
 __all__ = ["RunConfig", "CONFIG_SCHEMA", "Settings", "setting", "check_value", "parse_config", "serialize_config", "default_config"]
 
@@ -112,7 +111,7 @@ def check_value(key: str, value, name: str | None = None) -> None:
     ``bool`` (for an int key) and lies in the interval of config key
     ``key``; the message calls the value ``name`` (default ``key``)."""
     _, typ, interval, _ = CONFIG_SCHEMA[key]
-    if typ is int and not _is_int(value):
+    if typ is int and not is_int(value):
         raise ConfigError(f"{name or key} = {value!r} is not an integer")
     if interval is not None and not _within(value, interval):
         raise ConfigError(f"{name or key} = {value!r} is outside {interval}")
@@ -136,10 +135,6 @@ class Settings:
                 check_value(f.metadata["key"], getattr(self, f.name), f"{type(self).__name__}.{f.name}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _within(value, interval: str) -> bool:
     """Whether ``value`` lies in an interval written like ``[0, 1)``."""
     lo, hi = (float(end) for end in interval[1:-1].split(","))
@@ -161,7 +156,7 @@ def _coerce(key: str, raw):
         raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
     try:
         if typ is int:
-            if not (_is_int(raw) or (isinstance(raw, str) and not any(c in raw for c in ".eE"))):
+            if not (is_int(raw) or (isinstance(raw, str) and not any(c in raw for c in ".eE"))):
                 raise ValueError(raw)
             return int(raw)
         return typ(raw)

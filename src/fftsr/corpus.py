@@ -1,17 +1,17 @@
 """Procedural texture corpus for desk-scale experiments.
 
-Images mix low-frequency gratings, soft checkerboards, and Gaussian
-blobs with random color mixing. Spatial frequencies stay below the
-post-downsample Nyquist limit so a 3x pair retains recoverable detail,
-which is what makes the corpus suitable for quick end-to-end training
-checks.
+Images mix low-frequency gratings, soft checkerboards, Gaussian blobs
+and linear ramps with random color mixing. Spatial frequencies stay
+below the post-downsample Nyquist limit so a 3x pair retains
+recoverable detail, which is what makes the corpus suitable for quick
+end-to-end training checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, check_int
 from .image import Image
 
 __all__ = ["make_texture_corpus"]
@@ -65,8 +65,7 @@ def make_texture_corpus(count: int = 64, size: int = 96, seed: int = 0) -> list[
     ``size`` an integer >= 1 (a bool is none of them), else
     :class:`ShapeError`."""
     for name, value, low in (("count", count, 0), ("size", size, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ShapeError(f"make_texture_corpus: {name} must be an integer >= {low}, got {value!r}")
+        check_int(value, f"make_texture_corpus: {name}", low, ShapeError)
     images = []
     root = np.random.SeedSequence(seed)
     for child in root.spawn(count):

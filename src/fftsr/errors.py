@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for what
+an integer argument is (:func:`is_int`, :func:`check_int`)."""
+
+import numpy as np
+
+
+def is_int(value, low: int | None = None) -> bool:
+    """Whether ``value`` is an ``int`` or numpy integer, never a ``bool``,
+    and at least ``low`` when given."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and (low is None or value >= low)
+
+
+def check_int(value, name: str, low: int, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer >= ``low``."""
+    if not is_int(value, low):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class FftsrError(Exception):
@@ -16,9 +31,9 @@ class AxisError(FftsrError):
 class DomainError(FftsrError):
     """An op received an input outside its domain: a negative input to a
     strict-mode elementwise op, a Charbonnier eps that is not positive, a
-    conv2d stride, padding or pad mode that is not defined, a spectral
-    transform input that is not float32 or float64, or a negative
-    learning-rate schedule step."""
+    conv2d stride, padding or pad mode that is not defined, a clamp whose
+    ``lo`` is above its ``hi``, a spectral transform input that is not
+    float32 or float64, or a negative learning-rate schedule step."""
 
 
 class GraphError(FftsrError):

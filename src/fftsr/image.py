@@ -49,8 +49,7 @@ small file cannot expand to a large allocation before it is rejected.
 Resampling uses cubic convolution with the Keys kernel (a = -0.5),
 half-pixel-centered source mapping ``x_src = (x_dst + 0.5) * scale - 0.5``,
 edge-clamped borders, and a final clamp to [0, 1]. The kernel is applied
-as precomputed per-axis weight matrices; the single-image path is the
-batched path with a batch of one, so the two are bit-identical.
+as precomputed per-axis weight matrices, one product along each axis.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecodeError, ImageError, ShapeError, TooSmallError, UnsupportedFormatError
+from .errors import DecodeError, ImageError, ShapeError, TooSmallError, UnsupportedFormatError, check_int
 
 __all__ = [
     "Image",
@@ -420,9 +419,8 @@ def _axis_matrix(n_in: int, n_out: int) -> np.ndarray:
 def resample_bicubic(img: Image, out_h: int, out_w: int) -> Image:
     """Keys (a = -0.5) cubic resampling to (out_h, out_w), each an integer
     of at least 1, else :class:`ShapeError`."""
-    for size in (out_h, out_w):
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-            raise ShapeError(f"output dimensions must be integers >= 1, got {out_h!r} x {out_w!r}")
+    check_int(out_h, "resample_bicubic: out_h", 1, ShapeError)
+    check_int(out_w, "resample_bicubic: out_w", 1, ShapeError)
     mh = _axis_matrix(img.height, out_h)
     mw = _axis_matrix(img.width, out_w)
     x = img.data.transpose(2, 0, 1)[None].astype(np.float64)  # NCHW
@@ -434,8 +432,7 @@ def resample_bicubic(img: Image, out_h: int, out_w: int) -> Image:
 def check_scale(scale) -> None:
     """Raise :class:`ImageError` unless ``scale`` is an integer of at least
     2; a bool is not one."""
-    if isinstance(scale, bool) or not isinstance(scale, (int, np.integer)) or scale < 2:
-        raise ImageError(f"scale must be an integer >= 2, got {scale!r}")
+    check_int(scale, "scale", 2, ImageError)
 
 
 def make_lr_hr_pair(img: Image, scale: int) -> tuple[Image, Image]:

@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .config import Settings, setting
 from .errors import DomainError, ShapeError
-from .nets import Conv2d, Module
+from .nets import Module, strided_convs
 from .tensor import Tensor
 
 __all__ = [
@@ -118,7 +118,7 @@ def ssim_metric(x: np.ndarray, y: np.ndarray) -> float:
         return float(ssim(Tensor(xs, dtype=np.float64), Tensor(ys, dtype=np.float64)).item())
 
 
-def charbonnier(x: Tensor, y: Tensor, eps: float = 1e-6) -> Tensor:
+def charbonnier(x: Tensor, y: Tensor, eps: float) -> Tensor:
     """Mean of sqrt((x - y)^2 + eps); smooth at zero error."""
     if eps <= 0:
         raise DomainError(f"charbonnier eps must be > 0, got {eps}")
@@ -180,13 +180,7 @@ class PerceptualExtractor(Module):
     SEED = 0x5EEDFACE
 
     def __init__(self):
-        rng = np.random.default_rng(self.SEED)
-        c_in = 3
-        stages = []
-        for width in self.WIDTHS:
-            stages.append(Conv2d(rng, c_in, width, kernel=3, stride=2, padding=1))
-            c_in = width
-        self.stages = stages
+        self.stages = strided_convs(np.random.default_rng(self.SEED), self.WIDTHS)
         for _, p in self.named_parameters():
             p.requires_grad = False
 

@@ -50,6 +50,7 @@ __all__ = [
     "FfcBlock",
     "Generator",
     "Discriminator",
+    "strided_convs",
     "inject_noise",
     "count_parameters",
 ]
@@ -361,20 +362,21 @@ class Generator(Module):
             return out
 
 
+def strided_convs(rng: np.random.Generator, widths) -> list[Conv2d]:
+    """3x3 stride-2 convs with zero padding 1 from 3 channels through
+    ``widths`` in turn, their weights drawn from ``rng`` in that order."""
+    c_ins = (3, *widths)
+    return [Conv2d(rng, c_in, width, kernel=3, stride=2, padding=1) for c_in, width in zip(c_ins, widths)]
+
+
 class Discriminator(Module):
     """Scores residual images in (0, 1): conv stack, GAP, affine, sigmoid."""
 
     def __init__(self, cfg: DiscriminatorConfig, rng: np.random.Generator):
         self.cfg = cfg
-        convs = []
-        c_in = 3
-        width = cfg.width
-        for _ in range(cfg.layers):
-            convs.append(Conv2d(rng, c_in, width, kernel=3, stride=2, padding=1))
-            c_in = width
-            width *= 2
-        self.convs = convs
-        self.fc = Linear(rng, c_in, 1)
+        widths = [cfg.width * 2**i for i in range(cfg.layers)]
+        self.convs = strided_convs(rng, widths)
+        self.fc = Linear(rng, widths[-1] if widths else 3, 1)
 
     def __call__(self, residual: Tensor) -> Tensor:
         h = residual

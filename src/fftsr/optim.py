@@ -19,12 +19,12 @@ reinitialization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .config import Settings, check_value, setting
+from .config import Settings, setting
 from .errors import DomainError, OptimizerError
 from .tensor import Tensor
 
@@ -36,33 +36,28 @@ __all__ = [
 ]
 
 
-class AdamW:
+@dataclass(eq=False)
+class AdamW(Settings):
     """AdamW over a fixed list of named parameters.
 
     Update: m and v are the usual Adam moments; after bias correction the
     step is ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)``,
     so the decay term never passes through the adaptive scaling. With
-    weight_decay = 0 this is exactly Adam. A setting outside its ``opt.*``
-    key's interval raises ``ConfigError``.
+    weight_decay = 0 this is exactly Adam. Each setting defaults to its
+    ``opt.*`` key; one outside the key's interval raises ``ConfigError``.
     """
 
-    def __init__(
-        self,
-        named_params: list[tuple[str, Tensor]],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        for name, value in (("beta1", beta1), ("beta2", beta2), ("eps", eps), ("weight_decay", weight_decay)):
-            check_value(f"opt.{name}", value, f"AdamW.{name}")
+    named_params: InitVar[list[tuple[str, Tensor]]]
+    beta1: float = setting("opt.beta1")
+    beta2: float = setting("opt.beta2")
+    eps: float = setting("opt.eps")
+    weight_decay: float = setting("opt.weight_decay")
+    t: int = field(default=0, init=False)
+
+    def __post_init__(self, named_params):
+        super().__post_init__()
         self.names = [n for n, _ in named_params]
         self.params = [p for _, p in named_params]
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 

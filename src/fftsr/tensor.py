@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import AxisError, DomainError, GraphError, ShapeError
+from .errors import AxisError, DomainError, GraphError, ShapeError, check_int, is_int
 
 __all__ = [
     "Tensor",
@@ -428,10 +428,6 @@ def absolute(a: Tensor) -> Tensor:
 # ---- reductions ----
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _norm_axes(axes, ndim: int):
     """``axes`` (None, one axis or a tuple or list of them) as distinct
     non-negative axes; an axis that is not an integer or is out of range
@@ -440,7 +436,7 @@ def _norm_axes(axes, ndim: int):
         return None
     out = []
     for ax in axes if isinstance(axes, (tuple, list)) else (axes,):
-        if not _is_int(ax):
+        if not is_int(ax):
             raise AxisError(f"axis {ax!r} is not an integer")
         if not -ndim <= ax < ndim:
             raise AxisError(f"axis {ax} out of range for rank {ndim}")
@@ -527,7 +523,7 @@ def split_channels(a: Tensor, sizes: Sequence[int]) -> tuple:
     if a.data.ndim != 4:
         raise ShapeError("split_channels expects NCHW input")
     starts = list(itertools.accumulate(sizes, initial=0))
-    if not all(_is_int(n) and n >= 0 for n in sizes) or starts[-1] != a.shape[1]:
+    if not all(is_int(n, 0) for n in sizes) or starts[-1] != a.shape[1]:
         raise ShapeError(f"split sizes {tuple(sizes)} are not counts that cover {a.shape[1]} channels")
 
     shape = a.shape
@@ -780,13 +776,8 @@ def conv2d(
     channel-first copy of the input (a 1x1 conv keeps the input itself);
     neither keeps ``x``'s own array.
     """
-    for name, value in (("stride", stride), ("padding", padding)):
-        if not _is_int(value):
-            raise DomainError(f"conv2d: {name} must be an integer, got {value!r}")
-    if stride < 1:
-        raise DomainError(f"conv2d: stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise DomainError(f"conv2d: padding must be >= 0, got {padding}")
+    check_int(stride, "conv2d: stride", 1, DomainError)
+    check_int(padding, "conv2d: padding", 0, DomainError)
     if pad_mode not in _NP_PAD_MODES:
         raise DomainError(f"conv2d: pad_mode must be one of {sorted(_NP_PAD_MODES)}, got {pad_mode!r}")
     if x.data.ndim != 4 or kernel.data.ndim != 4:

@@ -29,7 +29,7 @@ import numpy as np
 from . import losses as L
 from . import tensor as T
 from .config import RunConfig, Settings, parse_config, serialize_config, setting
-from .errors import CheckpointError, ConfigError, FftsrError, ImageError, ShapeError, TooSmallError
+from .errors import CheckpointError, ConfigError, FftsrError, ImageError, ShapeError, TooSmallError, check_int
 from .image import Image, check_scale, resample_bicubic
 from .nets import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, NoiseState
 from .optim import AdamW, CosineRestartSchedule, RestartPolicy
@@ -149,17 +149,10 @@ def sample_patches(
 # ---- inference helpers ----
 
 
-def _check_seed(seed) -> None:
-    """Raise :class:`ConfigError` unless ``seed`` is an integer >= 0, the
-    only seeds a checkpoint stores; a bool is not one."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 def build_generator(cfg: RunConfig, seed: int = 0) -> Generator:
     """A fresh generator; ``cfg`` is validated first, so a bad value raises
     :class:`ConfigError` before any compute."""
-    _check_seed(seed)
+    check_int(seed, "seed", 0, ConfigError)
     return Generator(cfg.validate().build(GeneratorConfig), np.random.default_rng(np.random.SeedSequence(seed)))
 
 
@@ -202,7 +195,7 @@ class Trainer:
     """Owns both networks, their optimisers and the adaptive controllers."""
 
     def __init__(self, cfg: RunConfig, seed: int, pairs: list[tuple[np.ndarray, np.ndarray]]):
-        _check_seed(seed)
+        check_int(seed, "seed", 0, ConfigError)
         cfg.validate()
         self.cfg = cfg
         self.seed = seed
@@ -230,8 +223,7 @@ class Trainer:
 
     def _adamw(self, net, prefix: str) -> AdamW:
         """A fresh optimiser, with zero moments, over ``net``'s parameters."""
-        adam = {key: self.cfg.get(f"opt.{key}") for key in ("beta1", "beta2", "eps", "weight_decay")}
-        return AdamW(list(net.named_parameters(prefix)), **adam)
+        return self.cfg.build(AdamW, named_params=list(net.named_parameters(prefix)))
 
     def _usable_pairs(self, pairs):
         """(up, hr) of the pairs whose HR holds a whole patch, ``up`` the LR
@@ -330,8 +322,8 @@ class Trainer:
             *head, name = path.split(".")
             yield f"state.{path}", reduce(getattr, head, self), name, codec
         for stream, bits in bit_states.items():
-            for key, (*head, name) in _RNG_FIELDS:
-                yield f"state.rng.{stream}.{key}", reduce(operator.getitem, head, bits), name, _INT
+            for key, (*head, name), codec in _RNG_FIELDS:
+                yield f"state.rng.{stream}.{key}", reduce(operator.getitem, head, bits), name, codec
 
     def snapshot(self) -> tuple[dict, dict]:
         """(state text mapping, tensor table mapping) capturing everything."""
@@ -522,12 +514,13 @@ _SCALAR_FIELDS = (
     ("policy.mode", _MODE),
     ("policy.last_trigger_step", _INT),
 )
-# the integers of one PCG64 stream: key suffix, path in ``bit_generator.state``
+# the integers of one PCG64 stream: key suffix, path in ``bit_generator.state``,
+# codec; seeding makes ``inc`` odd, and ``has_uint32`` is a flag
 _RNG_FIELDS = (
-    ("state", ("state", "state")),
-    ("inc", ("state", "inc")),
-    ("has_uint32", ("has_uint32",)),
-    ("uinteger", ("uinteger",)),
+    ("state", ("state", "state"), _INT),
+    ("inc", ("state", "inc"), (str, _checked(int, lambda v: v % 2 == 1, "odd"))),
+    ("has_uint32", ("has_uint32",), (str, _checked(int, (0, 1).__contains__, "0 or 1"))),
+    ("uinteger", ("uinteger",), _INT),
 )
 
 

@@ -10,7 +10,7 @@ from fftsr.config import CONFIG_SCHEMA, default_config, parse_config, serialize_
 from fftsr.errors import ConfigError
 from fftsr.losses import LossWeights
 from fftsr.nets import DiscriminatorConfig, GeneratorConfig, NoiseState
-from fftsr.optim import CosineRestartSchedule, RestartPolicy
+from fftsr.optim import AdamW, CosineRestartSchedule, RestartPolicy
 from fftsr.train import DiffusionState, Trainer
 
 CHANGED = dict(
@@ -117,7 +117,7 @@ def test_out_of_range_values_fail_in_validate(override):
         parse_config(serialize_config(cfg))
 
 
-@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("value", [2.5, True, np.True_], ids=["float", "bool", "numpy-bool"])
 def test_int_keys_take_only_integers_that_are_not_bools(value):
     with pytest.raises(ConfigError, match="sched.cycle_steps"):
         default_config().replace(sched__cycle_steps=value)
@@ -137,9 +137,10 @@ def test_every_number_has_an_interval():
             assert interval[0] in "[(" and interval[-1] in ")]", key
 
 
-# the seven classes built from the configuration
+# the eight classes built from the configuration
 CONFIGURED = (
-    GeneratorConfig, DiscriminatorConfig, NoiseState, LossWeights, CosineRestartSchedule, RestartPolicy, DiffusionState
+    GeneratorConfig, DiscriminatorConfig, NoiseState, LossWeights, CosineRestartSchedule, RestartPolicy, DiffusionState,
+    AdamW,
 )
 
 # every key, moved off its default to a value that still validates
@@ -191,11 +192,17 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "cls, section",
-        [(GeneratorConfig, "gen"), (DiscriminatorConfig, "disc"), (LossWeights, "loss"), (RestartPolicy, "policy")],
+        [
+            (GeneratorConfig, "gen"),
+            (DiscriminatorConfig, "disc"),
+            (LossWeights, "loss"),
+            (RestartPolicy, "policy"),
+            (AdamW, "opt"),
+        ],
     )
     def test_every_matching_key_reaches_the_object(self, cls, section):
         cfg = default_config().replace(**MOVED).validate()
-        built = cfg.build(cls)
+        built = cfg.build(cls, **({"named_params": []} if cls is AdamW else {}))
         carried = [f for f in dataclasses.fields(cls) if "key" in f.metadata]
         assert carried
         for f in carried:
@@ -224,8 +231,9 @@ class TestBuild:
             (DiffusionState, {}),
             (CosineRestartSchedule, {"base_lr": 1.0}),
             (NoiseState, {"sigma0": 0.05, "rng": None}),
+            (AdamW, {"named_params": []}),
         ],
-        ids=["gen", "disc", "loss", "policy", "diffusion", "sched", "noise"],
+        ids=["gen", "disc", "loss", "policy", "diffusion", "sched", "noise", "adamw"],
     )
     def test_every_field_with_a_key_is_checked_against_it(self, cls, extra):
         checked = [f for f in dataclasses.fields(cls) if "key" in f.metadata]

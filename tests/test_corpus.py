@@ -44,12 +44,24 @@ def test_shape_range_and_dtype():
         ({"count": True}, "count"),
         ({"seed": -1}, "seed"),
         ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"size": np.int64(0)}, "size"),
     ],
-    ids=["size_0", "size_bool", "size_float", "count_negative", "count_bool", "seed_negative", "seed_float"],
+    ids=[
+        "size_0", "size_bool", "size_float", "count_negative", "count_bool", "seed_negative", "seed_float",
+        "seed_bool", "size_numpy_0",
+    ],
 )
 def test_bad_arguments_fail_before_any_compute(kwargs, name):
     with pytest.raises(ShapeError, match=f"{name} must be an integer"):
         make_texture_corpus(**{"count": 2, "size": 8, "seed": 0, **kwargs})
+
+
+@pytest.mark.parametrize("name", ["count", "size", "seed"])
+def test_numpy_integer_arguments_are_integers(name):
+    args = {"count": 2, "size": 8, "seed": 3}
+    got = make_texture_corpus(**(args | {name: np.int64(args[name])}))
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(got, make_texture_corpus(**args), strict=True))
 
 
 def test_zero_textures_is_an_empty_corpus():

@@ -213,10 +213,10 @@ class TestResampling:
         out = I.resample_bicubic(img, 24, 24)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
-    @pytest.mark.parametrize("size", [(3.5, 4), (4, 4.0), (True, 4), (4, "4"), (0, 4), (4, -1)])
+    @pytest.mark.parametrize("size", [(3.5, 4), (4, 4.0), (True, 4), (4, "4"), (0, 4), (4, -1), (np.int64(0), 4)])
     def test_size_that_is_not_an_integer_of_at_least_one(self, size, monkeypatch):
         monkeypatch.setattr(I, "_axis_matrix", None)  # rejected before any compute
-        with pytest.raises(ShapeError, match="output dimensions must be integers >= 1"):
+        with pytest.raises(ShapeError, match="resample_bicubic: out_[hw] must be an integer >= 1"):
             I.resample_bicubic(I.Image(np.zeros((4, 4, 3), dtype=np.float32)), *size)
 
     def test_numpy_integer_size(self):
@@ -278,7 +278,7 @@ class TestPairs:
         with pytest.raises(ImageError):
             I.make_lr_hr_pair(I.Image(np.zeros((4, 4, 3), dtype=np.float32)), 1)
 
-    @pytest.mark.parametrize("scale", [2.5, 3.0, "3", True, 0])
+    @pytest.mark.parametrize("scale", [2.5, 3.0, "3", True, 0, np.int64(1)])
     def test_scale_that_is_not_an_integer_of_at_least_two(self, scale, monkeypatch):
         # rejected before any compute, even for a frame smaller than 3
         monkeypatch.setattr(I, "resample_bicubic", None)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fftsr.config import CONFIG_SCHEMA
 from fftsr.errors import ConfigError, DomainError, OptimizerError
 from fftsr.optim import AdamW, CosineRestartSchedule, RestartPolicy
 from fftsr.tensor import Tensor
@@ -25,7 +26,7 @@ class TestAdamW:
 
     def test_first_step_is_signed_unit_step(self):
         p = make_param([0.3, -0.7])
-        opt = AdamW([p])
+        opt = AdamW([p], weight_decay=0.0)
         g = np.array([2.0, -3.0])
         p[1].grad = g.copy()
         before = p[1].data.copy()
@@ -39,7 +40,7 @@ class TestAdamW:
         theta0 = rng.standard_normal(8)
         theta0 /= np.linalg.norm(theta0)  # ||theta0|| = 1
         p = make_param(theta0)
-        opt = AdamW([p])
+        opt = AdamW([p], weight_decay=0.0)
         for _ in range(200):
             p[1].grad = 2.0 * p[1].data  # d/dtheta ||theta||^2
             opt.step(0.05)
@@ -69,18 +70,23 @@ class TestAdamW:
 
     def test_nonfinite_gradient_rejected_with_name(self):
         p = make_param([1.0], name="gen.head.w")
-        opt = AdamW([p])
+        opt = AdamW([p], weight_decay=0.0)
         p[1].grad = np.array([np.nan])
         with pytest.raises(OptimizerError, match="gen.head.w"):
             opt.step(1e-3)
 
     def test_step_counter_increments_by_one(self):
         p = make_param([1.0])
-        opt = AdamW([p])
+        opt = AdamW([p], weight_decay=0.0)
         for expected in (1, 2, 3):
             p[1].grad = np.ones(1)
             opt.step(1e-3)
             assert opt.t == expected
+
+    def test_settings_default_to_their_config_keys(self):
+        opt = AdamW([make_param([1.0])])
+        for name in ("beta1", "beta2", "eps", "weight_decay"):
+            assert getattr(opt, name) == CONFIG_SCHEMA[f"opt.{name}"][0], name
 
     @pytest.mark.parametrize(
         "field,value",

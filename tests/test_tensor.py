@@ -201,6 +201,7 @@ GRAPH_LIFETIME_CASES = {
     "sub": lambda t, p: 0.5 - t,
     "reshape": lambda t, p: T.reshape(t, (2, -1)),
     "split_channels": lambda t, p: T.split_channels(t, [1, 3])[1],
+    "split_channels_by_numpy_sizes": lambda t, p: T.split_channels(t, [np.int64(1), np.int64(3)])[1],
     "concat": lambda t, p: T.concat([t, t], axis=1),
     "sum": lambda t, p: T.sum(t, axes=(2, 3)),
     "mean": lambda t, p: T.mean(t, axes=(0, 3), keepdims=True),
@@ -385,8 +386,13 @@ def test_structure_ops_grads(seed):
         lambda x: T.concat([x, Tensor(np.ones((2, 6, 3)))], axis=0),
         lambda x: T.split_channels(T.reshape(x, (2, 6, 9)), [3, 3]),
         lambda x: T.split_channels(x, [2.5, 3.5]),
+        lambda x: T.split_channels(x, [True, 5]),
+        lambda x: T.split_channels(x, [-1, 7]),
     ],
-    ids=["reshape-size", "reshape-float", "concat-empty", "concat-off-axis", "concat-rank", "split-3d", "split-float"],
+    ids=[
+        "reshape-size", "reshape-float", "concat-empty", "concat-off-axis", "concat-rank", "split-3d", "split-float",
+        "split-bool", "split-negative",
+    ],
 )
 def test_structure_op_misuse_raises_shape_error(build):
     x = Tensor(np.ones((2, 6, 3, 3)), requires_grad=True)
@@ -479,10 +485,12 @@ class TestConv2d:
             (1, dict(stride=True), "stride"),
             (3, dict(padding=1.5), "padding"),
             (3, dict(padding=True), "padding"),
+            (3, dict(stride=np.int64(0), padding=1), "stride"),
+            (3, dict(padding=np.int64(-1)), "padding"),
         ],
         ids=[
             "stride0", "stride-2-1x1", "padding-1", "padding-1-1x1", "wrap-pad1", "wrap-pad0", "wrap-pad0-1x1",
-            "stride1.5", "stride-bool-1x1", "padding1.5", "padding-bool",
+            "stride1.5", "stride-bool-1x1", "padding1.5", "padding-bool", "stride-numpy0", "padding-numpy-1",
         ],
     )
     def test_bad_arguments_raise_domain_error(self, ksize, kwargs, argument):
@@ -520,8 +528,9 @@ class TestUntrackedConv2d:
             ((2, 3, 50, 61), (5, 3, 3, 3), 2, 1, "zero", False, np.float32, 3),
             ((1, 4, 60, 70), (6, 4, 5, 5), 1, 2, "reflect", True, np.float32, 7),
             ((2, 5, 90, 77), (7, 5, 3, 3), 1, 1, "zero", True, np.float64, 7),
+            ((2, 3, 50, 61), (5, 3, 3, 3), np.int64(2), np.int64(1), "zero", True, np.float32, 3),
         ],
-        ids=["13to26-reflect-bias", "stride2-zero", "5x5-pad2", "float64"],
+        ids=["13to26-reflect-bias", "stride2-zero", "5x5-pad2", "float64", "numpy-int-stride-padding"],
     )
     def test_many_bands_match_the_tracked_path(
         self, monkeypatch, xshape, kshape, stride, padding, pad_mode, bias, dtype, band_rows

@@ -123,6 +123,9 @@ class TestResume:
             ("state.noise.ema", "nan"),
             ("state.noise.initial", "inf"),
             ("state.diffusion.r_d", "inf"),
+            ("state.rng.patch.has_uint32", "5"),
+            ("state.rng.noise.has_uint32", "-1"),
+            ("state.rng.diffusion.inc", "4"),
         ],
     )
     def test_unreachable_state_value_is_refused(self, cfg, pairs, tmp_path, key, text):
@@ -443,7 +446,7 @@ class TestTrainingInput:
 
 
 class TestSeed:
-    @pytest.mark.parametrize("seed", [True, -1, 1.5], ids=["bool", "negative", "float"])
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, np.int64(-1)], ids=["bool", "negative", "float", "numpy_negative"])
     def test_a_seed_a_checkpoint_cannot_store_fails_before_any_compute(self, cfg, pairs, seed, monkeypatch):
         monkeypatch.setattr(train, "Generator", None)  # rejected before a network is built
         with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
