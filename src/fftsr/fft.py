@@ -30,9 +30,11 @@ planes into contiguous runs, one per CPU the process may use: the calling
 thread and the worker threads of ``tensor._run_parts`` each write their
 slice of the buffers the caller allocated, spectrum (or complex buffer)
 first and output second, as before the split. The results are
-bit-identical to a one-thread run. A call whose output is under 256 KiB
-stays on the calling thread. The split assumes single-threaded BLAS, as
-``conv2d`` does, which lists the cost of running both with BLAS threads.
+bit-identical to a one-thread run. A call stays on the calling thread
+when its output elements times ``H + W``, the depth of the two DFT
+matrix products it stands for, are under ``tensor._SPLIT_WORK``. The
+split assumes single-threaded BLAS, as ``conv2d`` does, which lists the
+cost of running both with BLAS threads.
 
 The forward passes use ``norm="forward"`` and the result is scaled while
 it is split into ``(re | im)``. With the default norm, numpy 2.x passes
@@ -76,7 +78,7 @@ def _forward(x: np.ndarray, factor) -> np.ndarray:
         np.multiply(part.real, factor, out=out[:, lo:hi])
         np.multiply(part.imag, factor, out=out[:, c + lo : c + hi])
 
-    _run_parts([functools.partial(transform, lo, hi) for lo, hi in _spans(c, out.nbytes)])
+    _run_parts([functools.partial(transform, lo, hi) for lo, hi in _spans(c, out.size * (h + w))])
     return out
 
 
@@ -95,7 +97,7 @@ def _inverse(g: np.ndarray, w: int, factor) -> np.ndarray:
         np.fft.ifft(part, axis=-2, out=part)
         np.fft.irfft(part, n=w, axis=-1, out=out[:, lo:hi])
 
-    _run_parts([functools.partial(transform, lo, hi) for lo, hi in _spans(c, out.nbytes)])
+    _run_parts([functools.partial(transform, lo, hi) for lo, hi in _spans(c, out.size * (h + w))])
     return out
 
 

@@ -542,25 +542,23 @@ def split_channels(a: Tensor, sizes: Sequence[int]) -> tuple:
 # ---- adjoint of spatial padding (conv2d backward) ----
 
 
-def _fold_axis(g: np.ndarray, pad: int, n: int, axis: int, mode: str) -> np.ndarray:
-    """Adjoint of 1-D padding along ``axis``: (n + 2*pad) -> n."""
-    if pad == 0:
-        return g
-    g = np.moveaxis(g, axis, -1)
-    core = g[..., pad : pad + n].copy()
-    if mode == "reflect":
-        for i in range(pad):
-            core[..., pad - i] += g[..., i]
-        for j in range(pad):
-            core[..., n - 2 - j] += g[..., pad + n + j]
-    return np.moveaxis(core, -1, axis)
-
-
-def _unpad_grad(g: np.ndarray, pad: int, shape, mode: str) -> np.ndarray:
-    h, w = shape[-2], shape[-1]
-    g = _fold_axis(g, pad, w, -1, mode)
-    g = _fold_axis(g, pad, h, -2, mode)
-    return g
+def _fold_pad(g: np.ndarray, pad: int, mode: str):
+    """Adjoint of spatial padding, in place on a padded (..., H + 2*pad,
+    W + 2*pad) gradient: reflect padding adds each pad column, then each
+    pad row, onto the sample it mirrors. The input's gradient is then
+    ``g[..., pad:-pad, pad:-pad]``; zero padding adds nothing."""
+    if pad == 0 or mode != "reflect":
+        return
+    h, w = g.shape[-2] - 2 * pad, g.shape[-1] - 2 * pad
+    for i in range(pad):
+        g[..., 2 * pad - i] += g[..., i]
+    for j in range(pad):
+        g[..., pad + w - 2 - j] += g[..., pad + w + j]
+    core = g[..., pad : pad + w]
+    for i in range(pad):
+        core[..., 2 * pad - i, :] += core[..., i, :]
+    for j in range(pad):
+        core[..., pad + h - 2 - j, :] += core[..., pad + h + j, :]
 
 
 # ---- kernels split across the CPUs ----
@@ -599,14 +597,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_workers)
 
 
-def _spans(n: int, nbytes: int) -> list[tuple[int, int]]:
+def _spans(n: int, work: int) -> list[tuple[int, int]]:
     """``[0, n)`` as ``min(n, _THREADS)`` contiguous runs whose lengths
-    differ by at most one, in order. It stays one run when the parts
-    would fill an output of under ``_BAND_BYTES // 4`` bytes: there,
-    waking a worker costs more than the split saves."""
-    k = min(n, _THREADS) if nbytes >= _BAND_BYTES // 4 else 1
+    differ by at most one, in order. It stays one run when the call does
+    under ``_SPLIT_WORK`` multiply-adds (``work``: output elements times
+    the depth of each one's sum): there, waking a worker costs more than
+    the split saves."""
+    k = min(n, _THREADS) if work >= _SPLIT_WORK else 1
     bounds = [n * i // k for i in range(k + 1)]
     return list(zip(bounds, bounds[1:]))
+
+
+# A kernel call splits only when it does at least this many multiply-adds.
+# On a 2-CPU Xeon guest with BLAS pinned to one thread, handing a part to
+# a worker costs 30-50 us. A training step's stride-2 convs (1-5.3M) ran
+# 25-50% slower split, in the forward and in both gradients, and its 3x3
+# trunk convs (28M and 56M) ran faster. At 12.9M the tail's gradients ran
+# faster split and the head's forward slower. Its 1x1 convs (3.1M and
+# 6.5M) stay whole: they are memory-bound, and split they ran faster in
+# some runs and slower in others.
+_SPLIT_WORK = 1 << 23
 
 
 def _run_parts(parts: Sequence[Callable[[], None]]):
@@ -618,6 +628,16 @@ def _run_parts(parts: Sequence[Callable[[], None]]):
     allocates nothing large and calls no public function, so the graph,
     span tracing and allocation tracing see a single thread. Parts that
     write disjoint slices of one output give the bits a serial run gives.
+
+    ``conv2d``'s forward splits its (image, band) list and a 1x1 its
+    pixel columns; its backward splits by images. Each run of the input
+    gradient copies its images of ``g`` into ``g``'s matrix, runs its
+    columns of the GEMM, scatters its taps into its images of the padded
+    gradient, folds their padding and copies them out. The kernel
+    gradient fills each run's columns, and its one GEMM stays whole on
+    the calling thread: a cut through its sum over images changes the
+    bits. A 1x1 runs each image's GEMMs in its run and sums them over
+    images on the calling thread.
     """
     global _tasks
     if len(parts) == 1:
@@ -708,7 +728,7 @@ def _conv_bands(xtp: np.ndarray, kmat: np.ndarray, kh: int, kw: int, stride: int
             _fill_cols(xtp[:, b : b + 1], stride, r0, r1, band)
             np.matmul(kmat.T, band.reshape(depth, (r1 - r0) * ow), out=flat[b, :, r0 * ow : r1 * ow])
 
-    spans = _spans(len(bands), out.nbytes)
+    spans = _spans(len(bands), out.size * depth)
     bufs = [np.empty(depth * rows * ow, dtype=xtp.dtype) for _ in spans]
     _run_parts([functools.partial(fill_and_multiply, bands[lo:hi], buf) for (lo, hi), buf in zip(spans, bufs)])
     return out
@@ -724,8 +744,13 @@ def _conv1x1_forward(x: np.ndarray, kmat: np.ndarray) -> np.ndarray:
     def multiply(lo, hi):
         np.matmul(kmat, xm[:, :, lo:hi], out=om[:, :, lo:hi])
 
-    _run_parts([functools.partial(multiply, lo, hi) for lo, hi in _spans(h * w, out.nbytes)])
+    _run_parts([functools.partial(multiply, lo, hi) for lo, hi in _spans(h * w, out.size * cin)])
     return out
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray, lo: int, hi: int):
+    """Images [lo, hi) of the batched product ``a @ b``, into ``out``."""
+    np.matmul(a[lo:hi], b[lo:hi], out=out[lo:hi])
 
 
 def _channel_sum(g: np.ndarray) -> np.ndarray:
@@ -758,18 +783,22 @@ def conv2d(
     it to 111 MiB. The full matrix is built only in backward, and only when
     the kernel needs a gradient, so the graph keeps no columns alive.
 
-    The forward, tracked or not, runs on every CPU the process may use:
-    the calling thread and one worker thread per other CPU each take a
-    contiguous run, of equal count, of the (image, band) list and fill
-    their own column buffer; a plain 1x1 splits its pixel columns. Each
-    GEMM is the one a single thread would run, so the output is
-    bit-identical to a one-thread run. A call whose output is under
-    256 KiB stays on the calling thread, and the backward is not split.
-    fftsr expects single-threaded BLAS (``OPENBLAS_NUM_THREADS=1``). On a
-    2-CPU Xeon guest with OpenBLAS at its default two threads, the parts'
-    GEMMs compete for its threads: the upscale benchmark's four frames
-    took 528 ms split and 495 ms unsplit, against 317 ms split and 450 ms
-    unsplit with BLAS pinned.
+    The forward, tracked or not, and the backward run on every CPU the
+    process may use: the calling thread and one worker thread per other
+    CPU each take a contiguous run, of equal count, of the work, and
+    write their slices of arrays the calling thread allocated. The
+    forward splits its (image, band) list, each run with its own column
+    buffer; a plain 1x1 splits its pixel columns. The backward splits by
+    images (see :func:`_run_parts`); the kernel gradient's GEMM stays
+    whole. Each split GEMM is the one a single thread would run, or a run
+    of its output columns, which gave the same bits at every shape a
+    training step uses, so outputs and gradients are bit-identical to a
+    one-thread run. A call of under ``_SPLIT_WORK`` multiply-adds stays
+    on the calling thread. fftsr expects single-threaded BLAS
+    (``OPENBLAS_NUM_THREADS=1``). On a 2-CPU Xeon guest with OpenBLAS at
+    its default two threads, the parts' GEMMs compete for its threads:
+    the upscale benchmark's four frames took 528 ms split and 495 ms
+    unsplit, against 317 ms split and 450 ms unsplit with BLAS pinned.
 
     The input gradient keeps the kernel as a matrix. The kernel gradient,
     recorded only when the kernel needs a gradient, keeps the padded
@@ -801,12 +830,22 @@ def conv2d(
         # the input, copied when it is a strided slice (a split_channels
         # group), so the graph does not pin the whole array it was cut from
         xd = np.ascontiguousarray(x.data) if _records(kernel) else None
+        work = out_data.size * cin
+
+        def input_grad_1x1(g):
+            gm = g.reshape(n, cout, h * w)
+            gx = np.empty((n, cin, h * w), dtype=np.result_type(kmat, gm))
+            kt = np.broadcast_to(kmat.T, (n, cin, cout))
+            _run_parts([functools.partial(_matmul, kt, gm, gx, lo, hi) for lo, hi in _spans(n, work)])
+            return gx.reshape(n, cin, h, w)
 
         def kernel_grad_1x1(g):
-            xt = xd.reshape(n, cin, h * w).transpose(0, 2, 1)
-            return (g.reshape(n, cout, h * w) @ xt).sum(axis=0).reshape(cout, cin, 1, 1)
+            gm, xt = g.reshape(n, cout, h * w), xd.reshape(n, cin, h * w).transpose(0, 2, 1)
+            per_image = np.empty((n, cout, cin), dtype=np.result_type(gm, xt))
+            _run_parts([functools.partial(_matmul, gm, xt, per_image, lo, hi) for lo, hi in _spans(n, work)])
+            return per_image.sum(axis=0).reshape(cout, cin, 1, 1)
 
-        grads = (lambda g: (kmat.T @ g.reshape(n, cout, h * w)).reshape(n, cin, h, w), kernel_grad_1x1, _channel_sum)
+        grads = (input_grad_1x1, kernel_grad_1x1, _channel_sum)
         return Tensor._from_op(out_data, parents, grads[: len(parents)], "conv1x1")
 
     xtp = _pad_cnhw(np.ascontiguousarray(x.data.transpose(1, 0, 2, 3)), padding, pad_mode)
@@ -821,28 +860,41 @@ def conv2d(
         out_data += bias.data.reshape(1, cout, 1, 1)
 
     # Both gradients below need g as a (cout, N*OH*OW) matrix. The input
-    # gradient runs first and, when the kernel needs a gradient, hands it
-    # to the kernel gradient, which drops it.
+    # gradient runs first, its runs fill the matrix image by image, and
+    # when the kernel needs a gradient it hands the matrix to the kernel
+    # gradient, which drops it.
     handoff = []  # g's matrix, made by the input gradient
     pshape, dtype = xtp.shape, xtp.dtype
     wants_kernel_grad = _records(kernel)
+    work = out_data.size * kmat.shape[0]
 
     def gmat_of(g):
         return np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(cout, n * oh * ow)
 
     def input_grad(g):
-        gmat = gmat_of(g)
+        gmat = np.empty((cout, n * oh * ow), dtype=g.dtype)
         if wants_kernel_grad:
             handoff.append(gmat)
-        gcols = (kmat @ gmat).reshape(kh, kw, cin, n, oh, ow)
+        gcols = np.empty((kh * kw * cin, n * oh * ow), dtype=np.result_type(kmat, gmat))
         gpad = np.zeros(pshape, dtype)
-        for i in range(kh):
-            hi = i + stride * (oh - 1) + 1
-            for j in range(kw):
-                wj = j + stride * (ow - 1) + 1
-                gpad[:, :, i:hi:stride, j:wj:stride] += gcols[i, j]
-        gt = _unpad_grad(gpad, padding, (cin, n, h, w), pad_mode)
-        return np.ascontiguousarray(gt.transpose(1, 0, 2, 3))
+        gx = np.empty((n, cin, h, w), dtype)
+        taps = gcols.reshape(kh, kw, cin, n, oh, ow)
+
+        def grad_images(lo, hi):
+            cols = slice(lo * oh * ow, hi * oh * ow)
+            gmat.reshape(cout, n, oh, ow)[:, lo:hi] = g[lo:hi].transpose(1, 0, 2, 3)
+            np.matmul(kmat, gmat[:, cols], out=gcols[:, cols])
+            run = gpad[:, lo:hi]
+            for i in range(kh):
+                bottom = i + stride * (oh - 1) + 1
+                for j in range(kw):
+                    right = j + stride * (ow - 1) + 1
+                    run[:, :, i:bottom:stride, j:right:stride] += taps[i, j, :, lo:hi]
+            _fold_pad(run, padding, pad_mode)
+            gx[lo:hi] = run[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
+
+        _run_parts([functools.partial(grad_images, lo, hi) for lo, hi in _spans(n, work)])
+        return gx
 
     # the input gradient keeps the kernel matrix; only the kernel gradient
     # reads the padded input, and when the kernel needs no gradient,
@@ -850,7 +902,10 @@ def conv2d(
     def kernel_grad(g):
         gmat = handoff.pop() if handoff else gmat_of(g)
         cols = np.empty((kh * kw * cin, n * oh * ow), dtype=xtp.dtype)
-        _fill_cols(xtp, stride, 0, oh, cols.reshape(kh, kw, cin, n, oh, ow))
+        taps = cols.reshape(kh, kw, cin, n, oh, ow)
+        _run_parts(
+            [functools.partial(_fill_cols, xtp[:, lo:hi], stride, 0, oh, taps[:, :, :, lo:hi]) for lo, hi in _spans(n, work)]
+        )
         gk = (gmat @ cols.T).T.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
         return np.ascontiguousarray(gk)
 

@@ -159,11 +159,11 @@ def build_generator(cfg: RunConfig, seed: int = 0) -> Generator:
 def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
     """clamp(bicubic(img) + G(bicubic(img)), 0, 1) in eval mode.
 
-    ``scale`` must be an integer of at least 2, else :class:`ImageError`.
-    The upscaled frame must be at least ``max(2, gen.cfg.kernel // 2 + 1)``
-    px on each side, which the reflect padding and the spectral transform
-    need; a smaller one raises :class:`TooSmallError`. Both checks run
-    before any compute.
+    ``img`` must be an :class:`Image` and ``scale`` an integer of at
+    least 2, else :class:`ImageError`. The upscaled frame must be at least
+    ``max(2, gen.cfg.kernel // 2 + 1)`` px on each side, which the reflect
+    padding and the spectral transform need; a smaller one raises
+    :class:`TooSmallError`. These checks run before any compute.
 
     The convolutions and spectral transforms split their work across the
     CPUs the process may use, and the output is bit-identical to a
@@ -173,6 +173,8 @@ def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
     OpenBLAS at its default two threads, the same frame took 5.4 s split
     and 5.2 s unsplit.
     """
+    if not isinstance(img, Image):
+        raise ImageError(f"upscale_image needs an Image, got {type(img).__name__}")
     check_scale(scale)
     minimum = max(2, gen.cfg.kernel // 2 + 1)
     if scale * min(img.height, img.width) < minimum:

@@ -686,13 +686,13 @@ class TestSplitAcrossThreads:
 
     def test_conv2d_bands(self, monkeypatch):
         rng = np.random.default_rng(21)
-        x = Tensor(rng.standard_normal((3, 4, 61, 47)), dtype=np.float64)
-        k = Tensor(rng.standard_normal((6, 4, 5, 5)), requires_grad=True, dtype=np.float64)
-        row_bytes = 5 * 5 * 4 * 24 * 8  # one output row of float64 columns
+        x = Tensor(rng.standard_normal((3, 16, 61, 47)), dtype=np.float64)
+        k = Tensor(rng.standard_normal((12, 16, 5, 5)), requires_grad=True, dtype=np.float64)
+        row_bytes = 5 * 5 * 16 * 24 * 8  # one output row of float64 columns
         monkeypatch.setattr(T, "_BAND_BYTES", 3 * row_bytes + row_bytes // 2)  # 11 bands an image
         runs = by_thread_count(monkeypatch, lambda: T.conv2d(x, k, stride=2, padding=2).data)
         ref = runs[1][0]
-        assert ref.shape == (3, 6, 31, 24) and ref.dtype == np.float64
+        assert ref.shape == (3, 12, 31, 24) and ref.dtype == np.float64
         for threads, (out, parts) in runs.items():
             assert parts == [threads]
             assert np.array_equal(out, ref)
@@ -729,22 +729,72 @@ class TestSplitAcrossThreads:
 
     def test_conv1x1_pixel_columns(self, monkeypatch):
         rng = np.random.default_rng(22)
-        x = Tensor(rng.standard_normal((2, 13, 40, 50), dtype=np.float32))
-        k = Tensor(rng.standard_normal((26, 13, 1, 1), dtype=np.float32))
+        x = Tensor(rng.standard_normal((4, 26, 64, 64), dtype=np.float32))
+        k = Tensor(rng.standard_normal((26, 26, 1, 1), dtype=np.float32))
         b = Tensor(rng.standard_normal(26, dtype=np.float32))
         runs = by_thread_count(monkeypatch, lambda: T.conv2d(x, k, b).data)
         ref = runs[1][0]
-        assert np.array_equal(ref, (k.data[:, :, 0, 0] @ x.data.reshape(2, 13, -1)).reshape(2, 26, 40, 50) + b.data[:, None, None])
+        want = (k.data[:, :, 0, 0] @ x.data.reshape(4, 26, -1)).reshape(4, 26, 64, 64) + b.data[:, None, None]
+        assert np.array_equal(ref, want)
         for threads, (out, parts) in runs.items():
             assert parts == [threads]
             assert np.array_equal(out, ref)
 
+    @pytest.mark.parametrize(
+        "xshape, kshape, stride, padding, pad_mode, dtype, needs",
+        [
+            ((8, 13, 48, 48), (26, 13, 3, 3), 1, 1, "reflect", np.float32, "both"),
+            ((8, 16, 24, 24), (32, 16, 3, 3), 2, 1, "zero", np.float32, "both"),
+            ((8, 32, 12, 12), (64, 32, 3, 3), 2, 1, "zero", np.float32, "both"),
+            ((8, 13, 48, 48), (13, 13, 1, 1), 1, 0, "zero", np.float32, "both"),
+            ((4, 13, 30, 36), (26, 13, 3, 3), 1, 1, "reflect", np.float64, "both"),
+            ((8, 13, 48, 48), (26, 13, 3, 3), 1, 1, "reflect", np.float32, "input"),
+            ((8, 13, 48, 48), (26, 13, 3, 3), 1, 1, "reflect", np.float32, "kernel"),
+            ((8, 13, 48, 48), (13, 13, 1, 1), 1, 0, "zero", np.float32, "kernel"),
+        ],
+        ids=["13to26-reflect", "disc-24px", "disc-12px", "1x1", "float64", "frozen-kernel", "frozen-input", "1x1-frozen-input"],
+    )
+    def test_conv2d_backward(self, monkeypatch, xshape, kshape, stride, padding, pad_mode, dtype, needs):
+        # the size rule keeps the discriminator's convs and the 1x1 whole;
+        # with it lowered, every shape a training step uses splits
+        monkeypatch.setattr(T, "_SPLIT_WORK", 0)
+        rng = np.random.default_rng(25)
+        xd, kd = rng.standard_normal(xshape).astype(dtype), rng.standard_normal(kshape).astype(dtype)
+        oh, ow = ((side + 2 * padding - kshape[2]) // stride + 1 for side in xshape[2:])
+        gd = rng.standard_normal((xshape[0], kshape[0], oh, ow)).astype(dtype)
+
+        def run():
+            x = Tensor(xd, requires_grad=needs != "kernel", dtype=dtype)
+            k = Tensor(kd, requires_grad=needs != "input", dtype=dtype)
+            out = T.conv2d(x, k, stride=stride, padding=padding, pad_mode=pad_mode)
+            T.sum(out * Tensor(gd)).backward()  # out's gradient is gd
+            return x.grad, k.grad
+
+        runs = by_thread_count(monkeypatch, run)
+        ref = runs[1][0]
+        assert [g is None for g in ref] == [needs == "kernel", needs == "input"]
+        for threads, (grads, parts) in runs.items():
+            # the forward, then each gradient that is asked for
+            assert parts == [threads] * (3 if needs == "both" else 2)
+            for got, want in zip(grads, ref):
+                assert got is None and want is None or got.dtype == dtype and np.array_equal(got, want)
+
     def test_small_calls_stay_on_the_calling_thread(self, monkeypatch):
+        # each does under _SPLIT_WORK multiply-adds a pass, and ran slower
+        # split: a 3x3, a training step's 1x1 and its stride-2 convs, the
+        # discriminator's first on the RGB batch
         rng = np.random.default_rng(23)
-        x = Tensor(rng.standard_normal((8, 4, 12, 12), dtype=np.float32))
-        k = Tensor(rng.standard_normal((4, 4, 3, 3), dtype=np.float32))
-        runs = by_thread_count(monkeypatch, lambda: T.conv2d(x, k, padding=1).data)
-        assert all(parts == [1] for _, parts in runs.values())
+        for xshape, kshape, stride, padding in [
+            ((8, 4, 12, 12), (4, 4, 3, 3), 1, 1),
+            ((8, 13, 48, 48), (13, 13, 1, 1), 1, 0),
+            ((8, 3, 48, 48), (16, 3, 3, 3), 2, 1),
+            ((8, 16, 24, 24), (32, 16, 3, 3), 2, 1),
+        ]:
+            x = Tensor(rng.standard_normal(xshape, dtype=np.float32), requires_grad=True)
+            k = Tensor(rng.standard_normal(kshape, dtype=np.float32), requires_grad=True)
+            runs = by_thread_count(monkeypatch, lambda: T.sum(T.conv2d(x, k, stride=stride, padding=padding)).backward())
+            # the forward and both gradients
+            assert all(parts == [1, 1, 1] for _, parts in runs.values())
 
     def test_an_exception_in_a_worker_part_reaches_the_caller(self, monkeypatch):
         class PartFailed(Exception):

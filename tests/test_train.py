@@ -7,7 +7,9 @@ import zlib
 import numpy as np
 import pytest
 
+from fftsr import fft as F
 from fftsr import losses as L
+from fftsr import tensor as T
 from fftsr import train
 from fftsr.config import default_config, serialize_config
 from fftsr.corpus import make_texture_corpus
@@ -520,6 +522,40 @@ class TestUpscaleLeavesTheModelAlone:
         assert probed.train_step() == plain.train_step()
         train.upscale_image(probed.gen, Image(pairs[0][0]), 3)
         assert probed.train_step() == plain.train_step()
+
+
+class TestUpscaleInput:
+    @pytest.mark.parametrize("frame", [np.full((4, 4, 3), 0.5), [[0.5]], None], ids=["ndarray", "list", "None"])
+    def test_a_frame_that_is_not_an_image_is_rejected(self, monkeypatch, frame):
+        gen = train.build_generator(default_config())
+        monkeypatch.setattr(train, "resample_bicubic", None)  # nothing may be computed first
+        with pytest.raises(ImageError, match=f"needs an Image, got {type(frame).__name__}"):
+            train.upscale_image(gen, frame, 3)
+
+
+def test_split_kernels_leave_every_record_and_byte_alone(monkeypatch, cfg, pairs, tmp_path):
+    # at this size every kernel stays whole under the size rule; lowered,
+    # every conv pass, gradient and spectral transform splits
+    monkeypatch.setattr(T, "_SPLIT_WORK", 0)
+    parts = []
+    run_parts = T._run_parts
+
+    def spy(ps):
+        parts.append(len(ps))
+        run_parts(ps)
+
+    monkeypatch.setattr(T, "_run_parts", spy)
+    monkeypatch.setattr(F, "_run_parts", spy)
+    runs = {}
+    for threads in (1, 3):
+        monkeypatch.setattr(T, "_THREADS", threads)
+        parts.clear()
+        trainer = train.Trainer(cfg, 5, pairs)
+        records = [trainer.train_step() for _ in range(2)]
+        runs[threads] = (records, checkpoint_bytes(trainer, tmp_path / f"{threads}.ckpt"))
+        assert max(parts) == threads
+    # the checkpoint holds every parameter and the AdamW moments
+    assert runs[3] == runs[1]
 
 
 class TestDiffusionState:
