@@ -10,7 +10,10 @@ configuration text.
 A class built from the configuration derives from :class:`Settings` and
 declares each setting field as ``setting("<key>")``: the field takes its
 key, default and check from the schema, and :meth:`RunConfig.build`
-fills it from that key.
+fills it from that key. Values that no run varies are constants, not
+keys: those of ``optim.AdamW`` and ``optim.RestartPolicy``, the diffusion
+beta schedule of ``train.DiffusionState``, ``losses.CHARBONNIER_EPS`` and
+``nets.EMA_DECAY``.
 """
 
 from __future__ import annotations
@@ -42,32 +45,19 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "loss.mge": (1.0, float, "[0, inf)", "weight of the mean-gradient-error term"),
     "loss.ssim": (1.0, float, "[0, inf)", "weight of the (negated) SSIM term"),
     "loss.charbonnier": (1.0, float, "[0, inf)", "weight of the Charbonnier term"),
-    "loss.charbonnier_eps": (1e-6, float, "(0, inf)", "epsilon under the Charbonnier square root"),
     "opt.lr_g": (2e-3, float, "[0, inf)", "generator base (peak) learning rate"),
     "opt.lr_d": (1e-3, float, "[0, inf)", "discriminator base (peak) learning rate"),
-    "opt.beta1": (0.9, float, "[0, 1)", "AdamW first-moment decay"),
-    "opt.beta2": (0.999, float, "[0, 1)", "AdamW second-moment decay"),
-    "opt.eps": (1e-8, float, "(0, inf)", "AdamW denominator epsilon"),
-    "opt.weight_decay": (1e-4, float, "[0, inf)", "AdamW decoupled weight decay"),
     "sched.cycle_steps": (2000, int, "[1, inf)", "steps per cosine annealing cycle"),
     "sched.peak_decay": (0.95, float, "[0, inf)", "per-cycle peak decay factor"),
     "sched.floor_fraction": (0.5, float, "[0, 1]", "end-of-cycle lr as a fraction of the cycle peak"),
     "policy.enabled": (True, bool, None, "enable the accuracy-driven discriminator restart policy"),
     "policy.window": (200, int, "[1, inf)", "rolling accuracy window length (steps)"),
     "policy.acc_low": (0.5, float, "[0, 1]", "boost when mean accuracy falls below this"),
-    "policy.acc_high": (0.95, float, "[0, 1]", "boost when mean accuracy exceeds this"),
-    "policy.lr_boost": (5.0, float, "[0, inf)", "discriminator lr multiplier while boosted"),
-    "policy.adv_scale": (0.1, float, "[0, inf)", "generator adversarial-weight multiplier while boosted"),
-    "policy.cooldown": (1000, int, "[0, inf)", "second trigger within this many steps reinitializes the discriminator"),
-    "policy.restart_every": (0, int, "[0, inf)", "if > 0, also trigger a boost every N steps"),
     "diffusion.t_max": (500, int, "[0, inf)", "maximum diffusion timestep; 0 turns diffusion off"),
-    "diffusion.beta_start": (1e-4, float, "[0, 1]", "linear beta schedule start"),
-    "diffusion.beta_end": (0.02, float, "[0, 1]", "linear beta schedule end"),
     "diffusion.target": (0.6, float, "[-1, 1]", "target discriminator overfit estimate r_d"),
     "diffusion.stride": (1, int, "[0, inf)", "timestep adjustment per adaptation"),
     "diffusion.adapt_every": (4, int, "[1, inf)", "adapt the diffusion timestep every N steps"),
     "noise.warmup_steps": (100, int, "[0, inf)", "steps of loss EMA captured as the noise baseline"),
-    "train.ema_decay": (0.99, float, "[0, 1]", "decay shared by all adaptive EMAs"),
 }
 
 
@@ -76,6 +66,8 @@ class RunConfig:
     values: dict = field(default_factory=dict)
 
     def get(self, key: str):
+        if key not in CONFIG_SCHEMA:
+            raise ConfigError(f"unknown config key {key!r}")
         return self.values[key]
 
     def replace(self, **overrides) -> "RunConfig":
@@ -95,7 +87,7 @@ class RunConfig:
         return cls(**(kwargs | extra))
 
     def validate(self):
-        for key in CONFIG_SCHEMA:
+        for key in CONFIG_SCHEMA | self.values:  # get refuses a key outside the schema
             check_value(key, self.get(key))
         scale, patch = self.get("data.scale"), self.get("data.patch")
         if patch % scale != 0:

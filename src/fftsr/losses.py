@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import Settings, setting
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 from .nets import Module, strided_convs
 from .tensor import Tensor
 
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 LOG_CLIP = 1e-7  # discriminator outputs are clamped to [LOG_CLIP, 1 - LOG_CLIP]
+CHARBONNIER_EPS = 1e-6  # (1e-3)^2 under the root, the epsilon of Lai et al.'s LapSRN (arXiv 1704.03915)
 SOBEL_EPS = 1e-12
 # SSIM window size and Gaussian sigma, and c = (k L)^2 with L = 1 for [0, 1] data
 SSIM_WINDOW = 11
@@ -63,7 +64,6 @@ class LossWeights(Settings):
     mge: float = setting("loss.mge")
     ssim: float = setting("loss.ssim")
     charbonnier: float = setting("loss.charbonnier")
-    charbonnier_eps: float = setting("loss.charbonnier_eps")
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -118,13 +118,11 @@ def ssim_metric(x: np.ndarray, y: np.ndarray) -> float:
         return float(ssim(Tensor(xs, dtype=np.float64), Tensor(ys, dtype=np.float64)).item())
 
 
-def charbonnier(x: Tensor, y: Tensor, eps: float) -> Tensor:
-    """Mean of sqrt((x - y)^2 + eps); smooth at zero error."""
-    if eps <= 0:
-        raise DomainError(f"charbonnier eps must be > 0, got {eps}")
+def charbonnier(x: Tensor, y: Tensor) -> Tensor:
+    """Mean of sqrt((x - y)^2 + CHARBONNIER_EPS); smooth at zero error."""
     _check_pair(x, y, "charbonnier")
     d = x - y
-    return T.mean(T.sqrt(d * d + eps))
+    return T.mean(T.sqrt(d * d + CHARBONNIER_EPS))
 
 
 SOBEL_SMOOTH = np.array([1.0, 2.0, 1.0])
@@ -229,7 +227,7 @@ def generator_loss(
         "g_perc": perceptual_loss(sr, hr, extractor),
         "g_mge": mge_loss(sr, hr),
         "g_ssim": ssim(sr, hr),
-        "g_charb": charbonnier(sr, hr, w.charbonnier_eps),
+        "g_charb": charbonnier(sr, hr),
     }
     weights = (w.adversarial * adv_scale, w.perceptual, w.mge, -w.ssim, w.charbonnier)
     return reduce(operator.add, (k * term for k, term in zip(weights, terms.values()))), terms

@@ -58,6 +58,8 @@ __all__ = [
 
 # ---- configuration ----
 
+EMA_DECAY = 0.99  # decay of the noise-annealing EMA and of train.DiffusionState's r_d; fftsr's own value
+
 
 @dataclass(frozen=True)
 class GeneratorConfig(Settings):
@@ -86,7 +88,6 @@ class NoiseState(Settings):
     sigma0: float = setting("gen.noise_sigma", required=True)
     rng: np.random.Generator
     warmup_steps: int = setting("noise.warmup_steps")
-    ema_decay: float = setting("train.ema_decay")
     ema: float = 0.0
     initial: float | None = None
 
@@ -96,7 +97,7 @@ class NoiseState(Settings):
 
     def anneal(self, g_loss: float, step: int):
         """Fold the generator loss of training step ``step`` into the EMA."""
-        self.ema = g_loss if step == 0 else self.ema_decay * self.ema + (1.0 - self.ema_decay) * g_loss
+        self.ema = g_loss if step == 0 else EMA_DECAY * self.ema + (1.0 - EMA_DECAY) * g_loss
         if step + 1 == self.warmup_steps:
             self.initial = self.ema
 

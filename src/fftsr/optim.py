@@ -5,7 +5,8 @@ restart policy.
 Schedule shape: within cycle k at phase phi in [0, 1],
 ``lr = peak_k * (floor + (1 - floor) * (1 + cos(pi * phi)) / 2)`` with
 ``peak_k = lr0 * peak_decay**k``. Defaults reproduce a 5% lower peak per
-cycle and a decay to half the peak before each reset.
+cycle and a decay to half the peak before each reset. AdamW's betas,
+epsilon and weight decay are constants, not config keys.
 
 The restart policy watches a rolling window of discriminator accuracy.
 When the discriminator is stuck (low accuracy) or has collapsed the
@@ -13,13 +14,14 @@ adversarial signal (near-perfect accuracy for the whole window), it
 boosts the discriminator learning rate and scales down the generator's
 adversarial weight until accuracy returns to a healthy band; a second
 trigger within the cooldown additionally requests a hard weight
-reinitialization.
+reinitialization. Its upper accuracy bound, boost multipliers and cooldown
+are constants; its switch, window and lower bound are ``policy.*`` keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -36,35 +38,28 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class AdamW(Settings):
+class AdamW:
     """AdamW over a fixed list of named parameters.
 
     Update: m and v are the usual Adam moments; after bias correction the
     step is ``theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)``,
-    so the decay term never passes through the adaptive scaling. With
-    weight_decay = 0 this is exactly Adam. Each setting defaults to its
-    ``opt.*`` key; one outside the key's interval raises ``ConfigError``.
+    so the decay term never passes through the adaptive scaling.
     """
 
-    named_params: InitVar[list[tuple[str, Tensor]]]
-    beta1: float = setting("opt.beta1")
-    beta2: float = setting("opt.beta2")
-    eps: float = setting("opt.eps")
-    weight_decay: float = setting("opt.weight_decay")
-    t: int = field(default=0, init=False)
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's defaults (arXiv 1412.6980), kept by AdamW
+    WEIGHT_DECAY = 1e-4  # decoupled as in AdamW (arXiv 1711.05101); the value is fftsr's own
 
-    def __post_init__(self, named_params):
-        super().__post_init__()
+    def __init__(self, named_params: list[tuple[str, Tensor]]):
         self.names = [n for n, _ in named_params]
         self.params = [p for _, p in named_params]
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
 
     def step(self, lr: float):
         """Apply one update at rate ``lr`` from the gradients on the params."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for i, p in enumerate(self.params):
@@ -79,9 +74,7 @@ class AdamW(Settings):
             self.v[i] = v
             m_hat = m / bc1
             v_hat = v / bc2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay != 0.0:
-                update = update + self.weight_decay * p.data
+            update = m_hat / (np.sqrt(v_hat) + self.EPS) + self.WEIGHT_DECAY * p.data
             p.data = (p.data - lr * update).astype(p.data.dtype)
 
     def zero_grad(self):
@@ -124,15 +117,15 @@ class RestartPolicy(Settings):
 
     MODES: ClassVar[tuple[str, str]] = ("normal", "disc-boost")
     EXIT_BAND: ClassVar[tuple[float, float]] = (0.55, 0.8)
+    # fftsr's own values, like EXIT_BAND's
+    ACC_HIGH: ClassVar[float] = 0.95  # boost when mean accuracy exceeds this
+    LR_BOOST: ClassVar[float] = 5.0  # discriminator lr multiplier while boosted
+    ADV_SCALE: ClassVar[float] = 0.1  # generator adversarial-weight multiplier while boosted
+    COOLDOWN: ClassVar[int] = 1000  # a second trigger within this many steps reinitializes
 
     enabled: bool = setting("policy.enabled")
     window: int = setting("policy.window")
     acc_low: float = setting("policy.acc_low")
-    acc_high: float = setting("policy.acc_high")
-    lr_boost: float = setting("policy.lr_boost")
-    adv_scale: float = setting("policy.adv_scale")
-    cooldown: int = setting("policy.cooldown")
-    restart_every: int = setting("policy.restart_every")
 
     mode: str = "normal"
     last_trigger_step: int = -(10**9)
@@ -140,11 +133,11 @@ class RestartPolicy(Settings):
 
     @property
     def disc_lr_multiplier(self) -> float:
-        return self.lr_boost if self.mode == "disc-boost" else 1.0
+        return self.LR_BOOST if self.mode == "disc-boost" else 1.0
 
     @property
     def adv_multiplier(self) -> float:
-        return self.adv_scale if self.mode == "disc-boost" else 1.0
+        return self.ADV_SCALE if self.mode == "disc-boost" else 1.0
 
     def observe(self, accuracy: float, step: int) -> PolicyAction:
         """Record one step's discriminator accuracy and transition.
@@ -161,11 +154,10 @@ class RestartPolicy(Settings):
         mean_acc = sum(self._acc) / len(self._acc)
 
         if self.mode == "normal":
-            periodic = self.restart_every > 0 and step > 0 and step % self.restart_every == 0
             stuck = full and mean_acc < self.acc_low
-            collapsed = full and mean_acc > self.acc_high
-            if periodic or stuck or collapsed:
-                reinit = step - self.last_trigger_step <= self.cooldown
+            collapsed = full and mean_acc > self.ACC_HIGH
+            if stuck or collapsed:
+                reinit = step - self.last_trigger_step <= self.COOLDOWN
                 self.last_trigger_step = step
                 self.mode = "disc-boost"
                 return PolicyAction("enter_boost", reinit_discriminator=reinit)

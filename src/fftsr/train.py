@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from . import tensor as T
 from .config import RunConfig, Settings, parse_config, serialize_config, setting
 from .errors import CheckpointError, ConfigError, FftsrError, ImageError, ShapeError, TooSmallError, check_int
 from .image import Image, check_scale, resample_bicubic
-from .nets import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, NoiseState
+from .nets import EMA_DECAY, Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, NoiseState
 from .optim import AdamW, CosineRestartSchedule, RestartPolicy
 from .tensor import Tensor
 
@@ -72,12 +73,11 @@ class DiffusionState(Settings):
     climbs, feeding it harder inputs; when it struggles, it backs off.
     """
 
+    BETA_START, BETA_END = 1e-4, 0.02  # Diffusion-GAN's linear schedule (arXiv 2206.02262)
+
     t_max: int = setting("diffusion.t_max")
-    beta_start: float = setting("diffusion.beta_start")
-    beta_end: float = setting("diffusion.beta_end")
     target: float = setting("diffusion.target")
     stride: int = setting("diffusion.stride")
-    ema_decay: float = setting("train.ema_decay")
     adapt_every: int = setting("diffusion.adapt_every")
 
     t: int = 0
@@ -87,7 +87,7 @@ class DiffusionState(Settings):
     def __post_init__(self):
         super().__post_init__()
         steps = max(self.t_max, 1)
-        betas = np.linspace(self.beta_start, self.beta_end, steps, dtype=np.float64)
+        betas = np.linspace(self.BETA_START, self.BETA_END, steps, dtype=np.float64)
         bars = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
         self.alpha_bar = bars  # alpha_bar[0] = 1 (no noise at t = 0)
 
@@ -113,7 +113,7 @@ class DiffusionState(Settings):
         if self.t_max == 0 or (step + 1) % self.adapt_every:
             return
         batch_sign = float(np.mean(np.sign(d_real_values - 0.5)))
-        self.r_d = self.ema_decay * self.r_d + (1.0 - self.ema_decay) * batch_sign
+        self.r_d = EMA_DECAY * self.r_d + (1.0 - EMA_DECAY) * batch_sign
         direction = int(np.sign(self.r_d - self.target))
         self.t = int(np.clip(self.t + self.stride * direction, 0, self.t_max))
 
@@ -225,7 +225,7 @@ class Trainer:
 
     def _adamw(self, net, prefix: str) -> AdamW:
         """A fresh optimiser, with zero moments, over ``net``'s parameters."""
-        return self.cfg.build(AdamW, named_params=list(net.named_parameters(prefix)))
+        return AdamW(list(net.named_parameters(prefix)))
 
     def _usable_pairs(self, pairs):
         """(up, hr) of the pairs whose HR holds a whole patch, ``up`` the LR
@@ -377,7 +377,9 @@ class Checkpoint:
 
 
 def write_checkpoint(path, config_text: str, state: dict, tensors: dict):
-    """magic, version, key=value text, tensor table, trailing CRC32."""
+    """magic, version, key=value text, tensor table, trailing CRC32; synced
+    to ``path + ".tmp"`` and renamed over ``path``, so a failed write leaves
+    the previous checkpoint as it was."""
     text_lines = [config_text.rstrip("\n")]
     for key in sorted(state):
         text_lines.append(f"{key} = {state[key]}")
@@ -401,8 +403,17 @@ def write_checkpoint(path, config_text: str, state: dict, tensors: dict):
             out += struct.pack("<I", extent)
         out += arr.astype(_TAG_DTYPES[tag], copy=False).tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(out)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path) -> Checkpoint:

@@ -35,15 +35,26 @@ of 4 rows Paeth), for one 360x640 frame of Paeth rows only, and for one
 The ``ingest.*`` lines digest the PNG bytes that ``encode_image`` writes
 for the LR side of ``make_lr_hr_pair(., 3)`` of each ingest-shape frame.
 
+The script pins BLAS to one thread (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` = 1, set before numpy is
+imported, as the benchmark's workers run), whatever the caller's
+environment says: with OpenBLAS at two threads the
+``upscale.global.108x192`` digest differs, so two commits compare only
+under one setting.
+
 pytest does not collect this file (it does not match ``test_*.py``).
 """
 
 import hashlib
+import os
 import sys
 import zlib
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # after the BLAS pins, which OpenBLAS reads on load
 
 from fftsr import fft, train
 from fftsr.config import default_config

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from fftsr.config import CONFIG_SCHEMA, default_config, parse_config, serialize_config
+from fftsr.config import CONFIG_SCHEMA, RunConfig, default_config, parse_config, serialize_config
 from fftsr.errors import ConfigError
 from fftsr.losses import LossWeights
 from fftsr.nets import DiscriminatorConfig, GeneratorConfig, NoiseState
-from fftsr.optim import AdamW, CosineRestartSchedule, RestartPolicy
+from fftsr.optim import CosineRestartSchedule, RestartPolicy
 from fftsr.train import DiffusionState, Trainer
 
 CHANGED = dict(
@@ -19,15 +19,22 @@ CHANGED = dict(
     gen__global_fraction=0.1,
     gen__zero_tail=True,
     opt__lr_g=3e-4,
-    opt__eps=1.5e-9,
+    opt__lr_d=1.5e-9,
     sched__floor_fraction=1 / 3,
     policy__enabled=False,
-    diffusion__beta_end=0.0123456789,
+    diffusion__target=0.0123456789,
+)
+
+# keys that no run varied, now constants of the code that reads them
+REMOVED = (
+    "loss.charbonnier_eps", "opt.beta1", "opt.beta2", "opt.eps", "opt.weight_decay", "policy.acc_high",
+    "policy.lr_boost", "policy.adv_scale", "policy.cooldown", "policy.restart_every", "diffusion.beta_start",
+    "diffusion.beta_end", "train.ema_decay",
 )
 
 
-def test_schema_has_42_keys_in_sections():
-    assert len(CONFIG_SCHEMA) == 42
+def test_schema_has_29_keys_in_sections():
+    assert len(CONFIG_SCHEMA) == 29
     assert all("." in key for key in CONFIG_SCHEMA)
 
 
@@ -77,6 +84,25 @@ def test_replace_takes_underscored_keys_and_coerces():
         default_config().replace(gen__nope=1)
 
 
+@pytest.mark.parametrize("key", REMOVED)
+def test_a_removed_key_fails_in_text_and_in_replace(key):
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        parse_config(f"{key} = 0.5\n")
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        default_config().replace(**{key.replace(".", "__"): 0.5})
+
+
+def test_get_of_an_unknown_key_names_it():
+    with pytest.raises(ConfigError, match="unknown config key 'opt.beta1'"):
+        default_config().get("opt.beta1")
+
+
+def test_validate_refuses_a_config_built_with_an_unknown_key():
+    cfg = RunConfig(default_config().values | {"opt.beta1": 0.9})
+    with pytest.raises(ConfigError, match="unknown config key 'opt.beta1'"):
+        cfg.validate()
+
+
 def test_bool_and_float_spellings():
     cfg = parse_config("gen.zero_tail = YES\nopt.lr_g = 1e-3\n")
     assert cfg.get("gen.zero_tail") is True
@@ -94,18 +120,12 @@ def test_bool_and_float_spellings():
         dict(data__patch=12, gen__kernel=25),
         dict(data__patch=3),
         dict(opt__lr_g=float("nan")),
-        dict(opt__beta1=1.0),
-        dict(opt__beta2=1.0),
-        dict(opt__eps=0.0),
         dict(opt__lr_d=float("inf")),
-        dict(loss__charbonnier_eps=0.0),
         dict(data__scale=1),
         dict(data__batch=0),
         dict(data__patch=50),
         dict(gen__global_fraction=1.5),
         dict(diffusion__t_max=-1),
-        dict(diffusion__beta_end=1.5),
-        dict(train__ema_decay=-0.1),
     ],
     ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
 )
@@ -137,10 +157,9 @@ def test_every_number_has_an_interval():
             assert interval[0] in "[(" and interval[-1] in ")]", key
 
 
-# the eight classes built from the configuration
+# the seven classes built from the configuration
 CONFIGURED = (
     GeneratorConfig, DiscriminatorConfig, NoiseState, LossWeights, CosineRestartSchedule, RestartPolicy, DiffusionState,
-    AdamW,
 )
 
 # every key, moved off its default to a value that still validates
@@ -149,15 +168,11 @@ MOVED = dict(
     gen__blocks=2, gen__width=9, gen__global_fraction=0.25, gen__kernel=5, gen__noise_sigma=0.07, gen__zero_tail=True,
     disc__width=5, disc__layers=2,
     loss__adversarial=0.5, loss__perceptual=0.25, loss__mge=1.5, loss__ssim=2.0, loss__charbonnier=3.0,
-    loss__charbonnier_eps=1e-5,
-    opt__lr_g=3e-3, opt__lr_d=4e-3, opt__beta1=0.8, opt__beta2=0.99, opt__eps=1e-7, opt__weight_decay=2e-4,
+    opt__lr_g=3e-3, opt__lr_d=4e-3,
     sched__cycle_steps=30, sched__peak_decay=0.9, sched__floor_fraction=0.25,
-    policy__enabled=False, policy__window=7, policy__acc_low=0.4, policy__acc_high=0.9, policy__lr_boost=2.0,
-    policy__adv_scale=0.2, policy__cooldown=11, policy__restart_every=13,
-    diffusion__t_max=50, diffusion__beta_start=2e-4, diffusion__beta_end=0.03, diffusion__target=0.5,
-    diffusion__stride=2, diffusion__adapt_every=3,
+    policy__enabled=False, policy__window=7, policy__acc_low=0.4,
+    diffusion__t_max=50, diffusion__target=0.5, diffusion__stride=2, diffusion__adapt_every=3,
     noise__warmup_steps=17,
-    train__ema_decay=0.9,
 )
 
 # key -> the trainer attributes that carry its value
@@ -171,11 +186,9 @@ CARRIERS = {
     **{f"loss.{f.name}": [f"weights.{f.name}"] for f in dataclasses.fields(LossWeights)},
     "opt.lr_g": ["sched_g.base_lr"],
     "opt.lr_d": ["sched_d.base_lr"],
-    **{f"opt.{name}": [f"opt_g.{name}", f"opt_d.{name}"] for name in ("beta1", "beta2", "eps", "weight_decay")},
     **{f"sched.{n}": [f"sched_g.{n}", f"sched_d.{n}"] for n in ("cycle_steps", "peak_decay", "floor_fraction")},
     **{key: [key] for key in CONFIG_SCHEMA if key.startswith(("policy.", "diffusion."))},
     "noise.warmup_steps": ["noise.warmup_steps"],
-    "train.ema_decay": ["diffusion.ema_decay", "noise.ema_decay"],
 }
 
 
@@ -197,24 +210,23 @@ class TestBuild:
             (DiscriminatorConfig, "disc"),
             (LossWeights, "loss"),
             (RestartPolicy, "policy"),
-            (AdamW, "opt"),
         ],
     )
     def test_every_matching_key_reaches_the_object(self, cls, section):
         cfg = default_config().replace(**MOVED).validate()
-        built = cfg.build(cls, **({"named_params": []} if cls is AdamW else {}))
+        built = cfg.build(cls)
         carried = [f for f in dataclasses.fields(cls) if "key" in f.metadata]
         assert carried
         for f in carried:
             assert f.metadata["key"].startswith(section + "."), f.name
             assert getattr(built, f.name) == cfg.get(f.metadata["key"]) != CONFIG_SCHEMA[f.metadata["key"]][0]
 
-    def test_every_setting_key_is_in_the_schema_and_only_ema_decay_has_two_owners(self):
+    def test_every_setting_key_is_in_the_schema_and_has_one_owner(self):
         owners = collections.Counter(
             f.metadata["key"] for cls in CONFIGURED for f in dataclasses.fields(cls) if "key" in f.metadata
         )
         assert set(owners) <= set(CONFIG_SCHEMA)
-        assert [key for key, n in owners.items() if n > 1] == ["train.ema_decay"]
+        assert [key for key, n in owners.items() if n > 1] == []
 
     def test_required_settings_stay_required(self):
         for build in (lambda: NoiseState(), lambda: NoiseState(0.1), lambda: CosineRestartSchedule()):
@@ -231,9 +243,8 @@ class TestBuild:
             (DiffusionState, {}),
             (CosineRestartSchedule, {"base_lr": 1.0}),
             (NoiseState, {"sigma0": 0.05, "rng": None}),
-            (AdamW, {"named_params": []}),
         ],
-        ids=["gen", "disc", "loss", "policy", "diffusion", "sched", "noise", "adamw"],
+        ids=["gen", "disc", "loss", "policy", "diffusion", "sched", "noise"],
     )
     def test_every_field_with_a_key_is_checked_against_it(self, cls, extra):
         checked = [f for f in dataclasses.fields(cls) if "key" in f.metadata]
@@ -250,7 +261,6 @@ class TestBuild:
         [
             lambda: RestartPolicy(window=0),
             lambda: DiffusionState(adapt_every=0),
-            lambda: DiffusionState(ema_decay=1.5),
             lambda: GeneratorConfig(width=0),
             lambda: GeneratorConfig(global_fraction=2.0),
             lambda: CosineRestartSchedule(base_lr=-1.0),
@@ -259,7 +269,6 @@ class TestBuild:
         ids=[
             "policy.window",
             "diffusion.adapt_every",
-            "train.ema_decay",
             "gen.width",
             "gen.global_fraction",
             "opt.lr_g",

@@ -6,7 +6,7 @@ import pytest
 
 import fftsr.tensor as T
 from fftsr import losses as L
-from fftsr.errors import ConfigError, DomainError, ShapeError
+from fftsr.errors import ConfigError, ShapeError
 from fftsr.tensor import Tensor
 
 from gradcheck import check_gradients, to_float64
@@ -70,32 +70,27 @@ class TestSsim:
 class TestCharbonnier:
     def test_identity_floor(self):
         x, _ = rand_pair(4)
-        out = L.charbonnier(Tensor(x, dtype=np.float64), Tensor(x.copy(), dtype=np.float64), 1e-6)
+        out = L.charbonnier(Tensor(x, dtype=np.float64), Tensor(x.copy(), dtype=np.float64))
         assert out.item() == pytest.approx(1e-3, abs=1e-15)
 
     def test_scalar_pair(self):
-        out = L.charbonnier(Tensor([[[[1.0]]]], dtype=np.float64), Tensor([[[[0.0]]]], dtype=np.float64), 1e-6)
+        out = L.charbonnier(Tensor([[[[1.0]]]], dtype=np.float64), Tensor([[[[0.0]]]], dtype=np.float64))
         assert out.item() == pytest.approx(math.sqrt(1 + 1e-6), abs=1e-12)
 
     def test_gradient_zero_at_identity(self):
         x, _ = rand_pair(5)
         xt = Tensor(x, requires_grad=True, dtype=np.float64)
-        L.charbonnier(xt, Tensor(x.copy(), dtype=np.float64), 1e-6).backward()
+        L.charbonnier(xt, Tensor(x.copy(), dtype=np.float64)).backward()
         assert np.abs(xt.grad).max() == 0.0
 
     def test_monotone_in_error(self):
         x = np.zeros((1, 1, 4, 4))
         values = [
-            L.charbonnier(Tensor(x + d, dtype=np.float64), Tensor(x, dtype=np.float64), 1e-6).item()
+            L.charbonnier(Tensor(x + d, dtype=np.float64), Tensor(x, dtype=np.float64)).item()
             for d in (0.0, 0.1, 0.2, 0.5)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[0] >= math.sqrt(1e-6)
-
-    def test_bad_eps(self):
-        x, y = rand_pair(6)
-        with pytest.raises(DomainError):
-            L.charbonnier(Tensor(x), Tensor(y), 0.0)
 
 
 class TestSobel:

@@ -319,28 +319,33 @@ class TestNoise:
         expected = (0.2 * 0.7) ** 2
         assert abs(sample_var - expected) < 0.02 * expected
 
-    @staticmethod
-    def anneal(losses, warmup_steps):
-        ns = N.NoiseState(sigma0=0.1, rng=np.random.default_rng(0), warmup_steps=warmup_steps, ema_decay=0.5)
-        multipliers = []
-        for step, loss in enumerate(losses):
-            ns.anneal(loss, step)
-            multipliers.append(ns.multiplier)
-        return ns, multipliers
+    @pytest.fixture
+    def anneal(self, monkeypatch):
+        monkeypatch.setattr(N, "EMA_DECAY", 0.5)  # so the EMAs below are round
 
-    def test_anneal_holds_one_through_warmup_then_follows_the_ema(self):
+        def run(losses, warmup_steps):
+            ns = N.NoiseState(sigma0=0.1, rng=np.random.default_rng(0), warmup_steps=warmup_steps)
+            multipliers = []
+            for step, loss in enumerate(losses):
+                ns.anneal(loss, step)
+                multipliers.append(ns.multiplier)
+            return ns, multipliers
+
+        return run
+
+    def test_anneal_holds_one_through_warmup_then_follows_the_ema(self, anneal):
         # EMA 4, 3 (the baseline), 2, 1.5, then above the baseline
-        ns, multipliers = self.anneal([4.0, 2.0, 1.0, 1.0, 20.0], warmup_steps=2)
+        ns, multipliers = anneal([4.0, 2.0, 1.0, 1.0, 20.0], warmup_steps=2)
         assert ns.initial == 3.0
         assert multipliers == [1.0, 1.0, 2.0 / 3.0, 0.5, 1.0]
 
-    def test_multiplier_is_exactly_one_at_the_baseline_step(self):
-        ns, multipliers = self.anneal([0.1, 0.2, 0.7], warmup_steps=3)
+    def test_multiplier_is_exactly_one_at_the_baseline_step(self, anneal):
+        ns, multipliers = anneal([0.1, 0.2, 0.7], warmup_steps=3)
         assert ns.initial == ns.ema and multipliers == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("warmup_steps, losses", [(0, [4.0, 2.0, 1.0, 0.5]), (2, [0.0, 0.0, 5.0, 1.0])])
-    def test_no_warmup_or_a_zero_baseline_keeps_one(self, warmup_steps, losses):
-        _, multipliers = self.anneal(losses, warmup_steps)
+    def test_no_warmup_or_a_zero_baseline_keeps_one(self, anneal, warmup_steps, losses):
+        _, multipliers = anneal(losses, warmup_steps)
         assert multipliers == [1.0] * len(losses)
 
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fftsr.config import CONFIG_SCHEMA
 from fftsr.errors import ConfigError, DomainError, OptimizerError
 from fftsr.optim import AdamW, CosineRestartSchedule, RestartPolicy
 from fftsr.tensor import Tensor
@@ -16,23 +15,23 @@ def make_param(values, name="p"):
 class TestAdamW:
     def test_zero_grad_decay_is_exact_multiplier(self):
         p = make_param([1.0, -2.0, 0.5])
-        opt = AdamW([p], weight_decay=0.1)
+        opt = AdamW([p])
         theta = p[1].data.copy()
         for _ in range(3):
             p[1].grad = np.zeros(3)
             opt.step(0.01)
-            theta = theta * (1.0 - 0.01 * 0.1)
+            theta = theta - 0.01 * (AdamW.WEIGHT_DECAY * theta)
             assert np.array_equal(p[1].data, theta)
 
     def test_first_step_is_signed_unit_step(self):
         p = make_param([0.3, -0.7])
-        opt = AdamW([p], weight_decay=0.0)
+        opt = AdamW([p])
         g = np.array([2.0, -3.0])
         p[1].grad = g.copy()
         before = p[1].data.copy()
         opt.step(0.05)
         # with constant g the bias-corrected ratio is g/|g| up to eps
-        expected = before - 0.05 * np.sign(g)
+        expected = before - 0.05 * (np.sign(g) + AdamW.WEIGHT_DECAY * before)
         assert np.abs(p[1].data - expected).max() < 1e-6
 
     def test_quadratic_bowl_convergence(self):
@@ -40,19 +39,19 @@ class TestAdamW:
         theta0 = rng.standard_normal(8)
         theta0 /= np.linalg.norm(theta0)  # ||theta0|| = 1
         p = make_param(theta0)
-        opt = AdamW([p], weight_decay=0.0)
+        opt = AdamW([p])
         for _ in range(200):
             p[1].grad = 2.0 * p[1].data  # d/dtheta ||theta||^2
             opt.step(0.05)
         assert np.linalg.norm(p[1].data) < 1e-3
 
-    def test_weight_decay_zero_is_adam_bitwise(self):
+    def test_matches_an_independent_adamw_bitwise(self):
         rng = np.random.default_rng(1)
         theta = rng.standard_normal(5)
         p = make_param(theta.copy())
-        opt = AdamW([p], weight_decay=0.0)
+        opt = AdamW([p])
 
-        # independent plain-Adam reference
+        # independent AdamW reference: Adam's defaults, decay 1e-4
         b1, b2 = 0.9, 0.999
         m = np.zeros(5)
         v = np.zeros(5)
@@ -65,38 +64,23 @@ class TestAdamW:
             v = b2 * v + (1.0 - b2) * (g * g)
             m_hat = m / (1.0 - b1**t)
             v_hat = v / (1.0 - b2**t)
-            ref = ref - 0.01 * (m_hat / (np.sqrt(v_hat) + 1e-8))
+            ref = ref - 0.01 * (m_hat / (np.sqrt(v_hat) + 1e-8) + 1e-4 * ref)
             assert np.array_equal(p[1].data, ref)
 
     def test_nonfinite_gradient_rejected_with_name(self):
         p = make_param([1.0], name="gen.head.w")
-        opt = AdamW([p], weight_decay=0.0)
+        opt = AdamW([p])
         p[1].grad = np.array([np.nan])
         with pytest.raises(OptimizerError, match="gen.head.w"):
             opt.step(1e-3)
 
     def test_step_counter_increments_by_one(self):
         p = make_param([1.0])
-        opt = AdamW([p], weight_decay=0.0)
+        opt = AdamW([p])
         for expected in (1, 2, 3):
             p[1].grad = np.ones(1)
             opt.step(1e-3)
             assert opt.t == expected
-
-    def test_settings_default_to_their_config_keys(self):
-        opt = AdamW([make_param([1.0])])
-        for name in ("beta1", "beta2", "eps", "weight_decay"):
-            assert getattr(opt, name) == CONFIG_SCHEMA[f"opt.{name}"][0], name
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [("beta1", 1.0), ("beta2", 1.0), ("beta1", float("nan")), ("eps", 0.0), ("weight_decay", -1.0)],
-    )
-    def test_setting_outside_its_config_interval(self, field, value):
-        # unchecked, a beta of 1 or NaN or an eps of 0 lets a step write NaN
-        # into every parameter, and a negative decay grows them
-        with pytest.raises(ConfigError, match=f"AdamW.{field} = "):
-            AdamW([make_param([1.0])], **{field: value})
 
 
 class TestSchedule:
@@ -193,7 +177,7 @@ class TestRestartPolicy:
         assert policy.adv_multiplier == 1.0
 
     def test_second_trigger_within_cooldown_requests_reinit(self):
-        policy = RestartPolicy(window=4, cooldown=1000)
+        policy = RestartPolicy(window=4)
         step = 0
         for _ in range(4):
             action = policy.observe(0.99, step)
@@ -211,7 +195,7 @@ class TestRestartPolicy:
         assert action.reinit_discriminator is True
 
     def test_trigger_far_apart_no_reinit(self):
-        policy = RestartPolicy(window=4, cooldown=100)
+        policy = RestartPolicy(window=4)
         step = 0
         for _ in range(4):
             action = policy.observe(0.99, step)
@@ -220,7 +204,7 @@ class TestRestartPolicy:
         while policy.mode == "disc-boost":
             policy.observe(0.7, step)
             step += 1
-        step += 200  # well past the cooldown
+        step += 2 * RestartPolicy.COOLDOWN  # well past the cooldown
         for _ in range(10):
             action = policy.observe(0.99, step)
             step += 1
@@ -228,15 +212,8 @@ class TestRestartPolicy:
                 break
         assert action.reinit_discriminator is False
 
-    def test_periodic_fallback(self):
-        policy = RestartPolicy(window=1000, restart_every=50)
-        kinds = []
-        for step in range(51):
-            kinds.append(policy.observe(0.65, step).kind)
-        assert kinds[50] == "enter_boost"
-
     def test_disabled_policy_never_acts(self):
-        policy = RestartPolicy(enabled=False, window=2, restart_every=3)
+        policy = RestartPolicy(enabled=False, window=2)
         assert all(policy.observe(0.99, step).kind == "none" for step in range(10))
         assert policy._acc == [] and policy.mode == "normal"
         assert policy.disc_lr_multiplier == 1.0 and policy.adv_multiplier == 1.0

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 import struct
 import tracemalloc
@@ -18,6 +19,7 @@ from fftsr.image import Image, make_lr_hr_pair, resample_bicubic
 from fftsr.optim import AdamW
 from fftsr.tensor import Tensor
 
+from test_config import REMOVED
 from test_nets import state_bytes
 
 # a small network whose adaptive state all moves within a few steps: the
@@ -199,6 +201,27 @@ class TestCheckpointErrors:
             train.read_checkpoint(saved)
         assert info.value.section == "config"
 
+    @pytest.mark.parametrize("key", REMOVED)
+    def test_config_from_before_the_constants_were_removed(self, saved, cfg, pairs, key):
+        state, tensors = train.Trainer(cfg, 0, pairs).snapshot()
+        train.write_checkpoint(saved, serialize_config(cfg) + f"{key} = 0.5\n", state, tensors)
+        with pytest.raises(CheckpointError, match=f"'{key}'") as info:
+            train.read_checkpoint(saved)
+        assert info.value.section == "config"
+
+    def test_a_failed_write_leaves_the_previous_checkpoint(self, saved, cfg, pairs, monkeypatch):
+        before = saved.read_bytes()
+        state, tensors = train.Trainer(cfg, 1, pairs).snapshot()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            train.write_checkpoint(saved, serialize_config(cfg), state, tensors)
+        assert saved.read_bytes() == before
+        assert [p.name for p in saved.parent.iterdir()] == [saved.name]
+
     def test_config_overrunning_the_file(self, saved):
         raw = saved.read_bytes()
         rewrite(saved, raw[:8] + struct.pack("<I", len(raw)) + raw[12:])
@@ -339,9 +362,9 @@ class TestRestoreChecks:
         dict(gen__kernel=23),
         dict(gen__global_fraction=1.0),
         dict(disc__layers=0),
-        dict(opt__beta1=0.0, opt__lr_g=0.0),
+        dict(opt__lr_g=0.0),
         dict(sched__cycle_steps=1, policy__window=1),
-        dict(diffusion__t_max=0, diffusion__beta_start=0.0),
+        dict(diffusion__t_max=0),
     ],
     ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
 )
@@ -572,9 +595,10 @@ class TestDiffusionState:
         records = [trainer.train_step() for _ in range(6)]
         assert [(r["T"], r["r_d"]) for r in records] == [(0, 0.0)] * 6
 
-    def test_adapt_runs_on_every_nth_step_and_climbs_to_t_max(self):
+    def test_adapt_runs_on_every_nth_step_and_climbs_to_t_max(self, monkeypatch):
         # D(real) above 0.5 drives r_d up past a target of 0
-        diffusion = train.DiffusionState(t_max=10, target=0.0, stride=3, adapt_every=2, ema_decay=0.5)
+        monkeypatch.setattr(train, "EMA_DECAY", 0.5)
+        diffusion = train.DiffusionState(t_max=10, target=0.0, stride=3, adapt_every=2)
         ts, r_ds = [], []
         for step in range(10):
             diffusion.adapt(np.array([0.9, 0.8]), step)
@@ -602,9 +626,7 @@ def test_discriminator_reinit_restarts_adam(cfg, pairs):
     trainer._reinit_discriminator()
     opt = trainer.opt_d
     twins = [Tensor(p.data.copy(), requires_grad=True) for p in opt.params]
-    fresh = AdamW(
-        list(zip(opt.names, twins)), beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps, weight_decay=opt.weight_decay
-    )
+    fresh = AdamW(list(zip(opt.names, twins)))
     rng = np.random.default_rng(0)
     for p, twin in zip(opt.params, twins):
         p.grad = rng.standard_normal(p.shape).astype(p.data.dtype)
@@ -628,7 +650,7 @@ def test_record_carries_the_generator_objective(cfg, pairs, monkeypatch):
     trainer.policy.mode = "disc-boost"  # so the adversarial weight is scaled
     record = trainer.train_step()
     [((sr, hr, d_fake, extractor, w, adv_scale), (total, terms))] = calls
-    assert adv_scale == trainer.policy.adv_scale != 1.0
+    assert adv_scale == trainer.policy.ADV_SCALE != 1.0
     assert [key for key in record if key.startswith("g_")] == [*terms, "g_loss"]
     assert all(record[name] == term.item() for name, term in terms.items())
     assert record["g_loss"] == total.item()
