@@ -1,8 +1,10 @@
 """Run configuration: ``key = value`` text files with dotted sections.
 
-Every key has a documented default and range below; unknown keys are
-rejected so typos fail before any compute, and out-of-range values fail
-in :meth:`RunConfig.validate` instead of mid-step. Serialization is
+Every key has a documented default and range below. A :class:`RunConfig`
+is checked once, when it is made, whether from a dict, ``replace``, text
+or the defaults: an unknown key, a value of the wrong type or outside its
+range fails then with :class:`ConfigError`, before any compute, and a
+missing key takes its default. Serialization is
 canonical (schema order, repr-formatted floats), which makes parse ->
 serialize -> parse a fixed point and lets checkpoints embed the exact
 configuration text.
@@ -18,8 +20,13 @@ beta schedule of ``train.DiffusionState``, ``losses.CHARBONNIER_EPS`` and
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError, is_int
 
@@ -63,7 +70,24 @@ CONFIG_SCHEMA: dict[str, tuple] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    values: dict = field(default_factory=dict)
+    """Every schema key's value, read-only: a missing key takes its default,
+    and each value is coerced and checked, with the rules joining keys."""
+
+    values: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        if unknown := [key for key in self.values if key not in CONFIG_SCHEMA]:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
+        values = {key: _coerce(key, self.values.get(key, row[0])) for key, row in CONFIG_SCHEMA.items()}
+        scale, patch, kernel = values["data.scale"], values["data.patch"], values["gen.kernel"]
+        if patch % scale != 0:
+            raise ConfigError(f"data.patch {patch} not divisible by data.scale {scale}")
+        if kernel % 2 == 0 or kernel // 2 >= patch:
+            raise ConfigError(f"gen.kernel {kernel} must be odd, with a reflect pad below data.patch {patch}")
+        object.__setattr__(self, "values", types.MappingProxyType(values))
+
+    def __reduce__(self):
+        return RunConfig, (dict(self.values),)
 
     def get(self, key: str):
         if key not in CONFIG_SCHEMA:
@@ -72,13 +96,7 @@ class RunConfig:
 
     def replace(self, **overrides) -> "RunConfig":
         """New config with dotted keys given as underscored kwargs or a dict."""
-        vals = dict(self.values)
-        for key, value in overrides.items():
-            key = key.replace("__", ".")
-            if key not in CONFIG_SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            vals[key] = _coerce(key, value)
-        return RunConfig(vals)
+        return RunConfig(self.values | {key.replace("__", "."): value for key, value in overrides.items()})
 
     def build(self, cls, **extra):
         """``cls`` with every setting field read from its key; ``extra``
@@ -86,25 +104,20 @@ class RunConfig:
         kwargs = {f.name: self.values[f.metadata["key"]] for f in dataclasses.fields(cls) if "key" in f.metadata}
         return cls(**(kwargs | extra))
 
-    def validate(self):
-        for key in CONFIG_SCHEMA | self.values:  # get refuses a key outside the schema
-            check_value(key, self.get(key))
-        scale, patch = self.get("data.scale"), self.get("data.patch")
-        if patch % scale != 0:
-            raise ConfigError(f"data.patch {patch} not divisible by data.scale {scale}")
-        kernel = self.get("gen.kernel")
-        if kernel % 2 == 0 or kernel // 2 >= patch:
-            raise ConfigError(f"gen.kernel {kernel} must be odd, with a reflect pad below data.patch {patch}")
-        return self
-
 
 def check_value(key: str, value, name: str | None = None) -> None:
-    """Raise ``ConfigError`` unless ``value`` is an integer that is not a
-    ``bool`` (for an int key) and lies in the interval of config key
-    ``key``; the message calls the value ``name`` (default ``key``)."""
+    """Raise ``ConfigError`` unless ``value`` is of the type of config key
+    ``key`` and lies in its interval; the message calls the value ``name``
+    (default ``key``). A bool key takes a bool or numpy bool, an int key an
+    integer (:func:`is_int`), a float key an integer or a float, numpy
+    ones included; a bool is never a number, and text is never a value."""
     _, typ, interval, _ = CONFIG_SCHEMA[key]
+    if typ is bool and not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name or key} = {value!r} is not a boolean")
     if typ is int and not is_int(value):
         raise ConfigError(f"{name or key} = {value!r} is not an integer")
+    if typ is float and not (is_int(value) or isinstance(value, (float, np.floating))):
+        raise ConfigError(f"{name or key} = {value!r} is not a number")
     if interval is not None and not _within(value, interval):
         raise ConfigError(f"{name or key} = {value!r} is outside {interval}")
 
@@ -135,35 +148,30 @@ def _within(value, interval: str) -> bool:
     return above and below
 
 
+_BOOL_TEXT = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _coerce(key: str, raw):
+    """``raw`` as the Python type of ``key``, once it passes
+    :func:`check_value`; text is first read as that type's spelling."""
     typ = CONFIG_SCHEMA[key][1]
-    if typ is bool:
-        if isinstance(raw, bool):
-            return raw
-        text = str(raw).strip().lower()
-        if text in ("true", "1", "yes"):
-            return True
-        if text in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
-    try:
-        if typ is int:
-            if not (is_int(raw) or (isinstance(raw, str) and not any(c in raw for c in ".eE"))):
-                raise ValueError(raw)
-            return int(raw)
-        return typ(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r}: expected {typ.__name__}, got {raw!r}") from None
+    if isinstance(raw, str) and typ is bool:
+        raw = _BOOL_TEXT.get(raw.strip().lower(), raw)
+    elif isinstance(raw, str):
+        with contextlib.suppress(ValueError):
+            raw = typ(raw)
+    check_value(key, raw)
+    return typ(raw)
 
 
 def default_config() -> RunConfig:
-    return RunConfig({key: row[0] for key, row in CONFIG_SCHEMA.items()})
+    return RunConfig()
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` lines; '#' starts a comment; unknown and
     repeated keys fail."""
-    values = dict(default_config().values)
+    values: dict[str, str] = {}
     set_on: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -179,8 +187,8 @@ def parse_config(text: str) -> RunConfig:
         if key in set_on:
             raise ConfigError(f"line {lineno}: key {key!r} is already set on line {set_on[key]}")
         set_on[key] = lineno
-        values[key] = _coerce(key, value)
-    return RunConfig(values).validate()
+        values[key] = value
+    return RunConfig(values)
 
 
 def _format(value) -> str:

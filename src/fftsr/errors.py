@@ -30,10 +30,10 @@ class AxisError(FftsrError):
 
 class DomainError(FftsrError):
     """An op received an input outside its domain: a negative input to a
-    strict-mode elementwise op, a Charbonnier eps that is not positive, a
-    conv2d stride, padding or pad mode that is not defined, a clamp whose
-    ``lo`` is above its ``hi``, a spectral transform input that is not
-    float32 or float64, or a negative learning-rate schedule step."""
+    strict-mode elementwise op, a conv2d stride, padding or pad mode that
+    is not defined, a clamp whose ``lo`` is above its ``hi``, a spectral
+    transform input that is not float32 or float64, or a negative
+    learning-rate schedule step."""
 
 
 class GraphError(FftsrError):

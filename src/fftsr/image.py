@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
-MAX_PIXELS = 7680 * 4320  # 8K UHD; a PNG header declaring more is rejected before inflating
+MAX_PIXELS = 7680 * 4320  # 8K UHD; a PNG header or a resample output of more is rejected
 
 
 @dataclass
@@ -418,9 +418,12 @@ def _axis_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 def resample_bicubic(img: Image, out_h: int, out_w: int) -> Image:
     """Keys (a = -0.5) cubic resampling to (out_h, out_w), each an integer
-    of at least 1, else :class:`ShapeError`."""
+    of at least 1 with at most ``MAX_PIXELS`` in all, else
+    :class:`ShapeError` before anything is allocated."""
     check_int(out_h, "resample_bicubic: out_h", 1, ShapeError)
     check_int(out_w, "resample_bicubic: out_w", 1, ShapeError)
+    if out_h * out_w > MAX_PIXELS:
+        raise ShapeError(f"resample_bicubic: {out_h}x{out_w} is {out_h * out_w} pixels, more than {MAX_PIXELS}")
     mh = _axis_matrix(img.height, out_h)
     mw = _axis_matrix(img.width, out_w)
     x = img.data.transpose(2, 0, 1)[None].astype(np.float64)  # NCHW

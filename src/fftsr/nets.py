@@ -1,5 +1,5 @@
-"""Fourier-convolution networks: the residual generator and the
-residual discriminator, built from FFC blocks.
+"""Fourier-convolution networks: the residual generator, built from FFC
+blocks, and the residual discriminator, a strided conv stack.
 
 An FFC block splits its channels into a local group (spatial 3x3
 convolutions) and a global group (a spectral transform that convolves

@@ -150,20 +150,19 @@ def sample_patches(
 
 
 def build_generator(cfg: RunConfig, seed: int = 0) -> Generator:
-    """A fresh generator; ``cfg`` is validated first, so a bad value raises
-    :class:`ConfigError` before any compute."""
+    """A fresh generator of ``cfg``, its weights drawn from ``seed``."""
     check_int(seed, "seed", 0, ConfigError)
-    return Generator(cfg.validate().build(GeneratorConfig), np.random.default_rng(np.random.SeedSequence(seed)))
+    return Generator(cfg.build(GeneratorConfig), np.random.default_rng(np.random.SeedSequence(seed)))
 
 
 def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
     """clamp(bicubic(img) + G(bicubic(img)), 0, 1) in eval mode.
 
     ``img`` must be an :class:`Image` and ``scale`` an integer of at
-    least 2, else :class:`ImageError`. The upscaled frame must be at least
-    ``max(2, gen.cfg.kernel // 2 + 1)`` px on each side, which the reflect
-    padding and the spectral transform need; a smaller one raises
-    :class:`TooSmallError`. These checks run before any compute.
+    least 2, else :class:`ImageError`. The upscaled frame needs at least
+    ``max(2, gen.cfg.kernel // 2 + 1)`` px a side for the reflect padding
+    and the spectral transform (else :class:`TooSmallError`) and at most
+    ``image.MAX_PIXELS`` pixels (else :class:`ShapeError`), checked first.
 
     The convolutions and spectral transforms split their work across the
     CPUs the process may use, and the output is bit-identical to a
@@ -198,7 +197,6 @@ class Trainer:
 
     def __init__(self, cfg: RunConfig, seed: int, pairs: list[tuple[np.ndarray, np.ndarray]]):
         check_int(seed, "seed", 0, ConfigError)
-        cfg.validate()
         self.cfg = cfg
         self.seed = seed
         self.scale = cfg.get("data.scale")

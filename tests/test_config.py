@@ -1,7 +1,9 @@
 import collections
+import copy
 import dataclasses
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from fftsr.errors import ConfigError
 from fftsr.losses import LossWeights
 from fftsr.nets import DiscriminatorConfig, GeneratorConfig, NoiseState
 from fftsr.optim import CosineRestartSchedule, RestartPolicy
-from fftsr.train import DiffusionState, Trainer
+from fftsr.train import DiffusionState, Trainer, build_generator
 
 CHANGED = dict(
     data__scale=2,
@@ -39,8 +41,40 @@ def test_schema_has_29_keys_in_sections():
 
 
 def test_default_config_validates():
+    assert RunConfig({}) == RunConfig() == default_config()
+    assert dict(default_config().values) == {key: row[0] for key, row in CONFIG_SCHEMA.items()}
+    assert not hasattr(RunConfig, "validate")
+
+
+def test_a_missing_key_takes_its_default():
+    values = dict(default_config().values)
+    del values["gen.blocks"]
+    cfg = RunConfig(values)
+    assert cfg.get("gen.blocks") == 6 and cfg.build(GeneratorConfig).blocks == 6
+
+
+def test_values_are_read_only():
     cfg = default_config()
-    assert cfg.validate() is cfg
+    with pytest.raises(TypeError):
+        cfg.values["gen.blocks"] = 1
+    assert cfg.get("gen.blocks") == 6
+
+
+def test_the_constructor_copies_the_dict_it_is_given():
+    values = {"gen.blocks": 2}
+    cfg = RunConfig(values)
+    values["gen.blocks"] = 0.5
+    assert cfg.get("gen.blocks") == 2
+
+
+@pytest.mark.parametrize("roundtrip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy])
+def test_pickle_and_copies_compare_equal(roundtrip):
+    cfg = default_config().replace(**CHANGED)
+    again = roundtrip(cfg)
+    assert again == cfg and again != default_config()
+    assert serialize_config(again) == serialize_config(cfg)
+    with pytest.raises(TypeError):
+        again.values["gen.blocks"] = 1
 
 
 @pytest.mark.parametrize("cfg", [default_config(), default_config().replace(**CHANGED)], ids=["default", "changed"])
@@ -97,10 +131,11 @@ def test_get_of_an_unknown_key_names_it():
         default_config().get("opt.beta1")
 
 
-def test_validate_refuses_a_config_built_with_an_unknown_key():
-    cfg = RunConfig(default_config().values | {"opt.beta1": 0.9})
+def test_a_config_built_with_an_unknown_key_fails_at_construction():
     with pytest.raises(ConfigError, match="unknown config key 'opt.beta1'"):
-        cfg.validate()
+        RunConfig(default_config().values | {"opt.beta1": 0.9})
+    with pytest.raises(ConfigError, match="unknown config key 'gen.blockz'"):
+        RunConfig({"gen.blockz": 2})
 
 
 def test_bool_and_float_spellings():
@@ -130,11 +165,13 @@ def test_bool_and_float_spellings():
     ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
 )
 def test_out_of_range_values_fail_in_validate(override):
-    cfg = default_config().replace(**override)
+    """A bad value fails when the config is made: by replace, from a dict and from text."""
     with pytest.raises(ConfigError):
-        cfg.validate()
+        default_config().replace(**override)
     with pytest.raises(ConfigError):
-        parse_config(serialize_config(cfg))
+        RunConfig({key.replace("__", "."): value for key, value in override.items()})
+    with pytest.raises(ConfigError):
+        parse_config("".join(f"{key.replace('__', '.')} = {value!r}\n" for key, value in override.items()))
 
 
 @pytest.mark.parametrize("value", [2.5, True, np.True_], ids=["float", "bool", "numpy-bool"])
@@ -143,6 +180,46 @@ def test_int_keys_take_only_integers_that_are_not_bools(value):
         default_config().replace(sched__cycle_steps=value)
     with pytest.raises(ConfigError, match="CosineRestartSchedule.cycle_steps = .* is not an integer"):
         CosineRestartSchedule(base_lr=1.0, cycle_steps=value)
+
+
+@pytest.mark.parametrize("value", [0.0, 1, "no", None], ids=["float", "int", "text", "none"])
+def test_bool_keys_take_only_bools(value):
+    with pytest.raises(ConfigError, match="GeneratorConfig.zero_tail = .* is not a boolean"):
+        GeneratorConfig(zero_tail=value)
+    with pytest.raises(ConfigError, match="RestartPolicy.enabled = .* is not a boolean"):
+        RestartPolicy(enabled=value)
+    if not isinstance(value, str):  # a RunConfig reads text as a spelling
+        with pytest.raises(ConfigError, match="policy.enabled = .* is not a boolean"):
+            default_config().replace(policy__enabled=value)
+
+
+@pytest.mark.parametrize("value", [True, np.False_, "0.5", None], ids=["bool", "numpy-bool", "text", "none"])
+def test_float_keys_take_only_numbers(value):
+    with pytest.raises(ConfigError, match=r"GeneratorConfig.global_fraction = .* is not a number"):
+        GeneratorConfig(global_fraction=value)
+    with pytest.raises(ConfigError, match=r"CosineRestartSchedule.base_lr = .* is not a number"):
+        CosineRestartSchedule(base_lr=value)
+    if not isinstance(value, str):  # a RunConfig reads text as a spelling
+        with pytest.raises(ConfigError, match="opt.lr_g = .* is not a number"):
+            default_config().replace(opt__lr_g=value)
+
+
+def test_text_is_read_as_the_type_of_its_key():
+    cfg = RunConfig({"gen.zero_tail": "no", "gen.global_fraction": "0.25", "gen.blocks": "2"})
+    assert cfg.get("gen.zero_tail") is False and cfg.get("gen.global_fraction") == 0.25 and cfg.get("gen.blocks") == 2
+    assert np.abs(build_generator(cfg).tail.w.data).sum() > 0  # "no" is not a truthy string
+    for key, text in (("gen.zero_tail", "maybe"), ("gen.global_fraction", "half"), ("gen.blocks", "2.0")):
+        with pytest.raises(ConfigError, match=f"{key} = '{text}' is not a"):
+            RunConfig({key: text})
+
+
+def test_numpy_values_become_python_values():
+    cfg = default_config().replace(
+        gen__zero_tail=np.True_, gen__global_fraction=np.float32(0.25), opt__lr_g=np.int64(1)
+    )
+    assert [type(cfg.get(k)) for k in ("gen.zero_tail", "gen.global_fraction", "opt.lr_g")] == [bool, float, float]
+    plain = default_config().replace(gen__zero_tail=True, gen__global_fraction=0.25, opt__lr_g=1.0)
+    assert serialize_config(cfg) == serialize_config(plain)
 
 
 def test_numpy_integers_are_integers():
@@ -162,7 +239,7 @@ CONFIGURED = (
     GeneratorConfig, DiscriminatorConfig, NoiseState, LossWeights, CosineRestartSchedule, RestartPolicy, DiffusionState,
 )
 
-# every key, moved off its default to a value that still validates
+# every key, moved off its default to a value that is still valid
 MOVED = dict(
     data__scale=2, data__patch=24, data__batch=3,
     gen__blocks=2, gen__width=9, gen__global_fraction=0.25, gen__kernel=5, gen__noise_sigma=0.07, gen__zero_tail=True,
@@ -194,7 +271,7 @@ CARRIERS = {
 
 class TestBuild:
     def test_every_key_reaches_the_trainer(self):
-        cfg = default_config().replace(**MOVED).validate()
+        cfg = default_config().replace(**MOVED)
         assert sorted(CARRIERS) == sorted(CONFIG_SCHEMA)
         assert all(cfg.get(key) != row[0] for key, row in CONFIG_SCHEMA.items())
         hr = np.random.default_rng(0).random((24, 24, 3), dtype=np.float32)
@@ -213,7 +290,7 @@ class TestBuild:
         ],
     )
     def test_every_matching_key_reaches_the_object(self, cls, section):
-        cfg = default_config().replace(**MOVED).validate()
+        cfg = default_config().replace(**MOVED)
         built = cfg.build(cls)
         carried = [f for f in dataclasses.fields(cls) if "key" in f.metadata]
         assert carried
@@ -250,11 +327,9 @@ class TestBuild:
         checked = [f for f in dataclasses.fields(cls) if "key" in f.metadata]
         assert checked
         for f in checked:
-            typ = CONFIG_SCHEMA[f.metadata["key"]][1]
-            if typ is not bool:
-                bad = 2.5 if typ is int else math.nan
-                with pytest.raises(ConfigError, match=f"{cls.__name__}.{f.name} = "):
-                    cls(**(extra | {f.name: bad}))
+            bad = {bool: "no", int: 2.5, float: math.nan}[CONFIG_SCHEMA[f.metadata["key"]][1]]
+            with pytest.raises(ConfigError, match=f"{cls.__name__}.{f.name} = "):
+                cls(**(extra | {f.name: bad}))
 
     @pytest.mark.parametrize(
         "build",

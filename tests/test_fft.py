@@ -250,6 +250,10 @@ class TestInputChecks:
         with pytest.raises(ShapeError, match=">= 2"):
             F.rfft2d_array(np.zeros((1, 1, h, w)))
 
+    def test_irfft2d_odd_channel_count(self):
+        with pytest.raises(ShapeError, match="even channel count"):
+            F.irfft2d_array(np.zeros((1, 3, 6, 4)), 6)
+
     @pytest.mark.parametrize("h,out_w", [(1, 6), (0, 6), (6, 1), (6, 0), (1, 1)])
     def test_irfft2d_side_under_two(self, h, out_w):
         with pytest.raises(ShapeError, match=">= 2"):

@@ -131,6 +131,29 @@ class TestPng:
         with pytest.raises(DecodeError, match="IHDR"):
             I.decode_image(png_file(ihdr(width, height), zlib.compress(b"")))
 
+    def test_palette_color_type(self):
+        with pytest.raises(UnsupportedFormatError, match="color type 3 unsupported"):
+            I.decode_image(png_file(ihdr(1, 1, 3), zlib.compress(bytes(2))))
+
+    def test_interlaced(self):
+        header = struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 1)
+        with pytest.raises(UnsupportedFormatError, match="interlaced"):
+            I.decode_image(png_file(header, zlib.compress(bytes(4))))
+
+    @pytest.mark.parametrize("missing, offset", [(b"IHDR", 8), (b"IEND", None)])
+    def test_missing_chunk(self, missing, offset):
+        out = bytearray(I.PNG_SIGNATURE)
+        for name, body in ((b"IHDR", ihdr(1, 1)), (b"IDAT", zlib.compress(bytes(4))), (b"IEND", b"")):
+            if name != missing:
+                I._write_chunk(out, name, body)
+        with pytest.raises(DecodeError, match=f"missing {missing.decode()}") as info:
+            I.decode_image(bytes(out))
+        assert info.value.offset == (len(out) if offset is None else offset)
+
+    def test_idat_that_is_not_a_zlib_stream(self):
+        with pytest.raises(DecodeError, match="IDAT inflate failed"):
+            I.decode_image(png_1x1(b"\x00\x01 not zlib"))
+
     def test_zlib_stream_cut_short_inside_a_valid_idat(self):
         whole = zlib.compress(bytes([0, 10, 20, 30]))
         assert I.decode_image(png_1x1(whole)).width == 1
@@ -219,6 +242,13 @@ class TestResampling:
         with pytest.raises(ShapeError, match="resample_bicubic: out_[hw] must be an integer >= 1"):
             I.resample_bicubic(I.Image(np.zeros((4, 4, 3), dtype=np.float32)), *size)
 
+    @pytest.mark.parametrize("size", [(7681, 4320), (1, 7680 * 4320 + 1), (6000, 6000)])
+    def test_output_over_the_pixel_bound_is_refused_before_any_compute(self, size, monkeypatch):
+        monkeypatch.setattr(I, "_axis_matrix", None)
+        h, w = size
+        with pytest.raises(ShapeError, match=f"{h}x{w} is {h * w} pixels, more than {I.MAX_PIXELS}"):
+            I.resample_bicubic(I.Image(np.zeros((1, 1, 3), dtype=np.float32)), *size)
+
     def test_numpy_integer_size(self):
         out = I.resample_bicubic(I.Image(np.zeros((4, 4, 3), dtype=np.float32)), np.int64(8), 6)
         assert out.data.shape == (8, 6, 3)
@@ -294,6 +324,9 @@ class TestPairs:
 def test_image_validation():
     with pytest.raises(ShapeError):
         I.Image(np.zeros((4, 4)))
+    for shape in ((0, 4, 3), (4, 0, 3)):
+        with pytest.raises(ShapeError, match="dimensions must be >= 1"):
+            I.Image(np.zeros(shape))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ImageError, match="finite"):
             I.Image(np.full((2, 2, 3), bad))

@@ -61,6 +61,10 @@ class TestSsim:
         ).item()
         assert got == ref
 
+    def test_metric_of_a_2d_array_is_that_of_one_channel(self):
+        x, y = rand_pair(4, (12, 14))
+        assert L.ssim_metric(x, y) == L.ssim_metric(x[:, :, None], y[:, :, None])
+
     @pytest.mark.parametrize("shape", [(8,), (1, 1, 3, 8, 8)], ids=["1d", "5d"])
     def test_metric_rejects_another_rank(self, shape):
         with pytest.raises(ShapeError, match=re.escape(str(shape))):
@@ -243,6 +247,10 @@ class TestTotalLoss:
 
 
 class TestPsnr:
+    def test_shapes_that_differ(self):
+        with pytest.raises(ShapeError, match=re.escape("psnr: shapes (8, 8, 3) and (8, 9, 3) differ")):
+            L.psnr(np.zeros((8, 8, 3)), np.zeros((8, 9, 3)))
+
     def test_identical_is_infinite(self):
         x, _ = rand_pair(13)
         assert L.psnr(x, x) == math.inf

@@ -23,6 +23,16 @@ class TestAdamW:
             theta = theta - 0.01 * (AdamW.WEIGHT_DECAY * theta)
             assert np.array_equal(p[1].data, theta)
 
+    def test_a_parameter_with_no_gradient_only_decays(self):
+        p, q = make_param([1.0, -2.0, 0.5], "p"), make_param([3.0], "q")
+        opt = AdamW([p, q])
+        theta = p[1].data.copy()
+        q[1].grad = np.array([1.0])
+        opt.step(0.01)  # p has no gradient: its moments stay zero
+        assert p[1].grad is None
+        assert np.array_equal(p[1].data, theta - 0.01 * (AdamW.WEIGHT_DECAY * theta))
+        assert not opt.m[0].any() and not opt.v[0].any() and opt.m[1].all()
+
     def test_first_step_is_signed_unit_step(self):
         p = make_param([0.3, -0.7])
         opt = AdamW([p])

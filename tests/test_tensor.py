@@ -1,6 +1,9 @@
 import contextlib
 import functools
+import hashlib
 import os
+import select
+import signal
 import subprocess
 import sys
 import threading
@@ -398,6 +401,39 @@ def test_structure_op_misuse_raises_shape_error(build):
     x = Tensor(np.ones((2, 6, 3, 3)), requires_grad=True)
     with pytest.raises(ShapeError):
         build(x)
+
+
+def _ones(*shape):
+    return Tensor(np.ones(shape))
+
+
+def _bn(x, gamma):
+    return T.batch_norm2d(x, gamma, _ones(3), np.zeros(3), np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: T.matmul(_ones(2, 3, 1), _ones(3, 2)), "matmul supports 2-D operands only"),
+        (lambda: T.matmul(_ones(2, 3), _ones(4, 2)), "matmul: inner dims 3 vs 4"),
+        (lambda: T.conv2d(_ones(2, 4, 4), _ones(1, 2, 3, 3)), "conv2d expects NCHW input and OIHW kernel"),
+        (lambda: T.conv2d(_ones(1, 2, 4, 4), _ones(2, 3, 3)), "conv2d expects NCHW input and OIHW kernel"),
+        (lambda: T.sep_filter2d(_ones(4, 4), [1.0], [1.0]), "sep_filter2d expects NCHW input"),
+        (lambda: _bn(_ones(3, 4, 4), _ones(3)), "batch_norm2d expects NCHW input"),
+        (lambda: _bn(_ones(1, 3, 4, 4), _ones(2)), r"gamma/beta must have shape \(3,\)"),
+        (
+            lambda: T.conv2d(_ones(1, 1, 2, 5), _ones(1, 1, 3, 3), padding=2, pad_mode="reflect"),
+            r"reflect pad 2 too large for spatial dims \(2, 5\)",
+        ),
+    ],
+    ids=[
+        "matmul-rank", "matmul-inner", "conv2d-input", "conv2d-kernel", "sep_filter2d", "bn-input", "bn-gamma",
+        "reflect-pad",
+    ],
+)
+def test_op_shape_errors_name_the_problem(build, message):
+    with pytest.raises(ShapeError, match=message):
+        build()
 
 
 def test_two_layer_chain_rule():
@@ -830,6 +866,39 @@ class TestSplitAcrossThreads:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["1", "1"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_a_kernel_on_workers_of_its_own(monkeypatch):
+    # the child has none of the parent's worker threads; unless the fork
+    # hook forgets them, its first split kernel waits on them for ever
+    rng = np.random.default_rng(26)
+    x = Tensor(rng.standard_normal((2, 8, 31, 23), dtype=np.float32))
+    k = Tensor(rng.standard_normal((8, 8, 3, 3), dtype=np.float32))
+    monkeypatch.setattr(T, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(T, "_THREADS", 3)
+    ref = hashlib.sha256(T.conv2d(x, k, padding=1).data.tobytes()).digest()
+    assert any(worker.is_alive() for worker in T._workers)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.write(write_end, hashlib.sha256(T.conv2d(x, k, padding=1).data.tobytes()).digest())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        ready, _, _ = select.select([read_end], [], [], 30.0)
+        got = os.read(read_end, 64) if ready else None
+    finally:
+        os.close(read_end)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    assert got is not None, "the forked child's split conv2d did not finish within 30 s"
+    assert os.waitstatus_to_exitcode(status) == 0 and got == ref
 
 
 class TestBatchNorm:

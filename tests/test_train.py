@@ -15,7 +15,7 @@ from fftsr import train
 from fftsr.config import default_config, serialize_config
 from fftsr.corpus import make_texture_corpus
 from fftsr.errors import CheckpointError, ConfigError, FftsrError, ImageError, ShapeError, TooSmallError
-from fftsr.image import Image, make_lr_hr_pair, resample_bicubic
+from fftsr.image import MAX_PIXELS, Image, make_lr_hr_pair, resample_bicubic
 from fftsr.optim import AdamW
 from fftsr.tensor import Tensor
 
@@ -232,14 +232,35 @@ class TestCheckpointErrors:
         rewrite(saved, raw[:-4] + b"\0" + raw[-4:])
         assert self.section_of(saved) == "tensor table"
 
-    def test_tensor_table_unknown_dtype_tag(self, saved):
-        raw = saved.read_bytes()
+    def first_tensor(self, raw):
+        """(name, offset of its dtype tag) of the first tensor in the table."""
         (text_len,) = struct.unpack_from("<I", raw, 8)
         pos = 12 + text_len + 4
         (name_len,) = struct.unpack_from("<H", raw, pos)
-        tag_at = pos + 2 + name_len
+        return raw[pos + 2 : pos + 2 + name_len].decode(), pos + 2 + name_len
+
+    def test_tensor_table_unknown_dtype_tag(self, saved):
+        raw = saved.read_bytes()
+        _, tag_at = self.first_tensor(raw)
         rewrite(saved, raw[:tag_at] + b"\x07" + raw[tag_at + 1 :])
         assert self.section_of(saved) == "tensor table"
+
+    def test_config_text_that_is_not_utf8(self, saved):
+        raw = saved.read_bytes()
+        rewrite(saved, raw[:12] + b"\xff" + raw[13:])
+        with pytest.raises(CheckpointError, match="config text is not UTF-8") as info:
+            train.read_checkpoint(saved)
+        assert info.value.section == "config"
+
+    def test_tensor_payload_truncated(self, saved):
+        raw = saved.read_bytes()
+        name, tag_at = self.first_tensor(raw)
+        assert raw[tag_at + 1] >= 1  # a rank, so an extent to enlarge
+        extent_at = tag_at + 2
+        rewrite(saved, raw[:extent_at] + struct.pack("<I", 1 << 24) + raw[extent_at + 4 :])
+        with pytest.raises(CheckpointError, match=f"tensor '{name}' payload truncated") as info:
+            train.read_checkpoint(saved)
+        assert info.value.section == "tensor table"
 
 
 class TestRestoreChecks:
@@ -506,6 +527,18 @@ class TestUpscaleMinimumSize:
     def test_single_pixel_upscales_with_the_default_kernel(self):
         gen = train.build_generator(default_config())
         assert train.upscale_image(gen, Image(np.full((1, 1, 3), 0.5)), 3).data.shape == (3, 3, 3)
+
+
+def test_an_upscale_over_the_pixel_bound_is_refused_before_any_compute():
+    gen = train.build_generator(default_config())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match=f"6000x6000 is 36000000 pixels, more than {MAX_PIXELS}"):
+            train.upscale_image(gen, Image(np.full((1, 1, 3), 0.5)), 6000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestUpscaleScale:
