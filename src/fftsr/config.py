@@ -169,9 +169,11 @@ def default_config() -> RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse ``key = value`` lines; '#' starts a comment; unknown and
-    repeated keys fail."""
-    values: dict[str, str] = {}
+    """Parse ``key = value`` lines; '#' starts a comment; an unknown or
+    repeated key and a value of the wrong type or outside its interval
+    fail with the line's number. The rules that join keys are checked
+    when the :class:`RunConfig` is made, after every line."""
+    values: dict = {}
     set_on: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -187,7 +189,10 @@ def parse_config(text: str) -> RunConfig:
         if key in set_on:
             raise ConfigError(f"line {lineno}: key {key!r} is already set on line {set_on[key]}")
         set_on[key] = lineno
-        values[key] = value
+        try:
+            values[key] = _coerce(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return RunConfig(values)
 
 

@@ -70,6 +70,7 @@ __all__ = [
     "resample_bicubic",
     "make_lr_hr_pair",
     "check_scale",
+    "check_pixels",
     "keys_weights",
 ]
 
@@ -422,14 +423,20 @@ def resample_bicubic(img: Image, out_h: int, out_w: int) -> Image:
     :class:`ShapeError` before anything is allocated."""
     check_int(out_h, "resample_bicubic: out_h", 1, ShapeError)
     check_int(out_w, "resample_bicubic: out_w", 1, ShapeError)
-    if out_h * out_w > MAX_PIXELS:
-        raise ShapeError(f"resample_bicubic: {out_h}x{out_w} is {out_h * out_w} pixels, more than {MAX_PIXELS}")
+    check_pixels(out_h, out_w, "resample_bicubic")
     mh = _axis_matrix(img.height, out_h)
     mw = _axis_matrix(img.width, out_w)
     x = img.data.transpose(2, 0, 1)[None].astype(np.float64)  # NCHW
     x = np.swapaxes(np.swapaxes(x, -1, -2) @ mh.T, -1, -2)
     x = x @ mw.T
     return Image(np.clip(x, 0.0, 1.0, out=x).astype(img.data.dtype)[0].transpose(1, 2, 0))
+
+
+def check_pixels(out_h: int, out_w: int, name: str) -> None:
+    """Raise :class:`ShapeError`, naming ``name``, if an ``out_h`` x
+    ``out_w`` output has more than ``MAX_PIXELS`` pixels."""
+    if out_h * out_w > MAX_PIXELS:
+        raise ShapeError(f"{name}: {out_h}x{out_w} is {out_h * out_w} pixels, more than {MAX_PIXELS}")
 
 
 def check_scale(scale) -> None:

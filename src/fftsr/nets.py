@@ -22,6 +22,19 @@ has just made and that nothing else holds. It never writes its input,
 a parameter or a BatchNorm buffer. The values are bit-identical to the
 op-by-op composition: each element sees the same IEEE operations.
 
+A training forward with nonzero noise draws its between-block noise on
+a producer thread, ahead of the blocks that add it (:class:`NoiseState`'s
+:meth:`~NoiseState.draws`). The producer makes the same draws, in the
+same order, as a serial forward: float64 ``standard_normal``, cast to
+the activation dtype, times the amplitude in that dtype. It writes only
+into arrays that the calling thread allocated, calls numpy alone (no
+fftsr function, so span and allocation tracing see one thread) and is
+joined before the forward returns or raises; an exception it raises is
+raised on the calling thread. An eval forward, one at amplitude 0 and a
+generator of fewer than 2 blocks start no thread and draw nothing. It is
+a thread of its own, not one of ``tensor._run_parts``' workers: a draw
+queued there would hold up the split kernel parts queued behind it.
+
 The generator predicts a tanh-bounded residual in [-1, 1] on top of a
 bicubic upscale; callers compose ``clamp(bicubic + residual, 0, 1)``.
 The discriminator scores residual images with a strided conv stack,
@@ -31,6 +44,7 @@ global average pooling, and a sigmoid head.
 from __future__ import annotations
 
 import contextlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,16 +115,68 @@ class NoiseState(Settings):
         if step + 1 == self.warmup_steps:
             self.initial = self.ema
 
+    def draws(self, shape: tuple, dtype, count: int) -> "_NoiseDraws | None":
+        """Start drawing the ``count`` noise arrays of one training forward,
+        each of ``shape`` and ``dtype``, on a producer thread; None, with
+        nothing drawn, when the amplitude is 0 or ``count`` is under 1.
+        The caller must :meth:`~_NoiseDraws.join` what it gets."""
+        amp = self.sigma0 * self.multiplier
+        if amp == 0.0 or count < 1:
+            return None
+        return _NoiseDraws(self.rng, shape, np.dtype(dtype), amp, count)
 
-def inject_noise(x: Tensor, ns: NoiseState | None, training: bool) -> Tensor:
-    """Add N(0, (sigma0*multiplier)^2) noise in training; identity in eval."""
-    if not training or ns is None:
+
+class _NoiseDraws:
+    """``count`` noise arrays of amplitude ``amp``, drawn from ``rng`` in
+    order by a producer thread: each is a float64 ``standard_normal`` into
+    one scratch array, cast into the array, then scaled by ``dtype(amp)``
+    in place, the IEEE operations of one inline draw. The calling thread
+    allocates every array here; the producer calls numpy alone."""
+
+    def __init__(self, rng: np.random.Generator, shape: tuple, dtype: np.dtype, amp: float, count: int):
+        self._arrays = [np.empty(shape, dtype) for _ in range(count)]
+        self._ready = threading.Semaphore(0)  # released once per finished array
+        self._error: BaseException | None = None
+        self._taken = 0
+        args = (rng, np.empty(shape), dtype.type(amp))
+        self._thread = threading.Thread(target=self._produce, args=args, name="fftsr-noise", daemon=True)
+        self._thread.start()
+
+    def _produce(self, rng, scratch, amp):
+        try:
+            for i in range(len(self._arrays)):
+                out = self._arrays[i]
+                rng.standard_normal(out=scratch)
+                np.copyto(out, scratch, casting="same_kind")
+                np.multiply(out, amp, out=out)
+                out = None  # the array is the caller's once released
+                self._ready.release()
+        except BaseException as err:  # raised on the calling thread by _take
+            self._error = err
+            self._ready.release(len(self._arrays))
+
+    def _take(self) -> np.ndarray:
+        """The next array, once drawn; handed over, so it is freed with
+        the caller's last reference. Raises what the producer raised."""
+        self._ready.acquire()
+        if self._error is not None:
+            raise self._error
+        out, self._arrays[self._taken] = self._arrays[self._taken], None
+        self._taken += 1
+        return out
+
+    def join(self):
+        """Wait for the producer to end."""
+        self._thread.join()
+
+
+def inject_noise(x: Tensor, draws: _NoiseDraws | None) -> Tensor:
+    """``x`` plus the next noise array of ``draws``, waiting for the
+    producer thread to draw it (see the module docstring); ``x`` itself
+    with no draws (eval, amplitude 0)."""
+    if draws is None:
         return x
-    amp = ns.sigma0 * ns.multiplier
-    if amp == 0.0:
-        return x
-    eps = ns.rng.standard_normal(x.shape).astype(x.data.dtype)
-    return x + Tensor(eps * x.data.dtype.type(amp))
+    return x + Tensor(draws._take())
 
 
 def _relu_(x: Tensor) -> Tensor:
@@ -347,15 +413,26 @@ class Generator(Module):
 
     def __call__(self, up: Tensor, noise: NoiseState | None = None, training: bool = False) -> Tensor:
         """The eval forward records no graph: its folded kernels are fresh
-        arrays, so no gradient could reach the parameters through them."""
+        arrays, so no gradient could reach the parameters through them.
+
+        A training forward with ``noise`` hands its ``blocks - 1`` noise
+        draws, one per gap between blocks, to a producer thread once the
+        head has run, and each gap waits for its own array (see the module
+        docstring); the producer is joined before the tail runs, or as an
+        exception leaves the trunk."""
         with contextlib.nullcontext() if training else T.no_grad():
             h = self.head(up)
             h = T.relu(h) if training else _relu_(h)
             last = len(self.blocks) - 1
-            for i, block in enumerate(self.blocks):
-                h = block(h, training)
-                if i < last:
-                    h = inject_noise(h, noise, training)
+            draws = noise.draws(h.shape, h.dtype, last) if training and noise is not None else None
+            try:
+                for i, block in enumerate(self.blocks):
+                    h = block(h, training)
+                    if i < last:
+                        h = inject_noise(h, draws)
+            finally:
+                if draws is not None:
+                    draws.join()
             out = self.tail(h)
             if training:
                 return T.tanh(out)

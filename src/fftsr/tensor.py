@@ -638,6 +638,11 @@ def _run_parts(parts: Sequence[Callable[[], None]]):
     the calling thread: a cut through its sum over images changes the
     bits. A 1x1 runs each image's GEMMs in its run and sums them over
     images on the calling thread.
+
+    The training forward's noise draws run on a producer thread of their
+    own, under the same rules (see the ``nets`` module docstring), and
+    never on these workers, where a draw would hold up the parts queued
+    behind it.
     """
     global _tasks
     if len(parts) == 1:
@@ -975,7 +980,10 @@ def batch_norm2d(
     caller rebinds its buffers). Eval mode has no op here: the networks
     fold the running-stats affine map into their convolutions. The
     gradients keep the normalized input ``xhat`` and the per-channel
-    scale, not ``x``.
+    scale, not ``x``. The forward makes two full-size arrays, the
+    centred input (then written over by ``xhat``) and the output, and
+    the input gradient two, with the IEEE operations of the op-by-op
+    formulas in their order.
     """
     if x.data.ndim != 4:
         raise ShapeError("batch_norm2d expects NCHW input")
@@ -991,17 +999,26 @@ def batch_norm2d(
     var = np.einsum("nchw,nchw->c", xc, xc) / m
     var = var.reshape(1, c, 1, 1)
     inv = 1.0 / np.sqrt(var + eps)
-    # single fused pass: out = xc * (gamma * inv) + beta
-    out_data = xc * (gview * inv) + bview
+    out_data = xc * (gview * inv)
+    out_data += bview
     new_mean = (1.0 - momentum) * running_mean + momentum * mu.reshape(c)
     new_var = (1.0 - momentum) * running_var + momentum * var.reshape(c)
-    xhat = xc * inv
+    xhat = np.multiply(xc, inv, out=xc)
 
     def input_grad(g):
+        # inv * (dxhat - s1 / m - xhat * s2 / m), op for op, in two arrays
+        # made here: ``g`` may be shared (``add`` hands one array to both
+        # of its inputs), so it is never written
         dxhat = g * gview
         s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        return inv * (dxhat - s1 / m - xhat * s2 / m)
+        scratch = dxhat * xhat
+        s2 = scratch.sum(axis=(0, 2, 3), keepdims=True)
+        dxhat -= s1 / m
+        np.multiply(xhat, s2, out=scratch)
+        scratch /= m
+        dxhat -= scratch
+        dxhat *= inv
+        return dxhat
 
     grads = (input_grad, lambda g: np.einsum("nchw,nchw->c", g, xhat), _channel_sum)
     return Tensor._from_op(out_data, (x, gamma, beta), grads, "batch_norm"), new_mean, new_var

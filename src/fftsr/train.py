@@ -31,7 +31,7 @@ from . import losses as L
 from . import tensor as T
 from .config import RunConfig, Settings, parse_config, serialize_config, setting
 from .errors import CheckpointError, ConfigError, FftsrError, ImageError, ShapeError, TooSmallError, check_int
-from .image import Image, check_scale, resample_bicubic
+from .image import Image, check_pixels, check_scale, resample_bicubic
 from .nets import EMA_DECAY, Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, NoiseState
 from .optim import AdamW, CosineRestartSchedule, RestartPolicy
 from .tensor import Tensor
@@ -155,14 +155,24 @@ def build_generator(cfg: RunConfig, seed: int = 0) -> Generator:
     return Generator(cfg.build(GeneratorConfig), np.random.default_rng(np.random.SeedSequence(seed)))
 
 
+# The eval forward's working set, in float32 words per output pixel and
+# generator channel. tracemalloc peaks of a default-config upscale_image
+# were 3.27 words at 324x576 output and 3.19 at 648x1152; rounded up.
+EVAL_WORDS = 3.3
+MAX_EVAL_BYTES = 8 << 30  # an upscale whose working set would be larger is refused
+
+
 def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
     """clamp(bicubic(img) + G(bicubic(img)), 0, 1) in eval mode.
 
     ``img`` must be an :class:`Image` and ``scale`` an integer of at
     least 2, else :class:`ImageError`. The upscaled frame needs at least
     ``max(2, gen.cfg.kernel // 2 + 1)`` px a side for the reflect padding
-    and the spectral transform (else :class:`TooSmallError`) and at most
-    ``image.MAX_PIXELS`` pixels (else :class:`ShapeError`), checked first.
+    and the spectral transform (else :class:`TooSmallError`), at most
+    ``image.MAX_PIXELS`` pixels, and a working set of at most
+    ``MAX_EVAL_BYTES``: output pixels x ``gen.cfg.width`` x 4 B x
+    ``EVAL_WORDS`` (else :class:`ShapeError`), all checked first. That
+    admits a 2160x3840 output at the default width and refuses 7680x4320.
 
     The convolutions and spectral transforms split their work across the
     CPUs the process may use, and the output is bit-identical to a
@@ -178,7 +188,15 @@ def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
     minimum = max(2, gen.cfg.kernel // 2 + 1)
     if scale * min(img.height, img.width) < minimum:
         raise TooSmallError(f"LR frame {img.height}x{img.width} at scale {scale} is under the minimum of {minimum} px")
-    up = resample_bicubic(img, img.height * scale, img.width * scale)
+    out_h, out_w = img.height * scale, img.width * scale
+    check_pixels(out_h, out_w, "upscale_image")
+    need = out_h * out_w * gen.cfg.width * 4 * EVAL_WORDS
+    if need > MAX_EVAL_BYTES:
+        raise ShapeError(
+            f"upscale_image: a {out_h}x{out_w} output needs about {need / 2**30:.1f} GiB "
+            f"at width {gen.cfg.width}, more than {MAX_EVAL_BYTES / 2**30:.0f} GiB"
+        )
+    up = resample_bicubic(img, out_h, out_w)
     # one C-order copy: the head conv reads it as is, where an HWC-ordered
     # one would be copied again
     x = Tensor(np.ascontiguousarray(up.data.transpose(2, 0, 1)[None]))

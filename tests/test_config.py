@@ -111,6 +111,25 @@ def test_repeated_key_names_both_lines():
         parse_config("gen.blocks = 2\ndata.batch = 4\ngen.blocks = 3\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("data.batch = 4\ngen.blocks = two\n", "line 2: gen.blocks = 'two' is not an integer"),
+        ("# bools\n\ngen.zero_tail = maybe\n", "line 3: gen.zero_tail = 'maybe' is not a boolean"),
+        ("gen.blocks = 2\ndata.batch = 4\ngen.global_fraction = 1.5\n", r"line 3: gen.global_fraction = 1.5 is outside \[0, 1\]"),
+    ],
+    ids=["int", "bool", "range"],
+)
+def test_a_bad_value_names_its_line(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
+def test_a_rule_that_joins_keys_fails_when_the_config_is_made():
+    with pytest.raises(ConfigError, match="^data.patch 50 not divisible by data.scale 3$"):
+        parse_config("data.scale = 3\ndata.patch = 50\n")
+
+
 def test_replace_takes_underscored_keys_and_coerces():
     cfg = default_config().replace(gen__blocks="3", policy__enabled="no")
     assert cfg.get("gen.blocks") == 3 and cfg.get("policy.enabled") is False

@@ -1,3 +1,6 @@
+import copy
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -296,28 +299,158 @@ class TestEvalFold:
             assert np.array_equal(out.data, generator_folded_ref(gen, x).data)
 
 
-class TestNoise:
-    def test_eval_mode_bitwise_identity(self):
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
-        ns = N.NoiseState(sigma0=0.3, rng=np.random.default_rng(0))
-        out = N.inject_noise(x, ns, training=False)
-        assert out is x
+def started_threads(monkeypatch) -> list:
+    """Names of the threads started from here on."""
+    names, start = [], threading.Thread.start
 
-    def test_zero_multiplier_identity(self):
+    def spy(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return names
+
+
+def _inline_noise_ref(gen, up, ns):
+    """The training forward with each gap's noise drawn inline on the
+    calling thread, one serial draw after another."""
+    amp = ns.sigma0 * ns.multiplier
+    h = T.relu(gen.head(up))
+    for i, block in enumerate(gen.blocks):
+        h = block(h, True)
+        if i < len(gen.blocks) - 1:
+            h = h + Tensor(ns.rng.standard_normal(h.shape).astype(h.dtype) * h.dtype.type(amp))
+    return T.tanh(gen.tail(h))
+
+
+class _SlowRng:
+    """Draws from ``rng``, each draw ``delay`` s late; the ``fail_at``-th raises."""
+
+    def __init__(self, rng, fail_at=None, delay=0.0):
+        self.rng, self.fail_at, self.delay, self.calls = rng, fail_at, delay, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        time.sleep(self.delay)
+        if self.calls == self.fail_at:
+            raise MemoryError("draw failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+class TestNoise:
+    def test_eval_mode_bitwise_identity(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        gen = N.Generator(N.GeneratorConfig(blocks=3, width=8), rng)
+        x = Tensor(rng.random((2, 3, 10, 10), dtype=np.float32))
+        ns = N.NoiseState(sigma0=0.3, rng=np.random.default_rng(0))
+        before, started = ns.rng.bit_generator.state, started_threads(monkeypatch)
+        out = gen(x, noise=ns, training=False)
+        assert np.array_equal(out.data, gen(x, training=False).data)
+        assert ns.rng.bit_generator.state == before and "fftsr-noise" not in started
+        assert N.inject_noise(x, None) is x
+
+    def test_zero_multiplier_identity(self, monkeypatch):
         rng = np.random.default_rng(6)
-        x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
+        gen = N.Generator(N.GeneratorConfig(blocks=3, width=8), rng)
+        x = Tensor(rng.random((2, 3, 10, 10), dtype=np.float32))
         ns = N.NoiseState(sigma0=0.3, rng=np.random.default_rng(0), ema=0.0, initial=1.0)
-        out = N.inject_noise(x, ns, training=True)
-        assert np.array_equal(out.data, x.data)
+        before, started = ns.rng.bit_generator.state, started_threads(monkeypatch)
+        assert ns.draws((2, 4, 6, 6), np.float32, 2) is None
+        out = gen(x, noise=ns, training=True)
+        assert np.array_equal(out.data, gen(x, training=True).data)
+        assert ns.rng.bit_generator.state == before and "fftsr-noise" not in started
 
     def test_sample_variance_matches_amplitude(self):
         x = Tensor(np.zeros((1, 1, 320, 320), dtype=np.float32))
         ns = N.NoiseState(sigma0=0.2, rng=np.random.default_rng(42), ema=0.7, initial=1.0)
-        out = N.inject_noise(x, ns, training=True)
+        draws = ns.draws(x.shape, x.dtype, 1)
+        out = N.inject_noise(x, draws)
+        draws.join()
         sample_var = float(out.data.var())
         expected = (0.2 * 0.7) ** 2
         assert abs(sample_var - expected) < 0.02 * expected
+
+    def test_draws_are_the_serial_draws_in_order(self):
+        shape, amp = (2, 5, 7, 9), 0.2 * 0.7
+        ns = N.NoiseState(sigma0=0.2, rng=np.random.default_rng(42), ema=0.7, initial=1.0)
+        serial = np.random.default_rng(42)
+        draws = ns.draws(shape, np.float32, 3)
+        got = [draws._take() for _ in range(3)]
+        draws.join()
+        for a in got:
+            assert a.dtype == np.float32
+            assert np.array_equal(a, serial.standard_normal(shape).astype(np.float32) * np.float32(amp))
+        assert ns.rng.bit_generator.state == serial.bit_generator.state
+
+    def test_the_producer_allocates_nothing_large(self):
+        shape, count = (4, 8, 32, 32), 3
+        ns = N.NoiseState(sigma0=0.1, rng=np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            draws = ns.draws(shape, np.float32, count)
+            draws.join()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the caller's arrays and one float64 scratch array, and no more
+        size = int(np.prod(shape))
+        assert peak < count * 4 * size + 8 * size + (64 << 10)
+
+    @pytest.mark.parametrize("blocks", [2, 3, 6])
+    def test_forward_and_gradients_equal_inline_draws(self, blocks):
+        rng = np.random.default_rng(31)
+        gen = N.Generator(N.GeneratorConfig(blocks=blocks, width=8), rng)
+        ref_gen = copy.deepcopy(gen)
+        up = Tensor(rng.random((2, 3, 12, 14), dtype=np.float32))
+        ns, ref_ns = (N.NoiseState(sigma0=0.3, rng=np.random.default_rng(2)) for _ in range(2))
+        out, ref = gen(up, noise=ns, training=True), _inline_noise_ref(ref_gen, up, ref_ns)
+        assert np.array_equal(out.data, ref.data)
+        T.mean(out * out).backward()
+        T.mean(ref * ref).backward()
+        for (name, p), (_, q) in zip(gen.named_parameters(), ref_gen.named_parameters()):
+            assert np.array_equal(p.grad, q.grad), name
+        assert ns.rng.bit_generator.state == ref_ns.rng.bit_generator.state
+
+    @pytest.mark.parametrize("blocks", [0, 1, 2, 5])
+    def test_a_forward_draws_blocks_minus_one_arrays(self, monkeypatch, blocks):
+        rng = np.random.default_rng(32)
+        gen = N.Generator(N.GeneratorConfig(blocks=blocks, width=8), rng)
+        up = Tensor(rng.random((2, 3, 10, 10), dtype=np.float32))
+        ns, serial = N.NoiseState(sigma0=0.3, rng=np.random.default_rng(3)), np.random.default_rng(3)
+        started = started_threads(monkeypatch)
+        gen(up, noise=ns, training=True)
+        for _ in range(blocks - 1):
+            serial.standard_normal((2, 8, 10, 10))
+        assert ns.rng.bit_generator.state == serial.bit_generator.state
+        assert started.count("fftsr-noise") == (blocks >= 2)
+
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    def test_a_failing_draw_raises_on_the_caller_and_leaves_no_thread(self, fail_at):
+        rng = np.random.default_rng(33)
+        gen = N.Generator(N.GeneratorConfig(blocks=4, width=8), rng)
+        up = Tensor(rng.random((2, 3, 10, 10), dtype=np.float32))
+        ns = N.NoiseState(sigma0=0.3, rng=_SlowRng(np.random.default_rng(4), fail_at))
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="draw failed"):
+            gen(up, noise=ns, training=True)
+        assert threading.active_count() == threads
+        assert ns.rng.calls == fail_at
+
+    def test_a_failing_block_joins_the_producer(self):
+        rng = np.random.default_rng(34)
+        gen = N.Generator(N.GeneratorConfig(blocks=4, width=8), rng)
+        up = Tensor(rng.random((2, 3, 10, 10), dtype=np.float32))
+        # the draws outlast the failing block, so only a join ends the producer in time
+        ns = N.NoiseState(sigma0=0.3, rng=_SlowRng(np.random.default_rng(5), delay=0.05))
+
+        def fail(x, training):
+            raise ShapeError("block failed")
+
+        gen.blocks[1] = fail
+        threads = threading.active_count()
+        with pytest.raises(ShapeError, match="block failed"):
+            gen(up, noise=ns, training=True)
+        assert threading.active_count() == threads and ns.rng.calls == 3
 
     @pytest.fixture
     def anneal(self, monkeypatch):

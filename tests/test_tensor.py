@@ -949,6 +949,27 @@ class TestBatchNorm:
 
         check_gradients(fn, [x, gamma, beta], rng=rng)
 
+    @pytest.mark.parametrize("shape", [(8, 13, 12, 12), (3, 5, 7, 9)])
+    def test_float32_bits_equal_the_op_by_op_formulas(self, shape):
+        rng = np.random.default_rng(7)
+        c = shape[1]
+        x = Tensor(rng.standard_normal(shape).astype(np.float32) * 2 + 1, requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, c).astype(np.float32), requires_grad=True)
+        beta = Tensor(rng.standard_normal(c).astype(np.float32), requires_grad=True)
+        out, _, _ = T.batch_norm2d(x, gamma, beta, np.zeros(c, np.float32), np.ones(c, np.float32))
+        g = rng.standard_normal(shape).astype(np.float32)
+        T.sum(out * Tensor(g)).backward()
+        # the formulas, one full-size array per operation
+        xc = x.data - x.data.mean(axis=(0, 2, 3), keepdims=True)
+        m = x.data.size // c
+        inv = 1.0 / np.sqrt((np.einsum("nchw,nchw->c", xc, xc) / m).reshape(1, c, 1, 1) + 1e-5)
+        gview, xhat = gamma.data.reshape(1, c, 1, 1), xc * inv
+        assert np.array_equal(out.data, xc * (gview * inv) + beta.data.reshape(1, c, 1, 1))
+        dxhat = g * gview
+        s1, s2 = dxhat.sum(axis=(0, 2, 3), keepdims=True), (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        assert np.array_equal(x.grad, inv * (dxhat - s1 / m - xhat * s2 / m))
+        assert np.array_equal(gamma.grad, np.einsum("nchw,nchw->c", g, xhat))
+
 
 class TestSepFilter2d:
     @staticmethod

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import re
 import struct
+import threading
 import tracemalloc
 import zlib
 
@@ -20,7 +21,7 @@ from fftsr.optim import AdamW
 from fftsr.tensor import Tensor
 
 from test_config import REMOVED
-from test_nets import state_bytes
+from test_nets import started_threads, state_bytes
 
 # a small network whose adaptive state all moves within a few steps: the
 # noise baseline is set after 2 steps, the policy window fills after 2,
@@ -541,6 +542,36 @@ def test_an_upscale_over_the_pixel_bound_is_refused_before_any_compute():
     assert peak < 1 << 20
 
 
+class TestUpscaleWorkingSet:
+    """The eval forward's working set is bounded before anything is computed."""
+
+    def test_an_upscale_over_the_working_set_bound_is_refused_before_any_compute(self):
+        gen = train.build_generator(default_config())
+        scale = 5500  # 30.25 Mpix: under MAX_PIXELS, over the working-set bound
+        assert scale * scale <= MAX_PIXELS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match="a 5500x5500 output needs about 9.7 GiB at width 26, more than 8 GiB"):
+                train.upscale_image(gen, Image(np.full((1, 1, 3), 0.5)), scale)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("lr_hw, admitted", [((270, 480), True), ((540, 960), False)], ids=["2160x3840", "4320x7680"])
+    def test_the_papers_largest_output_is_admitted_and_8k_refused(self, monkeypatch, lr_hw, admitted):
+        class Admitted(Exception):
+            pass
+
+        def resample(*args):
+            raise Admitted
+
+        monkeypatch.setattr(train, "resample_bicubic", resample)
+        gen = train.build_generator(default_config())
+        with pytest.raises(Admitted if admitted else ShapeError):
+            train.upscale_image(gen, Image(np.full((*lr_hw, 3), 0.5, dtype=np.float32)), 8)
+
+
 class TestUpscaleScale:
     @pytest.mark.parametrize("scale", [1.5, 3.0, "3", 1, 0, -1, True])
     def test_scale_that_is_not_an_integer_of_at_least_two(self, scale):
@@ -578,6 +609,24 @@ class TestUpscaleLeavesTheModelAlone:
         assert probed.train_step() == plain.train_step()
         train.upscale_image(probed.gen, Image(pairs[0][0]), 3)
         assert probed.train_step() == plain.train_step()
+
+
+class TestNoiseProducer:
+    """A training step's noise producer is joined inside the step, and an
+    upscale starts none."""
+
+    def test_a_train_step_leaves_no_thread_behind(self, cfg, pairs, monkeypatch):
+        trainer = train.Trainer(cfg.replace(gen__blocks=3), 0, pairs)
+        trainer.train_step()  # starts any kernel workers the step uses
+        threads, started = threading.active_count(), started_threads(monkeypatch)
+        trainer.train_step()
+        assert threading.active_count() == threads and started.count("fftsr-noise") == 1
+
+    def test_an_upscale_starts_no_producer(self, pairs, monkeypatch):
+        gen = train.build_generator(default_config())
+        started = started_threads(monkeypatch)
+        train.upscale_image(gen, Image(pairs[0][0]), 3)
+        assert "fftsr-noise" not in started
 
 
 class TestUpscaleInput:
