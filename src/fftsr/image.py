@@ -65,6 +65,7 @@ from .errors import DecodeError, ImageError, ShapeError, TooSmallError, Unsuppor
 
 __all__ = [
     "Image",
+    "check_image",
     "decode_image",
     "encode_image",
     "resample_bicubic",
@@ -83,15 +84,18 @@ class Image:
     """Height x width x 3 intensities in [0, 1].
 
     ``data`` becomes float32, and values outside [0, 1] are clipped into a
-    new array; NaN and infinities raise :class:`ImageError`. A float32
-    array already in [0, 1] is kept as given, not copied, so writing to it
-    writes to the image.
+    new array; a dtype other than bool, integer or float, NaN and
+    infinities raise :class:`ImageError`. A float32 array in [0, 1] is
+    kept as given, not copied, so writing to it writes to the image.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)  # a copy only for another dtype
+        arr = np.asarray(self.data)
+        if arr.dtype.kind not in "biuf":
+            raise ImageError(f"Image values must be real numbers, got dtype {arr.dtype}")
+        arr = arr.astype(np.float32, copy=False)  # a copy only for another dtype
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise ShapeError(f"Image expects (H, W, 3), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -110,6 +114,12 @@ class Image:
     @property
     def width(self) -> int:
         return self.data.shape[1]
+
+
+def check_image(img, name: str) -> None:
+    """Raise :class:`ImageError`, naming ``name``, unless ``img`` is an :class:`Image`."""
+    if not isinstance(img, Image):
+        raise ImageError(f"{name} needs an Image, got {type(img).__name__}")
 
 
 # ---- PNG ----
@@ -364,6 +374,7 @@ def _unfilter_paeth(raw: bytes, up: bytes) -> bytearray:
 
 def encode_image(img: Image) -> bytes:
     """Encode to PNG bytes; lossless at 8 bits."""
+    check_image(img, "encode_image")
     pixels = np.round(img.data * 255.0).astype(np.uint8)
     h, w, _ = pixels.shape
     rows = np.zeros((h, w * 3 + 1), dtype=np.uint8)
@@ -421,6 +432,7 @@ def resample_bicubic(img: Image, out_h: int, out_w: int) -> Image:
     """Keys (a = -0.5) cubic resampling to (out_h, out_w), each an integer
     of at least 1 with at most ``MAX_PIXELS`` in all, else
     :class:`ShapeError` before anything is allocated."""
+    check_image(img, "resample_bicubic")
     check_int(out_h, "resample_bicubic: out_h", 1, ShapeError)
     check_int(out_w, "resample_bicubic: out_w", 1, ShapeError)
     check_pixels(out_h, out_w, "resample_bicubic")
@@ -447,6 +459,7 @@ def check_scale(scale) -> None:
 
 def make_lr_hr_pair(img: Image, scale: int) -> tuple[Image, Image]:
     """Crop to a multiple of ``scale`` and downsample bicubically by it."""
+    check_image(img, "make_lr_hr_pair")
     check_scale(scale)
     h = (img.height // scale) * scale
     w = (img.width // scale) * scale

@@ -10,6 +10,10 @@ and ReLU-activated. A block keeps its width, and its output has the same
 local/global split as its input; a split with no global (or no local)
 channels leaves a single path.
 
+Each layer declares its state once, as attributes (:class:`Module`); a
+convolution pads by half its kernel, and every BatchNorm shares one
+momentum (``BatchNorm2d.MOMENTUM``) and one eps (``tensor.BN_EPS``).
+
 In eval mode each BatchNorm is a fixed per-channel affine map, and it is
 folded into the convolutions that feed it: their kernels are scaled per
 output channel and one conv bias carries the shifts, so the eval forward
@@ -190,31 +194,37 @@ def _relu_(x: Tensor) -> Tensor:
 
 
 class Module:
-    """Tiny layer base: hierarchical parameter/buffer naming."""
+    """Layer base. A layer's parameters are its :class:`Tensor` attributes
+    and its buffers (non-trainable state) its ndarray attributes, each
+    named after its attribute; a :class:`Module` attribute, or a list of
+    them, adds its own under ``name.`` (``name{i}.`` for the i-th). Names
+    come in assignment order, which is the checkpoint's order and
+    AdamW's; rebinding an attribute keeps its place."""
 
-    def _children(self):
+    def _named_state(self, prefix: str):
+        """(name, owner, attribute, value) of each Tensor or ndarray attribute, here and below."""
         for name, val in vars(self).items():
-            if isinstance(val, Module):
-                yield name, val
-            elif isinstance(val, (list, tuple)) and val and isinstance(val[0], Module):
+            if isinstance(val, (Tensor, np.ndarray)):
+                yield prefix + name, self, name, val
+            elif isinstance(val, Module):
+                yield from val._named_state(f"{prefix}{name}.")
+            elif isinstance(val, (list, tuple)):
                 for i, m in enumerate(val):
-                    yield f"{name}{i}", m
+                    if isinstance(m, Module):
+                        yield from m._named_state(f"{prefix}{name}{i}.")
 
     def named_parameters(self, prefix: str = ""):
-        for name in getattr(self, "_params", ()):
-            yield prefix + name, getattr(self, name)
-        for cname, child in self._children():
-            yield from child.named_parameters(f"{prefix}{cname}.")
+        return ((name, val) for name, _, _, val in self._named_state(prefix) if isinstance(val, Tensor))
 
     def named_buffers(self, prefix: str = ""):
         """Yields (name, owner, attribute) for non-trainable state arrays."""
-        for name in getattr(self, "_buffers", ()):
-            yield prefix + name, self, name
-        for cname, child in self._children():
-            yield from child.named_buffers(f"{prefix}{cname}.")
+        return ((name, o, a) for name, o, a, val in self._named_state(prefix) if isinstance(val, np.ndarray))
 
 
 class Conv2d(Module):
+    """Convolution padded by ``kernel // 2`` a side (``pad_mode``), so an odd kernel at stride 1
+    keeps the size; He-normal weights from ``rng``, or zeros with ``zero_init``."""
+
     def __init__(
         self,
         rng: np.random.Generator,
@@ -222,27 +232,17 @@ class Conv2d(Module):
         out_ch: int,
         kernel: int = 3,
         stride: int = 1,
-        padding: int = 0,
         pad_mode: str = "zero",
         bias: bool = True,
         zero_init: bool = False,
     ):
         self.stride = stride
-        self.padding = padding
+        self.padding = kernel // 2
         self.pad_mode = pad_mode
-        fan_in = in_ch * kernel * kernel
-        std = float(np.sqrt(2.0 / fan_in))
-        if zero_init:
-            w = np.zeros((out_ch, in_ch, kernel, kernel))
-        else:
-            w = rng.standard_normal((out_ch, in_ch, kernel, kernel)) * std
+        shape, std = (out_ch, in_ch, kernel, kernel), float(np.sqrt(2.0 / (in_ch * kernel * kernel)))
+        w = np.zeros(shape) if zero_init else rng.standard_normal(shape) * std
         self.w = Tensor(w.astype(np.float32), requires_grad=True)
-        self._params = ["w"]
-        if bias:
-            self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True)
-            self._params.append("b")
-        else:
-            self.b = None
+        self.b = Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor, scale: np.ndarray | None = None, shift: np.ndarray | None = None) -> Tensor:
         """conv(x); with ``scale``, conv(x) * scale + shift per output
@@ -256,33 +256,31 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Calling it normalizes by batch statistics and updates the running
-    ones (train mode). In eval mode the layer is the affine map of
-    :meth:`affine`, which the modules fold into their convolutions."""
+    """Calling it normalizes by batch statistics (:func:`T.batch_norm2d`)
+    and folds them into the running ones at ``MOMENTUM`` (train mode). In
+    eval mode the layer is the affine map of :meth:`affine`, which the
+    modules fold into their convolutions. Both modes add ``T.BN_EPS`` to
+    the variance."""
+
+    MOMENTUM = 0.1
 
     def __init__(self, channels: int):
-        self.momentum = 0.1
-        self.eps = 1e-5
         self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-        self._params = ["gamma", "beta"]
-        self._buffers = ["running_mean", "running_var"]
 
     def __call__(self, x: Tensor) -> Tensor:
-        out, rm, rv = T.batch_norm2d(
-            x, self.gamma, self.beta, self.running_mean, self.running_var, momentum=self.momentum, eps=self.eps
-        )
-        self.running_mean = rm.astype(x.data.dtype)
-        self.running_var = rv.astype(x.data.dtype)
+        out, mean, var = T.batch_norm2d(x, self.gamma, self.beta)
+        self.running_mean = ((1.0 - self.MOMENTUM) * self.running_mean + self.MOMENTUM * mean).astype(x.dtype)
+        self.running_var = ((1.0 - self.MOMENTUM) * self.running_var + self.MOMENTUM * var).astype(x.dtype)
         return out
 
     def affine(self) -> tuple[np.ndarray, np.ndarray]:
         """(scale, shift) of the eval-mode map x * scale + shift, from the
         running statistics: scale = gamma / sqrt(var + eps) and
         shift = beta - mean * scale."""
-        scale = self.gamma.data / np.sqrt(self.running_var + self.eps)
+        scale = self.gamma.data / np.sqrt(self.running_var + T.BN_EPS)
         return scale, self.beta.data - self.running_mean * scale
 
 
@@ -291,7 +289,6 @@ class Linear(Module):
         std = float(np.sqrt(1.0 / in_f))
         self.w = Tensor((rng.standard_normal((in_f, out_f)) * std).astype(np.float32), requires_grad=True)
         self.b = Tensor(np.zeros(out_f, dtype=np.float32), requires_grad=True)
-        self._params = ["w", "b"]
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.w) + self.b
@@ -341,7 +338,7 @@ class FfcBlock(Module):
     def __init__(self, rng: np.random.Generator, channels: int, global_fraction: float, kernel: int):
         self.g = int(round(global_fraction * channels))
         self.l = channels - self.g
-        conv = lambda ci, co: Conv2d(rng, ci, co, kernel=kernel, padding=kernel // 2, pad_mode="reflect", bias=False)
+        conv = lambda ci, co: Conv2d(rng, ci, co, kernel=kernel, pad_mode="reflect", bias=False)
         if self.l:
             # the local->local and local->global paths share their input,
             # so they run as one conv split along the output channels
@@ -407,9 +404,9 @@ class Generator(Module):
     def __init__(self, cfg: GeneratorConfig, rng: np.random.Generator):
         self.cfg = cfg
         w = cfg.width
-        self.head = Conv2d(rng, 3, w, kernel=3, padding=1, pad_mode="reflect")
+        self.head = Conv2d(rng, 3, w, kernel=3, pad_mode="reflect")
         self.blocks = [FfcBlock(rng, w, cfg.global_fraction, cfg.kernel) for _ in range(cfg.blocks)]
-        self.tail = Conv2d(rng, w, 3, kernel=3, padding=1, pad_mode="reflect", zero_init=cfg.zero_tail)
+        self.tail = Conv2d(rng, w, 3, kernel=3, pad_mode="reflect", zero_init=cfg.zero_tail)
 
     def __call__(self, up: Tensor, noise: NoiseState | None = None, training: bool = False) -> Tensor:
         """The eval forward records no graph: its folded kernels are fresh
@@ -444,7 +441,7 @@ def strided_convs(rng: np.random.Generator, widths) -> list[Conv2d]:
     """3x3 stride-2 convs with zero padding 1 from 3 channels through
     ``widths`` in turn, their weights drawn from ``rng`` in that order."""
     c_ins = (3, *widths)
-    return [Conv2d(rng, c_in, width, kernel=3, stride=2, padding=1) for c_in, width in zip(c_ins, widths)]
+    return [Conv2d(rng, c_in, width, kernel=3, stride=2) for c_in, width in zip(c_ins, widths)]
 
 
 class Discriminator(Module):

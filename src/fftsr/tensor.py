@@ -444,28 +444,26 @@ def _norm_axes(axes, ndim: int):
     return tuple(dict.fromkeys(out))
 
 
-def _spread(g: np.ndarray, shape: tuple, axes, keepdims: bool) -> np.ndarray:
+def _spread(g: np.ndarray, shape: tuple, axes) -> np.ndarray:
     """Broadcast a reduction's output gradient back over the reduced axes."""
-    if not keepdims and axes is not None:
-        g = np.expand_dims(g, axes)
-    return np.broadcast_to(g, shape)
+    return np.broadcast_to(g if axes is None else np.expand_dims(g, axes), shape)
 
 
-def sum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+def sum(a: Tensor, axes=None) -> Tensor:
     """The gradient keeps only the input's shape."""
     axes = _norm_axes(axes, a.data.ndim)
-    out_data = np.asarray(a.data.sum(axis=axes, keepdims=keepdims))
+    out_data = np.asarray(a.data.sum(axis=axes))
     shape = a.shape
-    return Tensor._from_op(out_data, (a,), (lambda g: _spread(g, shape, axes, keepdims).copy(),), "sum")
+    return Tensor._from_op(out_data, (a,), (lambda g: _spread(g, shape, axes).copy(),), "sum")
 
 
-def mean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
+def mean(a: Tensor, axes=None) -> Tensor:
     """The gradient keeps only the input's shape."""
     axes = _norm_axes(axes, a.data.ndim)
-    out_data = np.asarray(a.data.mean(axis=axes, keepdims=keepdims))
+    out_data = np.asarray(a.data.mean(axis=axes))
     shape = a.shape
     count = a.data.size if axes is None else math.prod(shape[ax] for ax in axes)
-    return Tensor._from_op(out_data, (a,), (lambda g: _spread(g, shape, axes, keepdims) / count,), "mean")
+    return Tensor._from_op(out_data, (a,), (lambda g: _spread(g, shape, axes) / count,), "mean")
 
 
 # ---- structure ----
@@ -964,20 +962,15 @@ def sep_filter2d(x: Tensor, taps_h: np.ndarray, taps_w: np.ndarray) -> Tensor:
 # ---- batch normalization ----
 
 
-def batch_norm2d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-):
-    """Per-channel batch normalization over an NCHW tensor, by batch
-    statistics (train mode).
+BN_EPS = 1e-5  # added to every BatchNorm variance, by the op and by nets.BatchNorm2d.affine
 
-    Returns the output and the updated running stats (new arrays; the
-    caller rebinds its buffers). Eval mode has no op here: the networks
+
+def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor):
+    """Per-channel batch normalization over an NCHW tensor, by batch
+    statistics (train mode), with ``BN_EPS`` added to the variance.
+
+    Returns the output, and the batch mean and biased variance as new
+    (C,) arrays. Eval mode has no op here: the networks
     fold the running-stats affine map into their convolutions. The
     gradients keep the normalized input ``xhat`` and the per-channel
     scale, not ``x``. The forward makes two full-size arrays, the
@@ -997,12 +990,9 @@ def batch_norm2d(
     xc = x.data - mu
     m = x.data.size // c
     var = np.einsum("nchw,nchw->c", xc, xc) / m
-    var = var.reshape(1, c, 1, 1)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var.reshape(1, c, 1, 1) + BN_EPS)
     out_data = xc * (gview * inv)
     out_data += bview
-    new_mean = (1.0 - momentum) * running_mean + momentum * mu.reshape(c)
-    new_var = (1.0 - momentum) * running_var + momentum * var.reshape(c)
     xhat = np.multiply(xc, inv, out=xc)
 
     def input_grad(g):
@@ -1021,4 +1011,4 @@ def batch_norm2d(
         return dxhat
 
     grads = (input_grad, lambda g: np.einsum("nchw,nchw->c", g, xhat), _channel_sum)
-    return Tensor._from_op(out_data, (x, gamma, beta), grads, "batch_norm"), new_mean, new_var
+    return Tensor._from_op(out_data, (x, gamma, beta), grads, "batch_norm"), mu.reshape(c), var

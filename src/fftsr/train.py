@@ -31,7 +31,7 @@ from . import losses as L
 from . import tensor as T
 from .config import RunConfig, Settings, parse_config, serialize_config, setting
 from .errors import CheckpointError, ConfigError, FftsrError, ImageError, ShapeError, TooSmallError, check_int
-from .image import Image, check_pixels, check_scale, resample_bicubic
+from .image import Image, check_image, check_pixels, check_scale, resample_bicubic
 from .nets import EMA_DECAY, Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, NoiseState
 from .optim import AdamW, CosineRestartSchedule, RestartPolicy
 from .tensor import Tensor
@@ -182,8 +182,7 @@ def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
     OpenBLAS at its default two threads, the same frame took 5.4 s split
     and 5.2 s unsplit.
     """
-    if not isinstance(img, Image):
-        raise ImageError(f"upscale_image needs an Image, got {type(img).__name__}")
+    check_image(img, "upscale_image")
     check_scale(scale)
     minimum = max(2, gen.cfg.kernel // 2 + 1)
     if scale * min(img.height, img.width) < minimum:

@@ -349,6 +349,37 @@ def test_image_keeps_in_range_float32_and_clips_a_copy():
     assert converted.dtype == np.float32 and np.array_equal(converted, pixels)
 
 
+@pytest.mark.parametrize(
+    "data",
+    ["abc", np.full((2, 2, 3), "0.5"), np.full((2, 2, 3), 0.5 + 0.5j), np.full((2, 2, 3), 0.5, dtype=object)],
+    ids=["str", "str_array", "complex", "object"],
+)
+def test_image_refuses_data_that_is_not_real_numbers(data):
+    with pytest.raises(ImageError, match="real numbers"):
+        I.Image(data)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float16])
+def test_image_takes_bool_integer_and_float_data(dtype):
+    data = np.ones((2, 2, 3), dtype=dtype)
+    assert np.array_equal(I.Image(data).data, np.ones((2, 2, 3), dtype=np.float32))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda img: I.encode_image(img),
+        lambda img: I.resample_bicubic(img, 3, 3),
+        lambda img: I.make_lr_hr_pair(img, 3),
+    ],
+    ids=["encode_image", "resample_bicubic", "make_lr_hr_pair"],
+)
+@pytest.mark.parametrize("frame", [np.full((6, 6, 3), 0.5), None], ids=["ndarray", "None"])
+def test_a_frame_that_is_not_an_image_is_rejected(call, frame):
+    with pytest.raises(ImageError, match=f"needs an Image, got {type(frame).__name__}"):
+        call(frame)
+
+
 # ---- property tests: mutated files fail only with typed errors ----
 
 EDITS = st.lists(

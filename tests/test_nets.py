@@ -10,6 +10,7 @@ import fftsr.tensor as T
 from fftsr import nets as N
 from fftsr.errors import GraphError, ShapeError
 from fftsr.fft import irfft2d, rfft2d
+from fftsr.losses import PerceptualExtractor
 from fftsr.tensor import Tensor
 
 from gradcheck import check_param_gradients, to_float64
@@ -105,11 +106,11 @@ class TestSpectralTransform:
         ref = irfft2d(T.relu(spec), 6).data
         assert np.abs(got - ref).max() < 1e-6
 
-    def test_single_frequency_locality(self):
+    def test_single_frequency_locality(self, monkeypatch):
+        monkeypatch.setattr(T, "BN_EPS", 0.0)
         ch = 2
         st = self._identity_transform(ch)
         st.conv_freq.w.data = 2.0 * np.eye(2 * ch)[:, :, None, None]
-        st.bn_freq.eps = 0.0
         h, w = 8, 8
         col = np.arange(w)
         base = np.cos(2 * np.pi * col / w)[None, :].repeat(h, axis=0)
@@ -155,7 +156,7 @@ def seed_norms(module, rng):
 def norm_ref(bn, x):
     """Eval-mode BatchNorm written out from the running statistics."""
     view = lambda a: a.reshape(1, -1, 1, 1)
-    xhat = (x.data - view(bn.running_mean)) / np.sqrt(view(bn.running_var) + bn.eps)
+    xhat = (x.data - view(bn.running_mean)) / np.sqrt(view(bn.running_var) + T.BN_EPS)
     return Tensor(view(bn.gamma.data) * xhat + view(bn.beta.data))
 
 
@@ -603,3 +604,112 @@ class TestParameterCount:
         a = N.Generator(N.GeneratorConfig(), np.random.default_rng(0))
         b = N.Generator(N.GeneratorConfig(), np.random.default_rng(99))
         assert N.count_parameters(a) == N.count_parameters(b)
+
+    def test_default_counts(self):
+        gen = N.Generator(N.GeneratorConfig(), np.random.default_rng(0))
+        disc = N.Discriminator(N.DiscriminatorConfig(), np.random.default_rng(0))
+        assert (N.count_parameters(gen), N.count_parameters(disc)) == (35_597, 23_649)
+
+
+# the default networks' state, written out: the checkpoint keys and AdamW's
+# moment order follow these names, so a layer's attribute order is fixed
+BLOCK_PARAMS = [
+    ("conv_from_l.w", (26, 13, 3, 3)),
+    ("conv_gl.w", (13, 13, 3, 3)),
+    ("spectral.conv_in.w", (13, 13, 1, 1)),
+    ("spectral.conv_in.b", (13,)),
+    ("spectral.conv_freq.w", (26, 26, 1, 1)),
+    ("spectral.bn_freq.gamma", (26,)),
+    ("spectral.bn_freq.beta", (26,)),
+    ("spectral.conv_out.w", (13, 13, 1, 1)),
+    ("bn_l.gamma", (13,)),
+    ("bn_l.beta", (13,)),
+    ("bn_g.gamma", (13,)),
+    ("bn_g.beta", (13,)),
+]
+GENERATOR_PARAMS = [
+    ("head.w", (26, 3, 3, 3)),
+    ("head.b", (26,)),
+    *[(f"blocks{i}.{name}", shape) for i in range(6) for name, shape in BLOCK_PARAMS],
+    ("tail.w", (3, 26, 3, 3)),
+    ("tail.b", (3,)),
+]
+GENERATOR_BUFFERS = [
+    f"blocks{i}.{norm}.{stat}"
+    for i in range(6)
+    for norm in ("spectral.bn_freq", "bn_l", "bn_g")
+    for stat in ("running_mean", "running_var")
+]
+DISCRIMINATOR_PARAMS = [
+    ("convs0.w", (16, 3, 3, 3)),
+    ("convs0.b", (16,)),
+    ("convs1.w", (32, 16, 3, 3)),
+    ("convs1.b", (32,)),
+    ("convs2.w", (64, 32, 3, 3)),
+    ("convs2.b", (64,)),
+    ("fc.w", (64, 1)),
+    ("fc.b", (1,)),
+]
+
+
+def submodules(module):
+    """``module`` and every module under it, each once."""
+    yield module
+    for val in vars(module).values():
+        for child in val if isinstance(val, (list, tuple)) else [val]:
+            if isinstance(child, N.Module):
+                yield from submodules(child)
+
+
+class TestStateNames:
+    def test_default_generator_state(self):
+        gen = N.Generator(N.GeneratorConfig(), np.random.default_rng(0))
+        assert [(name, p.shape) for name, p in gen.named_parameters()] == GENERATOR_PARAMS
+        assert [name for name, _, _ in gen.named_buffers()] == GENERATOR_BUFFERS
+
+    def test_default_discriminator_state(self):
+        disc = N.Discriminator(N.DiscriminatorConfig(), np.random.default_rng(0))
+        assert [(name, p.shape) for name, p in disc.named_parameters()] == DISCRIMINATOR_PARAMS
+        assert list(disc.named_buffers()) == []
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: N.Generator(N.GeneratorConfig(), np.random.default_rng(0)),
+            lambda: N.Generator(N.GeneratorConfig(global_fraction=0.0, blocks=2), np.random.default_rng(0)),
+            lambda: N.Generator(N.GeneratorConfig(global_fraction=1.0, blocks=2), np.random.default_rng(0)),
+            lambda: N.Discriminator(N.DiscriminatorConfig(), np.random.default_rng(0)),
+            lambda: PerceptualExtractor(),
+        ],
+        ids=["generator", "all_local", "all_global", "discriminator", "perceptual"],
+    )
+    def test_every_tensor_and_array_attribute_is_listed_once(self, build):
+        module = build()
+        params, buffers = [], []
+        for m in submodules(module):
+            for attr, val in vars(m).items():
+                if isinstance(val, Tensor):
+                    params.append(id(val))
+                elif isinstance(val, np.ndarray):
+                    buffers.append((id(m), attr))
+        named_params = list(module.named_parameters())
+        named_buffers = list(module.named_buffers())
+        assert sorted(id(p) for _, p in named_params) == sorted(params)
+        assert sorted((id(owner), attr) for _, owner, attr in named_buffers) == sorted(buffers)
+        names = [name for name, _ in named_params] + [name for name, _, _ in named_buffers]
+        assert len(set(names)) == len(names)
+        assert all(name.rsplit(".", 1)[-1] == attr for name, _, attr in named_buffers)
+
+    def test_a_rebound_buffer_keeps_its_place(self):
+        gen = N.Generator(N.GeneratorConfig(blocks=2), np.random.default_rng(0))
+        before = [name for name, _, _ in gen.named_buffers()]
+        x = Tensor(np.random.default_rng(1).random((2, 3, 12, 12), dtype=np.float32))
+        gen(x, training=True)  # rebinds every running statistic
+        assert [name for name, _, _ in gen.named_buffers()] == before
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_conv_padding_keeps_the_size(kernel):
+    conv = N.Conv2d(np.random.default_rng(0), 2, 4, kernel=kernel)
+    assert conv.padding == kernel // 2
+    assert conv(Tensor(np.zeros((1, 2, 7, 9), dtype=np.float32))).shape == (1, 4, 7, 9)

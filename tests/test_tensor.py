@@ -207,13 +207,13 @@ GRAPH_LIFETIME_CASES = {
     "split_channels_by_numpy_sizes": lambda t, p: T.split_channels(t, [np.int64(1), np.int64(3)])[1],
     "concat": lambda t, p: T.concat([t, t], axis=1),
     "sum": lambda t, p: T.sum(t, axes=(2, 3)),
-    "mean": lambda t, p: T.mean(t, axes=(0, 3), keepdims=True),
+    "mean": lambda t, p: T.mean(t, axes=(0, 3)),
     "rfft2d": lambda t, p: fft.rfft2d(t),
     "irfft2d": lambda t, p: fft.irfft2d(t, 7),
     "sep_filter2d": lambda t, p: T.sep_filter2d(t, [0.25, 0.5, 0.25], [-1.0, 0.0, 1.0]),
     "conv2d": lambda t, p: T.conv2d(t, p["k"], padding=1, pad_mode="reflect"),
     "conv1x1_on_a_channel_group": lambda t, p: T.conv2d(T.split_channels(t, [1, 3])[1], p["k1"]),
-    "batch_norm2d": lambda t, p: T.batch_norm2d(t, p["gamma"], p["beta"], np.zeros(4), np.ones(4))[0],
+    "batch_norm2d": lambda t, p: T.batch_norm2d(t, p["gamma"], p["beta"])[0],
     "mul_by_a_constant": lambda t, p: t * 3.0,
     "relu": lambda t, p: T.relu(t),
 }
@@ -345,7 +345,7 @@ def test_reduction_grads_match_finite_differences(seed):
     def fn(ts):
         (t,) = ts
         out = T.sum(T.mean(t, axes=(1,)))
-        out = out + T.mean(T.sum(t, axes=(0, 2), keepdims=True))
+        out = out + T.mean(T.sum(t, axes=(0, 2)))
         return out
 
     check_gradients(fn, [x], rng=rng)
@@ -408,7 +408,7 @@ def _ones(*shape):
 
 
 def _bn(x, gamma):
-    return T.batch_norm2d(x, gamma, _ones(3), np.zeros(3), np.ones(3))
+    return T.batch_norm2d(x, gamma, _ones(3))
 
 
 @pytest.mark.parametrize(
@@ -907,33 +907,37 @@ class TestBatchNorm:
         x = Tensor(rng.standard_normal((4, 3, 5, 5)) * 3.0 + 2.0, dtype=np.float64)
         gamma = Tensor(np.ones(3), dtype=np.float64)
         beta = Tensor(np.zeros(3), dtype=np.float64)
-        out, _, _ = T.batch_norm2d(x, gamma, beta, np.zeros(3), np.ones(3))
+        out, _, _ = T.batch_norm2d(x, gamma, beta)
         assert np.abs(out.data.mean(axis=(0, 2, 3))).max() < 1e-6
         assert np.abs(out.data.var(axis=(0, 2, 3)) - 1.0).max() < 1e-5
 
-    def test_eval_identity_with_unit_stats(self):
+    def test_eval_identity_with_unit_stats(self, monkeypatch):
+        monkeypatch.setattr(T, "BN_EPS", 0.0)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 4, 4))
         bn = to_float64(BatchNorm2d(3))
-        bn.eps = 0.0
         scale, shift = bn.affine()
         out = x * scale.reshape(1, 3, 1, 1) + shift.reshape(1, 3, 1, 1)
-        assert np.allclose(out, x)
+        assert np.array_equal(out, x)
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((8, 2, 6, 6)) + 5.0, dtype=np.float64)
         gamma = Tensor(np.ones(2), dtype=np.float64)
         beta = Tensor(np.zeros(2), dtype=np.float64)
-        _, rm, rv = T.batch_norm2d(x, gamma, beta, np.zeros(2), np.ones(2), momentum=0.1)
+        _, mean, var = T.batch_norm2d(x, gamma, beta)
         mu = x.data.mean(axis=(0, 2, 3))
-        assert np.allclose(rm, 0.1 * mu)
+        assert np.array_equal(mean, mu) and np.allclose(var, x.data.var(axis=(0, 2, 3)))
+        bn = to_float64(BatchNorm2d(2))
+        bn(x)
+        assert np.allclose(bn.running_mean, 0.1 * mu)
+        assert np.allclose(bn.running_var, 0.9 + 0.1 * var)
 
     def test_zero_variance_channel_is_finite(self):
         x = Tensor(np.full((2, 1, 3, 3), 0.7))
         gamma = Tensor(np.ones(1))
         beta = Tensor(np.zeros(1))
-        out, _, _ = T.batch_norm2d(x, gamma, beta, np.zeros(1), np.ones(1))
+        out, _, _ = T.batch_norm2d(x, gamma, beta)
         assert np.isfinite(out.data).all()
 
     @pytest.mark.parametrize("seed", range(20))
@@ -944,7 +948,7 @@ class TestBatchNorm:
         beta = rng.standard_normal(2)
 
         def fn(ts):
-            out, _, _ = T.batch_norm2d(ts[0], ts[1], ts[2], np.zeros(2), np.ones(2))
+            out, _, _ = T.batch_norm2d(ts[0], ts[1], ts[2])
             return T.mean(out * out * 0.5 + out)
 
         check_gradients(fn, [x, gamma, beta], rng=rng)
@@ -956,7 +960,7 @@ class TestBatchNorm:
         x = Tensor(rng.standard_normal(shape).astype(np.float32) * 2 + 1, requires_grad=True)
         gamma = Tensor(rng.uniform(0.5, 1.5, c).astype(np.float32), requires_grad=True)
         beta = Tensor(rng.standard_normal(c).astype(np.float32), requires_grad=True)
-        out, _, _ = T.batch_norm2d(x, gamma, beta, np.zeros(c, np.float32), np.ones(c, np.float32))
+        out, _, _ = T.batch_norm2d(x, gamma, beta)
         g = rng.standard_normal(shape).astype(np.float32)
         T.sum(out * Tensor(g)).backward()
         # the formulas, one full-size array per operation
