@@ -31,10 +31,10 @@ thread and the worker threads of ``tensor._run_parts`` each write their
 slice of the buffers the caller allocated, spectrum (or complex buffer)
 first and output second, as before the split. The results are
 bit-identical to a one-thread run. A call stays on the calling thread
-when its output elements times ``H + W``, the depth of the two DFT
-matrix products it stands for, are under ``tensor._SPLIT_WORK``. The
-split assumes single-threaded BLAS, as ``conv2d`` does, which lists the
-cost of running both with BLAS threads.
+when its work figure, output elements x (H + W), is under
+``tensor._SPLIT_WORK``, the threshold ``conv2d``'s multiply-adds are
+compared with. The split assumes single-threaded BLAS, as ``conv2d``
+does, which lists the cost of running both with BLAS threads.
 
 The forward passes use ``norm="forward"`` and the result is scaled while
 it is split into ``(re | im)``. With the default norm, numpy 2.x passes

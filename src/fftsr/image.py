@@ -84,15 +84,19 @@ class Image:
     """Height x width x 3 intensities in [0, 1].
 
     ``data`` becomes float32, and values outside [0, 1] are clipped into a
-    new array; a dtype other than bool, integer or float, NaN and
-    infinities raise :class:`ImageError`. A float32 array in [0, 1] is
-    kept as given, not copied, so writing to it writes to the image.
+    new array; a ragged nested list, a dtype other than bool, integer or
+    float, NaN and infinities raise :class:`ImageError`. A float32 array
+    in [0, 1] is kept as given, not copied, so writing to it writes to the
+    image.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
+        try:
+            arr = np.asarray(self.data)
+        except ValueError as err:  # a ragged nested list
+            raise ImageError(f"Image values must form one array: {err}") from None
         if arr.dtype.kind not in "biuf":
             raise ImageError(f"Image values must be real numbers, got dtype {arr.dtype}")
         arr = arr.astype(np.float32, copy=False)  # a copy only for another dtype
@@ -126,7 +130,9 @@ def check_image(img, name: str) -> None:
 
 
 def decode_image(raw: bytes) -> Image:
-    """Decode PNG bytes into an :class:`Image`."""
+    """Decode PNG bytes, a bytearray or a memoryview into an :class:`Image`."""
+    if not isinstance(raw, (bytes, bytearray, memoryview)):
+        raise DecodeError(f"decode_image needs bytes, got {type(raw).__name__}")
     if len(raw) < 8 or raw[:8] != PNG_SIGNATURE:
         raise DecodeError("not a PNG stream (bad signature)", offset=0)
     pos = 8

@@ -26,18 +26,14 @@ has just made and that nothing else holds. It never writes its input,
 a parameter or a BatchNorm buffer. The values are bit-identical to the
 op-by-op composition: each element sees the same IEEE operations.
 
-A training forward with nonzero noise draws its between-block noise on
-a producer thread, ahead of the blocks that add it (:class:`NoiseState`'s
-:meth:`~NoiseState.draws`). The producer makes the same draws, in the
+A training forward with nonzero noise queues its between-block noise
+draws on the ``noise`` lane of ``tensor``'s worker threads, ahead of the
+blocks that add them (:meth:`NoiseState.draws`), under the rules of
+``tensor._run_parts``' parts. Its one thread makes the same draws, in the
 same order, as a serial forward: float64 ``standard_normal``, cast to
-the activation dtype, times the amplitude in that dtype. It writes only
-into arrays that the calling thread allocated, calls numpy alone (no
-fftsr function, so span and allocation tracing see one thread) and is
-joined before the forward returns or raises; an exception it raises is
-raised on the calling thread. An eval forward, one at amplitude 0 and a
-generator of fewer than 2 blocks start no thread and draw nothing. It is
-a thread of its own, not one of ``tensor._run_parts``' workers: a draw
-queued there would hold up the split kernel parts queued behind it.
+the activation dtype, times the amplitude in that dtype. The forward
+waits for every draw before it returns or raises, and raises what a draw
+raised. Eval, amplitude 0 and fewer than 2 blocks queue no draw.
 
 The generator predicts a tanh-bounded residual in [-1, 1] on top of a
 bicubic upscale; callers compose ``clamp(bicubic + residual, 0, 1)``.
@@ -48,7 +44,7 @@ global average pooling, and a sigmoid head.
 from __future__ import annotations
 
 import contextlib
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,68 +115,47 @@ class NoiseState(Settings):
         if step + 1 == self.warmup_steps:
             self.initial = self.ema
 
-    def draws(self, shape: tuple, dtype, count: int) -> "_NoiseDraws | None":
-        """Start drawing the ``count`` noise arrays of one training forward,
-        each of ``shape`` and ``dtype``, on a producer thread; None, with
-        nothing drawn, when the amplitude is 0 or ``count`` is under 1.
-        The caller must :meth:`~_NoiseDraws.join` what it gets."""
+    def draws(self, shape: tuple, dtype, count: int) -> list:
+        """Queue one training forward's ``count`` noise draws, each into a
+        fresh array, on the ``noise`` lane: ``(array, done)`` in draw order,
+        ``done`` as :func:`tensor._queue_part` returns it, which the caller
+        must wait on; ``[]`` when the amplitude is 0 or ``count`` under 1."""
         amp = self.sigma0 * self.multiplier
         if amp == 0.0 or count < 1:
-            return None
-        return _NoiseDraws(self.rng, shape, np.dtype(dtype), amp, count)
+            return []
+        dtype = np.dtype(dtype)
+        draw = functools.partial(_draw, self.rng, np.empty(shape), dtype.type(amp), [])
+        arrays = [np.empty(shape, dtype) for _ in range(count)]
+        return [(out, T._queue_part("noise", functools.partial(draw, out))) for out in arrays]
 
 
-class _NoiseDraws:
-    """``count`` noise arrays of amplitude ``amp``, drawn from ``rng`` in
-    order by a producer thread: each is a float64 ``standard_normal`` into
-    one scratch array, cast into the array, then scaled by ``dtype(amp)``
-    in place, the IEEE operations of one inline draw. The calling thread
-    allocates every array here; the producer calls numpy alone."""
-
-    def __init__(self, rng: np.random.Generator, shape: tuple, dtype: np.dtype, amp: float, count: int):
-        self._arrays = [np.empty(shape, dtype) for _ in range(count)]
-        self._ready = threading.Semaphore(0)  # released once per finished array
-        self._error: BaseException | None = None
-        self._taken = 0
-        args = (rng, np.empty(shape), dtype.type(amp))
-        self._thread = threading.Thread(target=self._produce, args=args, name="fftsr-noise", daemon=True)
-        self._thread.start()
-
-    def _produce(self, rng, scratch, amp):
-        try:
-            for i in range(len(self._arrays)):
-                out = self._arrays[i]
-                rng.standard_normal(out=scratch)
-                np.copyto(out, scratch, casting="same_kind")
-                np.multiply(out, amp, out=out)
-                out = None  # the array is the caller's once released
-                self._ready.release()
-        except BaseException as err:  # raised on the calling thread by _take
-            self._error = err
-            self._ready.release(len(self._arrays))
-
-    def _take(self) -> np.ndarray:
-        """The next array, once drawn; handed over, so it is freed with
-        the caller's last reference. Raises what the producer raised."""
-        self._ready.acquire()
-        if self._error is not None:
-            raise self._error
-        out, self._arrays[self._taken] = self._arrays[self._taken], None
-        self._taken += 1
-        return out
-
-    def join(self):
-        """Wait for the producer to end."""
-        self._thread.join()
+def _draw(rng: np.random.Generator, scratch: np.ndarray, amp, failed: list, out: np.ndarray):
+    """Fill ``out`` with one noise draw: a float64 ``standard_normal`` into
+    ``scratch``, cast into ``out``, then times ``amp`` in place, the IEEE
+    operations of one inline draw. After a failed draw of the same
+    forward (``failed``) it draws nothing and raises that draw's error."""
+    if failed:
+        raise failed[0]
+    try:
+        rng.standard_normal(out=scratch)
+        np.copyto(out, scratch, casting="same_kind")
+        np.multiply(out, amp, out=out)
+    except BaseException as err:
+        failed.append(err)
+        raise
 
 
-def inject_noise(x: Tensor, draws: _NoiseDraws | None) -> Tensor:
-    """``x`` plus the next noise array of ``draws``, waiting for the
-    producer thread to draw it (see the module docstring); ``x`` itself
-    with no draws (eval, amplitude 0)."""
-    if draws is None:
+def inject_noise(x: Tensor, draws: list) -> Tensor:
+    """``x`` plus the next array of ``draws``, taken from the list once it
+    is drawn, so the sum holds its last reference; ``x`` itself with no
+    draws (eval, amplitude 0). Raises what the draw raised."""
+    if not draws:
         return x
-    return x + Tensor(draws._take())
+    out, done = draws.pop(0)
+    err = done.get()
+    if err is not None:
+        raise err
+    return x + Tensor(out)
 
 
 def _relu_(x: Tensor) -> Tensor:
@@ -412,24 +387,24 @@ class Generator(Module):
         """The eval forward records no graph: its folded kernels are fresh
         arrays, so no gradient could reach the parameters through them.
 
-        A training forward with ``noise`` hands its ``blocks - 1`` noise
-        draws, one per gap between blocks, to a producer thread once the
-        head has run, and each gap waits for its own array (see the module
-        docstring); the producer is joined before the tail runs, or as an
+        A training forward with ``noise`` queues its ``blocks - 1`` noise
+        draws, one per gap between blocks, once the head has run, and each
+        gap waits for its own array (see the module docstring); the draws
+        no gap took are waited for before the tail runs, or as an
         exception leaves the trunk."""
         with contextlib.nullcontext() if training else T.no_grad():
             h = self.head(up)
             h = T.relu(h) if training else _relu_(h)
             last = len(self.blocks) - 1
-            draws = noise.draws(h.shape, h.dtype, last) if training and noise is not None else None
+            draws = noise.draws(h.shape, h.dtype, last) if training and noise is not None else []
             try:
                 for i, block in enumerate(self.blocks):
                     h = block(h, training)
                     if i < last:
                         h = inject_noise(h, draws)
             finally:
-                if draws is not None:
-                    draws.join()
+                for _, done in draws:
+                    done.get()
             out = self.tail(h)
             if training:
                 return T.tanh(out)

@@ -561,13 +561,14 @@ def _fold_pad(g: np.ndarray, pad: int, mode: str):
 
 # ---- kernels split across the CPUs ----
 
-# Threads that run the parts of one kernel call: the calling thread and
-# one worker for each other CPU the process may use. numpy releases the
-# GIL inside BLAS, pocketfft and array copies, so the parts run at once.
+# Worker threads, in named lanes with one queue each: ``worker`` runs the
+# parts of split kernel calls on one thread per CPU beyond the calling
+# one (numpy releases the GIL inside BLAS, pocketfft and array copies, so
+# the parts run at once), and ``noise`` the training noise draws on one of
+# its own, where a draw holds up no kernel part queued behind it.
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_tasks = None  # the workers' queue of (part, done), made with the first worker
-_workers: list = []
-_workers_lock = threading.Lock()
+_lanes: dict = {}  # lane name -> (queue of (part, done), its threads), made on first use
+_lanes_lock = threading.Lock()
 
 
 def _work(tasks):
@@ -584,11 +585,31 @@ def _work(tasks):
         result = done = None
 
 
+def _queue_part(lane: str, part: Callable[[], None], threads: int = 1):
+    """Queue ``part`` on ``lane``, starting the lane's threads until it
+    has ``threads``; return the queue that then gets None, or what the
+    part raised, once the part has run. A lane of one thread runs its
+    parts in the order they were queued."""
+    import queue  # here, so a process that never queues a part skips the import
+
+    with _lanes_lock:
+        if lane not in _lanes:
+            _lanes[lane] = (queue.SimpleQueue(), [])
+        tasks, workers = _lanes[lane]
+        while len(workers) < threads:
+            worker = threading.Thread(target=_work, args=(tasks,), name=f"fftsr-{lane}", daemon=True)
+            worker.start()
+            workers.append(worker)
+    done = queue.SimpleQueue()
+    tasks.put((part, done))
+    return done
+
+
 def _forget_workers():
     # a forked child has none of its parent's threads
-    global _tasks, _workers_lock
-    _tasks, _workers_lock = None, threading.Lock()
-    _workers.clear()
+    global _lanes_lock
+    _lanes_lock = threading.Lock()
+    _lanes.clear()
 
 
 if hasattr(os, "register_at_fork"):
@@ -619,8 +640,8 @@ _SPLIT_WORK = 1 << 23
 
 def _run_parts(parts: Sequence[Callable[[], None]]):
     """Run every part of one kernel call, the first on the calling thread
-    and the others on worker threads, started on first use; return once
-    all have finished, then raise the first exception a part raised.
+    and the others on the ``worker`` lane; return once all have finished,
+    then raise the first exception a part raised.
 
     A part only writes into arrays the calling thread allocated: it
     allocates nothing large and calls no public function, so the graph,
@@ -636,33 +657,15 @@ def _run_parts(parts: Sequence[Callable[[], None]]):
     the calling thread: a cut through its sum over images changes the
     bits. A 1x1 runs each image's GEMMs in its run and sums them over
     images on the calling thread.
-
-    The training forward's noise draws run on a producer thread of their
-    own, under the same rules (see the ``nets`` module docstring), and
-    never on these workers, where a draw would hold up the parts queued
-    behind it.
     """
-    global _tasks
     if len(parts) == 1:
         parts[0]()
         return
-    import queue  # here, so a process that never splits a kernel skips the import
-
-    with _workers_lock:
-        if _tasks is None:
-            _tasks = queue.SimpleQueue()
-        while len(_workers) < len(parts) - 1:
-            worker = threading.Thread(target=_work, args=(_tasks,), name="fftsr-worker", daemon=True)
-            worker.start()
-            _workers.append(worker)
-        tasks = _tasks
-    done = queue.SimpleQueue()
-    for part in parts[1:]:
-        tasks.put((part, done))
+    dones = [_queue_part("worker", part, len(parts) - 1) for part in parts[1:]]
     try:
         parts[0]()
     finally:
-        errors = [done.get() for _ in parts[1:]]
+        errors = [done.get() for done in dones]
     for err in errors:
         if err is not None:
             raise err

@@ -132,8 +132,17 @@ def sample_patches(
 
     Each pair is (up, hr) of equal shape, ``up`` the whole-frame upscale
     :func:`upscale_image` uses; both crops take one window, at offsets on
-    the LR grid (multiples of ``scale``).
+    the LR grid (multiples of ``scale``). No pairs, or a pair whose sides
+    are not one (H, W, 3) shape, raise :class:`ShapeError`, and a side
+    under ``patch`` px :class:`TooSmallError`.
     """
+    if not pairs:
+        raise ShapeError("sample_patches: no (up, hr) pair to crop from")
+    for i, (up, hr) in enumerate(pairs):
+        if up.shape != hr.shape or hr.ndim != 3 or hr.shape[2] != 3:
+            raise ShapeError(f"pair {i}: up {up.shape} and HR {hr.shape} must be one (H, W, 3) shape")
+        if min(hr.shape[:2]) < patch:
+            raise TooSmallError(f"pair {i}: HR {hr.shape[:2]} holds no {patch} px patch")
     ups = np.empty((batch, 3, patch, patch), dtype=np.float32)
     hrs = np.empty_like(ups)
     n = len(pairs)
@@ -176,11 +185,7 @@ def upscale_image(gen: Generator, img: Image, scale: int) -> Image:
 
     The convolutions and spectral transforms split their work across the
     CPUs the process may use, and the output is bit-identical to a
-    one-thread run. On a 2-CPU Xeon guest with BLAS pinned to one thread,
-    a 360x640 -> 1080x1920 frame took 3.3 s, against 5.2 s unsplit. fftsr
-    expects single-threaded BLAS (``OPENBLAS_NUM_THREADS=1``): with
-    OpenBLAS at its default two threads, the same frame took 5.4 s split
-    and 5.2 s unsplit.
+    one-thread run. Like ``conv2d``, they expect single-threaded BLAS.
     """
     check_image(img, "upscale_image")
     check_scale(scale)
@@ -248,8 +253,13 @@ class Trainer:
         must be its HR downscaled by ``scale``, each HR (H, W, 3), all pixels
         in [0, 1]."""
         usable = []
-        for i, (lr, hr) in enumerate(pairs):
-            lr, hr = np.asarray(lr, dtype=np.float32), np.asarray(hr, dtype=np.float32)
+        for i, pair in enumerate(pairs):
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ShapeError(f"pair {i}: expected an (lr, hr) pair, got {type(pair).__name__}")
+            try:
+                lr, hr = (np.asarray(side, dtype=np.float32) for side in pair)
+            except (TypeError, ValueError) as err:  # text, a ragged list
+                raise ImageError(f"pair {i}: pixels must be real numbers in one array: {err}") from None
             if hr.ndim != 3 or hr.shape[2] != 3:
                 raise ShapeError(f"pair {i}: HR image has shape {hr.shape}, expected (H, W, 3)")
             want = (hr.shape[0] // self.scale, hr.shape[1] // self.scale)
@@ -261,7 +271,7 @@ class Trainer:
             if hr.shape[0] >= self.patch and hr.shape[1] >= self.patch:
                 usable.append((resample_bicubic(Image(lr), *hr.shape[:2]).data, hr))
         if not usable:
-            raise FftsrError(f"no training image is at least {self.patch}px on both sides")
+            raise TooSmallError(f"no training image is at least {self.patch}px on both sides")
         return usable
 
     def _check_finite(self, terms: dict):

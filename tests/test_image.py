@@ -359,6 +359,24 @@ def test_image_refuses_data_that_is_not_real_numbers(data):
         I.Image(data)
 
 
+def test_image_refuses_a_ragged_nested_list():
+    with pytest.raises(ImageError, match="one array"):
+        I.Image([[[0.1, 0.2, 0.3]], [[0.1, 0.2]]])
+
+
+@pytest.mark.parametrize("raw", [None, "\x89PNG", 8, [137, 80]], ids=["None", "str", "int", "list"])
+def test_decode_refuses_what_is_not_bytes(raw):
+    with pytest.raises(DecodeError, match=f"needs bytes, got {type(raw).__name__}"):
+        I.decode_image(raw)
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_decode_takes_bytes_like_input(wrap):
+    img = random_image(np.random.default_rng(9), 3, 4)
+    raw = I.encode_image(img)
+    assert np.array_equal(I.decode_image(wrap(raw)).data, I.decode_image(raw).data)
+
+
 @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float16])
 def test_image_takes_bool_integer_and_float_data(dtype):
     data = np.ones((2, 2, 3), dtype=dtype)

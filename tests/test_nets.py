@@ -312,6 +312,25 @@ def started_threads(monkeypatch) -> list:
     return names
 
 
+def queued_noise(monkeypatch) -> list:
+    """One entry per part queued on the ``noise`` lane from here on."""
+    queued, queue_part = [], T._queue_part
+
+    def spy(lane, part, threads=1):
+        if lane == "noise":
+            queued.append(part)
+        return queue_part(lane, part, threads)
+
+    monkeypatch.setattr(T, "_queue_part", spy)
+    return queued
+
+
+@pytest.fixture
+def noise_lane():
+    """The ``noise`` lane's thread, started here if no earlier test did."""
+    assert T._queue_part("noise", lambda: None).get() is None
+
+
 def _inline_noise_ref(gen, up, ns):
     """The training forward with each gap's noise drawn inline on the
     calling thread, one serial draw after another."""
@@ -344,29 +363,29 @@ class TestNoise:
         gen = N.Generator(N.GeneratorConfig(blocks=3, width=8), rng)
         x = Tensor(rng.random((2, 3, 10, 10), dtype=np.float32))
         ns = N.NoiseState(sigma0=0.3, rng=np.random.default_rng(0))
-        before, started = ns.rng.bit_generator.state, started_threads(monkeypatch)
+        before, started, queued = ns.rng.bit_generator.state, started_threads(monkeypatch), queued_noise(monkeypatch)
         out = gen(x, noise=ns, training=False)
         assert np.array_equal(out.data, gen(x, training=False).data)
-        assert ns.rng.bit_generator.state == before and "fftsr-noise" not in started
-        assert N.inject_noise(x, None) is x
+        assert ns.rng.bit_generator.state == before and started == [] and queued == []
+        assert N.inject_noise(x, []) is x
 
     def test_zero_multiplier_identity(self, monkeypatch):
         rng = np.random.default_rng(6)
         gen = N.Generator(N.GeneratorConfig(blocks=3, width=8), rng)
         x = Tensor(rng.random((2, 3, 10, 10), dtype=np.float32))
         ns = N.NoiseState(sigma0=0.3, rng=np.random.default_rng(0), ema=0.0, initial=1.0)
-        before, started = ns.rng.bit_generator.state, started_threads(monkeypatch)
-        assert ns.draws((2, 4, 6, 6), np.float32, 2) is None
+        before, started, queued = ns.rng.bit_generator.state, started_threads(monkeypatch), queued_noise(monkeypatch)
+        assert ns.draws((2, 4, 6, 6), np.float32, 2) == []
         out = gen(x, noise=ns, training=True)
         assert np.array_equal(out.data, gen(x, training=True).data)
-        assert ns.rng.bit_generator.state == before and "fftsr-noise" not in started
+        assert ns.rng.bit_generator.state == before and started == [] and queued == []
 
     def test_sample_variance_matches_amplitude(self):
         x = Tensor(np.zeros((1, 1, 320, 320), dtype=np.float32))
         ns = N.NoiseState(sigma0=0.2, rng=np.random.default_rng(42), ema=0.7, initial=1.0)
         draws = ns.draws(x.shape, x.dtype, 1)
         out = N.inject_noise(x, draws)
-        draws.join()
+        assert draws == []
         sample_var = float(out.data.var())
         expected = (0.2 * 0.7) ** 2
         assert abs(sample_var - expected) < 0.02 * expected
@@ -376,9 +395,8 @@ class TestNoise:
         ns = N.NoiseState(sigma0=0.2, rng=np.random.default_rng(42), ema=0.7, initial=1.0)
         serial = np.random.default_rng(42)
         draws = ns.draws(shape, np.float32, 3)
-        got = [draws._take() for _ in range(3)]
-        draws.join()
-        for a in got:
+        assert [done.get() for _, done in draws] == [None] * 3
+        for a, _ in draws:
             assert a.dtype == np.float32
             assert np.array_equal(a, serial.standard_normal(shape).astype(np.float32) * np.float32(amp))
         assert ns.rng.bit_generator.state == serial.bit_generator.state
@@ -389,7 +407,7 @@ class TestNoise:
         tracemalloc.start()
         try:
             draws = ns.draws(shape, np.float32, count)
-            draws.join()
+            assert [done.get() for _, done in draws] == [None] * count
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -418,15 +436,17 @@ class TestNoise:
         gen = N.Generator(N.GeneratorConfig(blocks=blocks, width=8), rng)
         up = Tensor(rng.random((2, 3, 10, 10), dtype=np.float32))
         ns, serial = N.NoiseState(sigma0=0.3, rng=np.random.default_rng(3)), np.random.default_rng(3)
-        started = started_threads(monkeypatch)
+        started, queued = started_threads(monkeypatch), queued_noise(monkeypatch)
         gen(up, noise=ns, training=True)
         for _ in range(blocks - 1):
             serial.standard_normal((2, 8, 10, 10))
         assert ns.rng.bit_generator.state == serial.bit_generator.state
-        assert started.count("fftsr-noise") == (blocks >= 2)
+        assert len(queued) == max(blocks - 1, 0)
+        if blocks < 2:
+            assert started == []
 
     @pytest.mark.parametrize("fail_at", [1, 3])
-    def test_a_failing_draw_raises_on_the_caller_and_leaves_no_thread(self, fail_at):
+    def test_a_failing_draw_raises_on_the_caller_and_leaves_no_thread(self, noise_lane, fail_at):
         rng = np.random.default_rng(33)
         gen = N.Generator(N.GeneratorConfig(blocks=4, width=8), rng)
         up = Tensor(rng.random((2, 3, 10, 10), dtype=np.float32))
@@ -437,11 +457,11 @@ class TestNoise:
         assert threading.active_count() == threads
         assert ns.rng.calls == fail_at
 
-    def test_a_failing_block_joins_the_producer(self):
+    def test_a_failing_block_joins_the_producer(self, noise_lane):
         rng = np.random.default_rng(34)
         gen = N.Generator(N.GeneratorConfig(blocks=4, width=8), rng)
         up = Tensor(rng.random((2, 3, 10, 10), dtype=np.float32))
-        # the draws outlast the failing block, so only a join ends the producer in time
+        # the draws outlast the failing block, so only waiting for them ends them in time
         ns = N.NoiseState(sigma0=0.3, rng=_SlowRng(np.random.default_rng(5), delay=0.05))
 
         def fail(x, training):
@@ -452,6 +472,35 @@ class TestNoise:
         with pytest.raises(ShapeError, match="block failed"):
             gen(up, noise=ns, training=True)
         assert threading.active_count() == threads and ns.rng.calls == 3
+
+    def test_generators_on_two_threads_share_the_noise_lane(self):
+        # one noise thread serves every generator: two forwards at once,
+        # their draws queued on it between each other's, each get what a
+        # forward alone gets and leave their stream where it leaves it
+        def forward(seed, delay):
+            rng = np.random.default_rng(seed)
+            gen = N.Generator(N.GeneratorConfig(blocks=4, width=8), rng)
+            up = Tensor(rng.random((2, 3, 12, 14), dtype=np.float32))
+            ns = N.NoiseState(sigma0=0.3, rng=_SlowRng(np.random.default_rng(seed + 1), delay=delay))
+            return [gen(up, noise=ns, training=True).data for _ in range(3)], ns.rng.rng.bit_generator.state
+
+        seeds = (40, 42)
+        alone = {seed: forward(seed, 0.0) for seed in seeds}
+        together, start = {}, threading.Barrier(len(seeds))
+
+        def run(seed):
+            start.wait()
+            together[seed] = forward(seed, 0.002)
+
+        callers = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+        assert not any(caller.is_alive() for caller in callers)
+        for seed in seeds:
+            (outs, state), (ref_outs, ref_state) = together[seed], alone[seed]
+            assert all(np.array_equal(a, b) for a, b in zip(outs, ref_outs)) and state == ref_state
 
     @pytest.fixture
     def anneal(self, monkeypatch):

@@ -16,6 +16,7 @@ import pytest
 
 import fftsr
 from fftsr import fft
+from fftsr import nets as N
 from fftsr import tensor as T
 from fftsr.errors import AxisError, DomainError, GraphError, ShapeError
 from fftsr.nets import BatchNorm2d
@@ -868,6 +869,32 @@ class TestSplitAcrossThreads:
         assert done.stdout.split() == ["1", "1"]
 
 
+def in_forked_child(run, timeout=30.0):
+    """``run()``'s bytes, as a forked child sends them back, or None if
+    they do not come within ``timeout`` s; the child is then killed.
+    Either way the child is reaped, and its exit code must be 0."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.write(write_end, run())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        ready, _, _ = select.select([read_end], [], [], timeout)
+        got = os.read(read_end, 1024) if ready else None
+    finally:
+        os.close(read_end)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    assert got is None or os.waitstatus_to_exitcode(status) == 0
+    return got
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_splits_a_kernel_on_workers_of_its_own(monkeypatch):
     # the child has none of the parent's worker threads; unless the fork
@@ -878,27 +905,28 @@ def test_a_forked_child_splits_a_kernel_on_workers_of_its_own(monkeypatch):
     monkeypatch.setattr(T, "_SPLIT_WORK", 0)
     monkeypatch.setattr(T, "_THREADS", 3)
     ref = hashlib.sha256(T.conv2d(x, k, padding=1).data.tobytes()).digest()
-    assert any(worker.is_alive() for worker in T._workers)
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.write(write_end, hashlib.sha256(T.conv2d(x, k, padding=1).data.tobytes()).digest())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    try:
-        ready, _, _ = select.select([read_end], [], [], 30.0)
-        got = os.read(read_end, 64) if ready else None
-    finally:
-        os.close(read_end)
-        if not ready:
-            os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
+    assert any(worker.is_alive() for worker in T._lanes["worker"][1])
+    got = in_forked_child(lambda: hashlib.sha256(T.conv2d(x, k, padding=1).data.tobytes()).digest())
     assert got is not None, "the forked child's split conv2d did not finish within 30 s"
-    assert os.waitstatus_to_exitcode(status) == 0 and got == ref
+    assert got == ref
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_draws_noise_on_a_lane_of_its_own():
+    # likewise for the noise lane: the parent's noise thread has run, and
+    # the child's noisy training forward needs a noise thread of its own
+    def noisy_forward() -> bytes:
+        rng = np.random.default_rng(27)
+        gen = N.Generator(N.GeneratorConfig(blocks=3, width=8), rng)
+        up = Tensor(rng.random((2, 3, 10, 10), dtype=np.float32))
+        ns = N.NoiseState(sigma0=0.3, rng=np.random.default_rng(28))
+        return hashlib.sha256(gen(up, noise=ns, training=True).data.tobytes()).digest()
+
+    ref = noisy_forward()
+    assert any(worker.is_alive() for worker in T._lanes["noise"][1])
+    got = in_forked_child(noisy_forward)
+    assert got is not None, "the forked child's noisy training forward did not finish within 30 s"
+    assert got == ref
 
 
 class TestBatchNorm:

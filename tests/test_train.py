@@ -21,7 +21,7 @@ from fftsr.optim import AdamW
 from fftsr.tensor import Tensor
 
 from test_config import REMOVED
-from test_nets import started_threads, state_bytes
+from test_nets import queued_noise, started_threads, state_bytes
 
 # a small network whose adaptive state all moves within a few steps: the
 # noise baseline is set after 2 steps, the policy window fills after 2,
@@ -419,7 +419,7 @@ class TestAbort:
 
 def test_no_usable_pair_is_a_typed_error(cfg):
     tiny = [tuple(i.data for i in make_lr_hr_pair(img, 3)) for img in make_texture_corpus(2, 9, seed=0)]
-    with pytest.raises(FftsrError):
+    with pytest.raises(TooSmallError, match="no training image"):
         train.Trainer(cfg, 0, tiny)
 
 
@@ -444,6 +444,37 @@ class TestPairShapes:
         lr, hr = pairs[1]
         with pytest.raises(ShapeError, match=r"pair 1: HR image has shape .*expected \(H, W, 3\)"):
             train.Trainer(cfg, 0, [pairs[0], (lr, spoil(hr))])
+
+    @pytest.mark.parametrize("item", ["hr", "triple", "hr_rows"])
+    def test_an_item_that_is_not_a_pair_is_rejected(self, cfg, pairs, item):
+        lr, hr = pairs[1]
+        bad = {"hr": hr, "triple": (lr, hr, hr), "hr_rows": hr[:2]}[item]  # two rows would unpack
+        with pytest.raises(ShapeError, match="pair 1: expected an \\(lr, hr\\) pair"):
+            train.Trainer(cfg, 0, [pairs[0], bad])
+
+    @pytest.mark.parametrize("bad", [("a", "b"), ([[[0.1, 0.2, 0.3]], [[0.1, 0.2]]], None)], ids=["text", "ragged"])
+    def test_pixels_that_are_not_one_array_of_numbers_are_rejected(self, cfg, pairs, bad):
+        with pytest.raises(ImageError, match="pair 1: pixels must be real numbers in one array"):
+            train.Trainer(cfg, 0, [pairs[0], bad])
+
+
+class TestSamplePatchesInput:
+    def test_no_pairs_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="no \\(up, hr\\) pair"):
+            train.sample_patches([], 12, 3, np.random.default_rng(0), 2)
+
+    @pytest.mark.parametrize("shape", [(24, 9, 3), (9, 24, 3)], ids=["narrow", "short"])
+    def test_a_pair_under_the_patch_names_the_pair(self, shape):
+        whole, small = np.zeros((24, 24, 3), np.float32), np.zeros(shape, np.float32)
+        with pytest.raises(TooSmallError, match="pair 1: .* 12 px patch"):
+            train.sample_patches([(whole, whole), (small, small)], 12, 3, np.random.default_rng(0), 2)
+
+    @pytest.mark.parametrize("case", ["small_up", "small_hr", "gray"])
+    def test_a_pair_not_of_one_rgb_shape_names_the_pair(self, case):
+        whole, small, gray = np.zeros((24, 24, 3), np.float32), np.zeros((15, 24, 3), np.float32), np.zeros((24, 24))
+        pair = {"small_up": (small, whole), "small_hr": (whole, small), "gray": (gray, gray)}[case]
+        with pytest.raises(ShapeError, match="pair 1: up .* and HR .* must be one \\(H, W, 3\\) shape"):
+            train.sample_patches([(whole, whole), pair], 12, 3, np.random.default_rng(0), 2)
 
 
 def _nan_pixel(a):
@@ -612,21 +643,21 @@ class TestUpscaleLeavesTheModelAlone:
 
 
 class TestNoiseProducer:
-    """A training step's noise producer is joined inside the step, and an
-    upscale starts none."""
+    """A training step's noise draws finish inside the step, on threads
+    that the first step started, and an upscale queues none."""
 
     def test_a_train_step_leaves_no_thread_behind(self, cfg, pairs, monkeypatch):
         trainer = train.Trainer(cfg.replace(gen__blocks=3), 0, pairs)
-        trainer.train_step()  # starts any kernel workers the step uses
-        threads, started = threading.active_count(), started_threads(monkeypatch)
+        trainer.train_step()  # starts the noise thread and any kernel workers the step uses
+        threads, started, queued = threading.active_count(), started_threads(monkeypatch), queued_noise(monkeypatch)
         trainer.train_step()
-        assert threading.active_count() == threads and started.count("fftsr-noise") == 1
+        assert threading.active_count() == threads and started == [] and len(queued) == 2
 
     def test_an_upscale_starts_no_producer(self, pairs, monkeypatch):
         gen = train.build_generator(default_config())
-        started = started_threads(monkeypatch)
+        queued = queued_noise(monkeypatch)
         train.upscale_image(gen, Image(pairs[0][0]), 3)
-        assert "fftsr-noise" not in started
+        assert queued == []
 
 
 class TestUpscaleInput:
